@@ -39,6 +39,20 @@ cargo run --release -q -p d2m-bench --bin throughput -- \
     compare "$committed_smoke" BENCH_throughput.smoke.json \
     || { echo "simulation behavior drifted from the committed smoke snapshot"; exit 1; }
 
+echo "== shared-trace sweep smoke (1 worker vs 3 workers, diff) =="
+# A sweep records each (config, workload) group's trace once and every
+# system of the group replays it. Three workers split the three-system
+# groups between them; the JSON must still match a one-worker run byte for
+# byte.
+SHARE_ARGS=(--sweep ci-share --workloads swaptions,mix2 --systems base-2l,d2m-fs,d2m-ns-r
+            --instructions 20000 --warmup 5000)
+for jobs in 1 3; do
+    cargo run --release -q -p d2m-sim --bin d2m-simulate -- \
+        "${SHARE_ARGS[@]}" --jobs "$jobs" --out "$fault_dir/share-$jobs.json"
+done
+cmp "$fault_dir/share-1.json" "$fault_dir/share-3.json" \
+    || { echo "sweep JSON differs between 1 and 3 workers"; exit 1; }
+
 echo "== fault-tolerant sweep smoke (inject, kill, resume, diff) =="
 # End-to-end proof of the sweep engine's fault-tolerance contract, against
 # the real release binary and a real process death (not an in-process

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use d2m_common::json::Json;
-use d2m_common::ToJson;
+use d2m_common::{fnv1a_64, ToJson};
 use d2m_sim::{AnySystem, SystemKind};
 use d2m_workloads::{catalog, TraceGen};
 
@@ -68,13 +68,7 @@ const OUT_SMOKE: &str = "BENCH_throughput.smoke.json";
 /// FNV-1a over the deterministic counter JSON: a compact fingerprint that
 /// changes iff any simulation counter changes.
 fn checksum(json: &Json) -> String {
-    let text = json.to_string_compact();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", fnv1a_64(json.to_string_compact().as_bytes()))
 }
 
 struct SystemRun {

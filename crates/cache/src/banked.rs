@@ -369,15 +369,12 @@ mod tests {
                 }
             }
         }
-        for bank in 0..banks {
+        for (bank, sa) in split.iter().enumerate() {
             let a: Vec<_> = arena
                 .iter_bank(bank)
                 .map(|(s, w, k, v)| (s, w, k, *v))
                 .collect();
-            let s: Vec<_> = split[bank]
-                .iter()
-                .map(|(s, w, k, v)| (s, w, k, *v))
-                .collect();
+            let s: Vec<_> = sa.iter().map(|(s, w, k, v)| (s, w, k, *v)).collect();
             assert_eq!(a, s);
         }
     }

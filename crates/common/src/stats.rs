@@ -345,8 +345,8 @@ mod tests {
         let (b, overflow) = h.buckets();
         assert_eq!(overflow, 0);
         assert_eq!(b[0], 1); // the single `2^1 - 1 = 1`
-        for i in 1..7usize {
-            assert_eq!(b[i], 2, "bucket {i}: opener + closer of the next");
+        for (i, &n) in b.iter().enumerate().take(7).skip(1) {
+            assert_eq!(n, 2, "bucket {i}: opener + closer of the next");
         }
         assert_eq!(b[7], 1); // 2^7 recorded, 2^8 - 1 never was
                              // The first out-of-range value overflows.

@@ -48,7 +48,9 @@ use std::time::Instant;
 use d2m_common::fnv1a_64;
 use d2m_common::json::{FromJson, Json, ToJson};
 
-use crate::sweep::{missing_cell, pool_run, run_cell, CellResult, SweepResult, SweepSpec};
+use crate::sweep::{
+    missing_cell, pool_run, run_cell, CellResult, SharedTraces, SweepResult, SweepSpec,
+};
 
 /// Journal format version; bumped on any incompatible layout change.
 const JOURNAL_VERSION: u64 = 1;
@@ -252,7 +254,9 @@ impl JournalWriter {
 ///
 /// Cells fail in isolation exactly as in
 /// [`crate::sweep::run_sweep_with_jobs`]: a panicking or failing cell is
-/// journaled as a failed [`CellResult`] and does not abort the sweep.
+/// journaled as a failed [`CellResult`] and does not abort the sweep. Cells
+/// share their group's trace as there too; on resume, only groups that still
+/// have unjournaled cells record theirs.
 ///
 /// # Errors
 ///
@@ -271,6 +275,16 @@ pub fn run_sweep_checkpointed(
     jobs: usize,
     path: &Path,
     resume: bool,
+) -> Result<SweepResult, CheckpointError> {
+    checkpointed(spec, jobs, path, resume, &SharedTraces::new(spec))
+}
+
+fn checkpointed(
+    spec: &SweepSpec,
+    jobs: usize,
+    path: &Path,
+    resume: bool,
+    traces: &SharedTraces<'_>,
 ) -> Result<SweepResult, CheckpointError> {
     assert!(jobs >= 1, "sweep needs at least one worker");
     let started = Instant::now();
@@ -308,8 +322,7 @@ pub fn run_sweep_checkpointed(
     let todo: Vec<usize> = (0..n).filter(|&i| done[i].is_none()).collect();
     let journal = Mutex::new(writer);
     let jobs_used = jobs.min(todo.len().max(1));
-    let fresh = pool_run(todo.len(), jobs_used, |k| {
-        let index = todo[k];
+    let fresh = pool_run(traces, &todo, jobs_used, |index, trace| {
         {
             // Journaling already failed: don't burn hours simulating cells
             // whose results can no longer be made durable.
@@ -318,7 +331,7 @@ pub fn run_sweep_checkpointed(
                 return None;
             }
         }
-        let cell = run_cell(spec, index);
+        let cell = run_cell(spec, index, trace);
         let seq = {
             let mut j = journal.lock().unwrap_or_else(PoisonError::into_inner);
             j.append(&cell.to_json().to_string_compact());
@@ -412,6 +425,32 @@ mod tests {
         // Nothing was re-run, so nothing was appended.
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1 + s.num_cells());
+    }
+
+    #[test]
+    fn resume_mid_group_records_only_the_unfinished_groups_trace() {
+        // Two groups of five systems; journal all of the first group and
+        // two of the second's five cells, as a kill mid-group leaves it.
+        let mut s = spec("ckpt-mid-group");
+        s.systems = SystemKind::ALL.to_vec();
+        s.workloads.push(catalog::by_name("mix2").unwrap());
+        let path = tmp("mid-group.ckpt");
+        let full = run_sweep_checkpointed(&s, 1, &path, false).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let cut: Vec<&str> = text.lines().take(1 + 5 + 2).collect();
+        for jobs in [1, 3] {
+            std::fs::write(&path, cut.join("\n") + "\n").unwrap();
+            let traces = SharedTraces::new(&s);
+            let resumed = checkpointed(&s, jobs, &path, true, &traces).unwrap();
+            assert_eq!(
+                resumed.to_json_string(),
+                full.to_json_string(),
+                "jobs={jobs}"
+            );
+            assert_eq!(traces.recorded(), [0, 1], "jobs={jobs}");
+            assert_eq!(traces.live(), 0, "jobs={jobs}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 11);
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! are mostly hidden), finalizes energy (structure accesses + NoC + memory +
 //! leakage) and extracts every metric the paper's tables and figures report.
 //! The [`sweep`] module fans declarative (config × workload × system) grids
-//! over a deterministic work-stealing thread pool, with per-cell panic
-//! isolation and bounded retry; the [`checkpoint`] module adds an
+//! over a deterministic work-stealing thread pool, generating each
+//! (config, workload) group's trace once for all its systems, with per-cell
+//! panic isolation and bounded retry; the [`checkpoint`] module adds an
 //! append-only journal so a killed sweep resumes without losing completed
 //! cells.
 //!

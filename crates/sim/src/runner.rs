@@ -13,6 +13,7 @@
 //! cycles.
 
 use std::fmt;
+use std::sync::Arc;
 
 use d2m_common::config::MachineConfig;
 use d2m_common::json::{Json, ToJson};
@@ -22,7 +23,7 @@ use d2m_common::stats::Counters;
 use d2m_core::ProtocolError;
 use d2m_energy::EnergyEvent;
 use d2m_noc::{MsgClass, TrafficMatrix};
-use d2m_workloads::{TraceGen, WorkloadSpec};
+use d2m_workloads::{Access, Trace, TraceGen, WorkloadSpec};
 
 use crate::metrics::{counters_delta, RunMetrics};
 use crate::systems::{AnySystem, SystemKind};
@@ -280,7 +281,7 @@ pub fn run_one_checked(
     spec: &WorkloadSpec,
     rc: &RunConfig,
 ) -> Result<RunMetrics, RunError> {
-    run_core(kind, cfg, spec, rc, None, false).map(|(m, _, _)| m)
+    checked(kind, cfg, spec, rc, None)
 }
 
 /// Runs one pair with the full observability layer enabled: a
@@ -300,8 +301,35 @@ pub fn run_one_observed(
     spec: &WorkloadSpec,
     rc: &RunConfig,
 ) -> Result<RunObservation, RunError> {
+    observe(kind, cfg, spec, rc, None)
+}
+
+/// A sweep group's shared trace, fetched by the run that needs it (see
+/// [`run_core`]).
+pub(crate) type SharedTrace<'a> = Option<&'a dyn Fn() -> Arc<Trace>>;
+
+/// [`run_one_checked`], replaying `shared` when it is set.
+pub(crate) fn checked(
+    kind: SystemKind,
+    cfg: &MachineConfig,
+    spec: &WorkloadSpec,
+    rc: &RunConfig,
+    shared: SharedTrace<'_>,
+) -> Result<RunMetrics, RunError> {
+    run_core(kind, cfg, spec, rc, shared, None, false).map(|(m, _, _)| m)
+}
+
+/// [`run_one_observed`], replaying `shared` when it is set.
+pub(crate) fn observe(
+    kind: SystemKind,
+    cfg: &MachineConfig,
+    spec: &WorkloadSpec,
+    rc: &RunConfig,
+    shared: SharedTrace<'_>,
+) -> Result<RunObservation, RunError> {
     let mut probe = RecordingProbe::new();
-    let (metrics, warmup_counters, sys) = run_core(kind, cfg, spec, rc, Some(&mut probe), true)?;
+    let (metrics, warmup_counters, sys) =
+        run_core(kind, cfg, spec, rc, shared, Some(&mut probe), true)?;
     let traffic = sys
         .noc()
         .matrix()
@@ -317,11 +345,62 @@ pub fn run_one_observed(
     })
 }
 
+/// Where a run's accesses come from: a generator driven one batch at a time,
+/// so memory stays bounded by one batch, or a trace recorded once for a
+/// sweep group.
+enum Feed {
+    Stream {
+        gen: Box<TraceGen>,
+        batch: Vec<Access>,
+    },
+    Replay(Arc<Trace>),
+}
+
+impl Feed {
+    /// Feeds one phase to `replay` and returns the instructions it
+    /// represents. A stream takes whole batches until it reaches `target`;
+    /// a recorded trace was cut by that same loop.
+    fn phase(
+        &mut self,
+        measured: bool,
+        target: u64,
+        mut replay: impl FnMut(&[Access]) -> Result<(), ProtocolError>,
+    ) -> Result<u64, ProtocolError> {
+        match self {
+            Feed::Stream { gen, batch } => {
+                let mut insts = 0u64;
+                while insts < target {
+                    batch.clear();
+                    insts += gen.next_batch(batch);
+                    replay(batch)?;
+                }
+                Ok(insts)
+            }
+            Feed::Replay(trace) if measured => {
+                replay(trace.measured())?;
+                Ok(trace.measured_insts())
+            }
+            Feed::Replay(trace) => {
+                replay(trace.warmup())?;
+                Ok(trace.warmup_insts())
+            }
+        }
+    }
+}
+
+/// The simulation loop behind every run.
+///
+/// With `shared` unset the accesses stream from a fresh [`TraceGen`]; with
+/// it set they come from that trace, which must have been recorded for
+/// `spec` on `cfg.nodes` nodes with `rc`'s seed and run length. The trace is
+/// fetched after the system is built, where a stream's generator is made, so
+/// a run that fails does so at the same step either way.
 fn run_core(
     kind: SystemKind,
     cfg: &MachineConfig,
     spec: &WorkloadSpec,
     rc: &RunConfig,
+    shared: SharedTrace<'_>,
     mut probe: Option<&mut RecordingProbe>,
     record_traffic: bool,
 ) -> Result<(RunMetrics, Counters, AnySystem), RunError> {
@@ -329,50 +408,48 @@ fn run_core(
     if record_traffic {
         sys.noc_mut().enable_matrix(cfg.nodes);
     }
-    let mut gen = TraceGen::new(spec, cfg.nodes, rc.seed);
+    let mut feed = match shared {
+        Some(trace) => Feed::Replay(trace()),
+        None => Feed::Stream {
+            gen: Box::new(TraceGen::new(spec, cfg.nodes, rc.seed)),
+            batch: Vec::new(),
+        },
+    };
     let mut clocks = vec![0f64; cfg.nodes];
-    let mut batch = Vec::new();
 
     let ipc = cfg.core.base_ipc;
     let l1_lat = cfg.lat.l1 as f64;
     let insts_per_fetch = spec.insts_per_fetch;
     let mut tally = ServeTally::default();
-    let mut run_insts = |sys: &mut AnySystem,
-                         gen: &mut TraceGen,
-                         clocks: &mut [f64],
-                         tally: &mut ServeTally,
-                         mut probe: Option<&mut RecordingProbe>,
-                         measure: bool,
-                         target: u64|
-     -> Result<u64, ProtocolError> {
-        let mut insts = 0u64;
-        while insts < target {
-            batch.clear();
-            insts += gen.next_batch(&mut batch);
-            for a in &batch {
-                let n = a.node.index();
-                let now = clocks[n] as u64;
-                let r =
-                    sys.access_probed(a, now, probe.as_deref_mut().map(|p| p as &mut dyn Probe))?;
-                let is_i = a.kind.is_ifetch();
-                if is_i {
-                    clocks[n] += insts_per_fetch / ipc;
-                }
-                if !r.l1_hit || r.late {
-                    let beyond = (r.latency as f64 - l1_lat).max(0.0);
-                    let blocking = if is_i {
-                        cfg.core.ifetch_blocking
-                    } else {
-                        cfg.core.data_blocking
-                    };
-                    clocks[n] += beyond * blocking;
-                }
-                if measure && !r.l1_hit {
-                    tally.record(is_i, r.serviced_by, r.latency);
-                }
+    let replay = |sys: &mut AnySystem,
+                  clocks: &mut [f64],
+                  tally: &mut ServeTally,
+                  mut probe: Option<&mut RecordingProbe>,
+                  measure: bool,
+                  accesses: &[Access]|
+     -> Result<(), ProtocolError> {
+        for a in accesses {
+            let n = a.node.index();
+            let now = clocks[n] as u64;
+            let r = sys.access_probed(a, now, probe.as_deref_mut().map(|p| p as &mut dyn Probe))?;
+            let is_i = a.kind.is_ifetch();
+            if is_i {
+                clocks[n] += insts_per_fetch / ipc;
+            }
+            if !r.l1_hit || r.late {
+                let beyond = (r.latency as f64 - l1_lat).max(0.0);
+                let blocking = if is_i {
+                    cfg.core.ifetch_blocking
+                } else {
+                    cfg.core.data_blocking
+                };
+                clocks[n] += beyond * blocking;
+            }
+            if measure && !r.l1_hit {
+                tally.record(is_i, r.serviced_by, r.latency);
             }
         }
-        Ok(insts)
+        Ok(())
     };
     let proto_err = |error: ProtocolError| RunError::Protocol {
         system: kind.name(),
@@ -384,36 +461,44 @@ fn run_core(
     if let Some(p) = probe.as_deref_mut() {
         p.phase("warmup");
     }
-    run_insts(
-        &mut sys,
-        &mut gen,
-        &mut clocks,
-        &mut tally,
-        probe.as_deref_mut(),
-        false,
-        rc.warmup_instructions,
-    )
+    feed.phase(false, rc.warmup_instructions, |batch| {
+        replay(
+            &mut sys,
+            &mut clocks,
+            &mut tally,
+            probe.as_deref_mut(),
+            false,
+            batch,
+        )
+    })
     .map_err(proto_err)?;
     let warm_counters = sys.counters();
     let warm_cycles = clocks.iter().cloned().fold(0f64, f64::max);
     let warm_dyn_std = sys.energy().dynamic_std_pj();
     let warm_dyn_d2m = sys.energy().dynamic_d2m_pj();
+    // The warmup records nothing, so the counts do not need this reset. It
+    // stays for its allocation: without it, glibc placed the run's small
+    // blocks so that it trimmed and re-faulted the heap on every run (10 k
+    // → 118 k minor page faults in a `simbench --workload deep-run`
+    // process, and 25% slower short runs).
     tally = ServeTally::default();
 
     // Measurement window.
     if let Some(p) = probe.as_deref_mut() {
         p.phase("measured");
     }
-    let instructions = run_insts(
-        &mut sys,
-        &mut gen,
-        &mut clocks,
-        &mut tally,
-        probe,
-        true,
-        rc.instructions,
-    )
-    .map_err(proto_err)?;
+    let instructions = feed
+        .phase(true, rc.instructions, |batch| {
+            replay(
+                &mut sys,
+                &mut clocks,
+                &mut tally,
+                probe.as_deref_mut(),
+                true,
+                batch,
+            )
+        })
+        .map_err(proto_err)?;
     let end_cycles = clocks.iter().cloned().fold(0f64, f64::max);
     let cycles = (end_cycles - warm_cycles).max(1.0) as u64;
 

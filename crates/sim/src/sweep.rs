@@ -20,8 +20,12 @@
 //!   `(config, workload)` axes only: all systems simulating one workload see
 //!   the **same trace**, which is what makes paired metrics such as
 //!   [`RunMetrics::speedup_vs`] meaningful.
-//! * Cells never share mutable state; each worker builds its own system and
-//!   generator from the cell seed.
+//! * Each cell builds its own system from the cell seed. The access stream
+//!   is shared: the first cell of a `(config, workload)` group to run
+//!   records the group's trace once ([`Trace::record`], the same batch loop
+//!   a streaming [`run_one`](crate::run_one) drives) and every system cell
+//!   of the group replays it. A trace is a pure function of the spec and
+//!   the group, so which worker records it cannot change a result.
 //! * [`SweepResult::to_json`] is rendered with the workspace's deterministic
 //!   JSON ([`d2m_common::json`]) and deliberately **excludes** wall-clock
 //!   time and the job count, so a 1-thread run and an N-thread run of the
@@ -54,17 +58,17 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use d2m_common::config::MachineConfig;
 use d2m_common::json::{FromJson, Json, JsonError, ToJson};
 use d2m_common::probe::RecordingProbe;
 use d2m_common::rng::derive_stream_seed;
-use d2m_workloads::WorkloadSpec;
+use d2m_workloads::{Trace, WorkloadSpec};
 
 use crate::metrics::RunMetrics;
-use crate::runner::{run_one_checked, run_one_observed, RunConfig, RunError, RunObservation};
+use crate::runner::{checked, observe, RunConfig, RunError, RunObservation};
 use crate::systems::SystemKind;
 
 /// Maximum execution attempts per cell: the first run plus up to two
@@ -359,36 +363,133 @@ pub fn run_sweep(spec: &SweepSpec) -> SweepResult {
     run_sweep_with_jobs(spec, default_jobs())
 }
 
+/// The per-`(config, workload)` trace slots of one sweep.
+///
+/// Cell seeds leave out the system axis, so every system cell of a group
+/// replays the same access stream. The group's first cell to need it records
+/// it, inside that cell's `catch_unwind` attempt and under the group's lock,
+/// so the group's other workers wait for it instead of generating it again.
+/// The group's last pending cell to finish drops it. Cells are claimed in
+/// index order, so about ⌈jobs / systems⌉ + 1 traces are live at a time, and
+/// never more than one per worker plus one.
+pub(crate) struct SharedTraces<'s> {
+    spec: &'s SweepSpec,
+    groups: Vec<Mutex<TraceSlot>>,
+}
+
+#[derive(Default)]
+struct TraceSlot {
+    trace: Option<Arc<Trace>>,
+    /// Cells of the group that have yet to finish.
+    pending: usize,
+    /// Times the trace was recorded.
+    recorded: u32,
+}
+
+impl<'s> SharedTraces<'s> {
+    pub(crate) fn new(spec: &'s SweepSpec) -> Self {
+        let groups = spec.configs.len() * spec.workloads.len();
+        Self {
+            spec,
+            groups: (0..groups).map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    fn slot(&self, index: usize) -> MutexGuard<'_, TraceSlot> {
+        self.groups[index / self.spec.systems.len()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Cell `index`'s trace, recorded by the group's first caller. A panic
+    /// while recording (an invalid workload spec) leaves the slot empty, so
+    /// every cell of the group fails with the message it would get
+    /// generating its own trace.
+    fn get(&self, index: usize) -> Arc<Trace> {
+        let mut guard = self.slot(index);
+        let slot = &mut *guard;
+        let trace = slot.trace.get_or_insert_with(|| {
+            let (point, _, workload) = cell_identity(self.spec, index);
+            let rc = self.spec.cell_run_config(index);
+            let trace = Trace::record(
+                workload,
+                point.config.nodes,
+                rc.seed,
+                rc.warmup_instructions,
+                rc.instructions,
+            );
+            slot.recorded += 1;
+            Arc::new(trace)
+        });
+        Arc::clone(trace)
+    }
+
+    /// Marks cell `index` finished; the group's last one drops the trace.
+    fn finish(&self, index: usize) {
+        let mut slot = self.slot(index);
+        slot.pending -= 1;
+        if slot.pending == 0 {
+            slot.trace = None;
+        }
+    }
+
+    #[cfg(test)]
+    fn slots(&self) -> impl Iterator<Item = MutexGuard<'_, TraceSlot>> {
+        self.groups
+            .iter()
+            .map(|g| g.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Traces still held.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        self.slots().filter(|s| s.trace.is_some()).count()
+    }
+
+    /// Times each group's trace was recorded, in group order.
+    #[cfg(test)]
+    pub(crate) fn recorded(&self) -> Vec<u32> {
+        self.slots().map(|s| s.recorded).collect()
+    }
+}
+
 /// The work-stealing pool shared by the plain, observed and checkpointed
-/// sweeps: workers pull the next unclaimed cell index from an atomic
-/// counter, run it in isolation, and deposit the result into its
+/// sweeps: workers pull the next unclaimed cell of `todo` (in order) from an
+/// atomic counter, run it in isolation, and deposit the result into its
 /// preassigned slot — so the output order never depends on scheduling.
+/// Results line up with `todo`. Each cell gets its group's shared trace from
+/// `traces`.
 ///
 /// `run_cell` closures are expected to be panic-free (cell execution wraps
 /// every attempt in `catch_unwind`); should one panic anyway, the slot stays
 /// `None` — the caller substitutes a failed placeholder — and lock poisoning
 /// is shrugged off rather than cascading into an abort of the whole pool.
 pub(crate) fn pool_run<T: Send>(
-    n: usize,
+    traces: &SharedTraces<'_>,
+    todo: &[usize],
     jobs: usize,
-    run_cell: impl Fn(usize) -> T + Sync,
+    run_cell: impl Fn(usize, &dyn Fn() -> Arc<Trace>) -> T + Sync,
 ) -> Vec<Option<T>> {
+    for &index in todo {
+        traces.slot(index).pending += 1;
+    }
     let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> =
-        Mutex::new(std::iter::repeat_with(|| None).take(n).collect());
+    let results: Mutex<Vec<Option<T>>> =
+        Mutex::new(std::iter::repeat_with(|| None).take(todo.len()).collect());
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= n {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&index) = todo.get(k) else {
                     break;
-                }
-                let result = run_cell(index);
-                slots.lock().unwrap_or_else(PoisonError::into_inner)[index] = Some(result);
+                };
+                let result = run_cell(index, &|| traces.get(index));
+                traces.finish(index);
+                results.lock().unwrap_or_else(PoisonError::into_inner)[k] = Some(result);
             });
         }
     });
-    slots.into_inner().unwrap_or_else(PoisonError::into_inner)
+    results.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The cell's static identity plus the run config that reproduces it.
@@ -486,14 +587,18 @@ fn injected_fault(spec: &SweepSpec, index: usize) -> Option<RunError> {
     }
 }
 
-pub(crate) fn run_cell(spec: &SweepSpec, index: usize) -> CellResult {
+pub(crate) fn run_cell(
+    spec: &SweepSpec,
+    index: usize,
+    trace: &dyn Fn() -> Arc<Trace>,
+) -> CellResult {
     let (point, system, workload) = cell_identity(spec, index);
     let rc = spec.cell_run_config(index);
     let (outcome, attempts) = run_attempts(|| {
         if let Some(e) = injected_fault(spec, index) {
             return Err(e);
         }
-        run_one_checked(system, &point.config, workload, &rc)
+        checked(system, &point.config, workload, &rc, Some(trace))
     });
     finish_cell(spec, index, outcome, attempts)
 }
@@ -527,15 +632,22 @@ pub(crate) fn missing_cell(spec: &SweepSpec, index: usize) -> CellResult {
 ///
 /// Panics if `jobs` is zero.
 pub fn run_sweep_with_jobs(spec: &SweepSpec, jobs: usize) -> SweepResult {
+    sweep(spec, jobs, &SharedTraces::new(spec))
+}
+
+fn sweep(spec: &SweepSpec, jobs: usize, traces: &SharedTraces<'_>) -> SweepResult {
     assert!(jobs >= 1, "sweep needs at least one worker");
     let started = Instant::now();
     let n = spec.num_cells();
     let jobs_used = jobs.min(n.max(1));
-    let cells = pool_run(n, jobs_used, |index| run_cell(spec, index))
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| c.unwrap_or_else(|| missing_cell(spec, i)))
-        .collect();
+    let todo: Vec<usize> = (0..n).collect();
+    let cells = pool_run(traces, &todo, jobs_used, |index, trace| {
+        run_cell(spec, index, trace)
+    })
+    .into_iter()
+    .enumerate()
+    .map(|(i, c)| c.unwrap_or_else(|| missing_cell(spec, i)))
+    .collect();
     SweepResult {
         name: spec.name.clone(),
         master_seed: spec.master_seed,
@@ -625,18 +737,23 @@ pub fn run_sweep_observed(spec: &SweepSpec) -> ObservedSweep {
 ///
 /// Panics if `jobs` is zero.
 pub fn run_sweep_observed_with_jobs(spec: &SweepSpec, jobs: usize) -> ObservedSweep {
+    observed_sweep(spec, jobs, &SharedTraces::new(spec))
+}
+
+fn observed_sweep(spec: &SweepSpec, jobs: usize, traces: &SharedTraces<'_>) -> ObservedSweep {
     assert!(jobs >= 1, "sweep needs at least one worker");
     let started = Instant::now();
     let n = spec.num_cells();
     let jobs_used = jobs.min(n.max(1));
-    let pairs = pool_run(n, jobs_used, |index| {
+    let todo: Vec<usize> = (0..n).collect();
+    let pairs = pool_run(traces, &todo, jobs_used, |index, trace| {
         let (point, system, workload) = cell_identity(spec, index);
         let rc = spec.cell_run_config(index);
         let (outcome, attempts) = run_attempts(|| {
             if let Some(e) = injected_fault(spec, index) {
                 return Err(e);
             }
-            run_one_observed(system, &point.config, workload, &rc)
+            observe(system, &point.config, workload, &rc, Some(trace))
         });
         let (obs, scalar) = match outcome {
             Ok(o) => {
@@ -672,7 +789,7 @@ pub fn run_sweep_observed_with_jobs(spec: &SweepSpec, jobs: usize) -> ObservedSw
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_one;
+    use crate::runner::{run_one_checked, run_one_observed};
     use d2m_workloads::catalog;
 
     fn tiny_spec() -> SweepSpec {
@@ -735,17 +852,76 @@ mod tests {
 
     #[test]
     fn single_cell_reproducible_via_run_one() {
+        // Every cell of a sweep replays its group's shared trace; each must
+        // equal the same cell run alone, which streams its own generator.
         let spec = tiny_spec();
-        let res = run_sweep_with_jobs(&spec, 2);
-        let idx = 5;
-        let (ci, wi, si) = spec.cell_coords(idx);
-        let m = run_one(
-            spec.systems[si],
-            &spec.configs[ci].config,
-            &spec.workloads[wi],
-            &spec.cell_run_config(idx),
-        );
-        assert_eq!(res.cells[idx].metrics, m);
+        let alone: Vec<_> = (0..spec.num_cells())
+            .map(|i| {
+                let (ci, wi, si) = spec.cell_coords(i);
+                let (kind, cfg, ws) = (
+                    spec.systems[si],
+                    &spec.configs[ci].config,
+                    &spec.workloads[wi],
+                );
+                let rc = spec.cell_run_config(i);
+                let metrics = run_one_checked(kind, cfg, ws, &rc).unwrap();
+                (metrics, run_one_observed(kind, cfg, ws, &rc).unwrap())
+            })
+            .collect();
+        // Two systems per group: every count from 2 on splits groups across
+        // workers.
+        for jobs in [1, 2, 3, 7] {
+            let traces = SharedTraces::new(&spec);
+            let plain = sweep(&spec, jobs, &traces);
+            assert_eq!(traces.recorded(), [1; 4], "jobs={jobs}");
+            assert_eq!(traces.live(), 0, "jobs={jobs}");
+            let traces = SharedTraces::new(&spec);
+            let observed = observed_sweep(&spec, jobs, &traces);
+            assert_eq!(traces.recorded(), [1; 4], "jobs={jobs}");
+            assert_eq!(traces.live(), 0, "jobs={jobs}");
+            for (i, (m, o)) in alone.iter().enumerate() {
+                assert_eq!(plain.cells[i].metrics, *m, "jobs={jobs} cell {i}");
+                let got = observed.observations[i].as_ref().unwrap();
+                assert_eq!(
+                    got.to_json().to_string_compact(),
+                    o.to_json().to_string_compact(),
+                    "jobs={jobs} cell {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_workload_fails_only_its_own_cells() {
+        let mut spec = tiny_spec();
+        spec.name = "unit-bad-spec".into();
+        let mut bad = catalog::by_name("swaptions").unwrap();
+        bad.name = "bad".into();
+        bad.p_hot = 0.9;
+        bad.p_warm = 0.2;
+        spec.workloads.insert(1, bad);
+        for jobs in [1, 3] {
+            let traces = SharedTraces::new(&spec);
+            let res = sweep(&spec, jobs, &traces);
+            for c in &res.cells {
+                if c.workload == "bad" {
+                    assert_eq!(
+                        c.error.as_deref(),
+                        Some(
+                            "worker panicked: invalid workload spec: \
+                             \"p_hot + p_warm must not exceed 1\""
+                        ),
+                        "jobs={jobs} cell {}",
+                        c.index
+                    );
+                } else {
+                    assert!(c.ok(), "jobs={jobs} cell {}: {:?}", c.index, c.error);
+                }
+            }
+            assert_eq!(res.failures().len(), 2 * spec.systems.len());
+            assert_eq!(traces.recorded(), [1, 0, 1, 1, 0, 1], "jobs={jobs}");
+            assert_eq!(traces.live(), 0, "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -304,6 +304,77 @@ impl TraceGen {
     }
 }
 
+/// One run's whole access stream, generated once so that several systems
+/// can replay it.
+///
+/// Recorded with the loop a streaming run drives: each phase takes whole
+/// [`TraceGen::next_batch`] batches until it reaches its instruction target,
+/// and the measured phase starts at the batch after the warmup's last. Phase
+/// boundaries and instruction totals are therefore exactly what a run that
+/// generates batch by batch sees. Each access takes 16 B.
+#[derive(Clone, Debug)]
+pub struct Trace {
+    accesses: Vec<Access>,
+    warmup_len: usize,
+    warmup_insts: u64,
+    measured_insts: u64,
+}
+
+impl Trace {
+    /// Records the warmup and measured phases of `spec` on `node_count`
+    /// nodes from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceGen::new`].
+    pub fn record(
+        spec: &WorkloadSpec,
+        node_count: usize,
+        seed: u64,
+        warmup_instructions: u64,
+        instructions: u64,
+    ) -> Self {
+        let mut gen = TraceGen::new(spec, node_count, seed);
+        let mut accesses = Vec::new();
+        let mut phase = |target: u64, out: &mut Vec<Access>| {
+            let mut insts = 0;
+            while insts < target {
+                insts += gen.next_batch(out);
+            }
+            insts
+        };
+        let warmup_insts = phase(warmup_instructions, &mut accesses);
+        let warmup_len = accesses.len();
+        let measured_insts = phase(instructions, &mut accesses);
+        Self {
+            accesses,
+            warmup_len,
+            warmup_insts,
+            measured_insts,
+        }
+    }
+
+    /// The warmup phase's accesses.
+    pub fn warmup(&self) -> &[Access] {
+        &self.accesses[..self.warmup_len]
+    }
+
+    /// The measured phase's accesses.
+    pub fn measured(&self) -> &[Access] {
+        &self.accesses[self.warmup_len..]
+    }
+
+    /// Instructions the warmup phase represents.
+    pub fn warmup_insts(&self) -> u64 {
+        self.warmup_insts
+    }
+
+    /// Instructions the measured phase represents.
+    pub fn measured_insts(&self) -> u64 {
+        self.measured_insts
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,6 +391,34 @@ mod tests {
             insts += gen.next_batch(&mut v);
         }
         (v, insts)
+    }
+
+    #[test]
+    fn recorded_trace_matches_the_streaming_loop() {
+        let spec = WorkloadSpec::base(Category::Mobile, "t");
+        let (warmup, measured) = (3_000, 7_000);
+        let trace = Trace::record(&spec, 8, 5, warmup, measured);
+        // A streaming run: one batch at a time, each phase stopping at the
+        // first batch that reaches its target.
+        let mut gen = TraceGen::new(&spec, 8, 5);
+        let mut batch = Vec::new();
+        let mut phase = |target: u64| {
+            let (mut insts, mut seen) = (0, Vec::new());
+            while insts < target {
+                batch.clear();
+                insts += gen.next_batch(&mut batch);
+                seen.extend_from_slice(&batch);
+            }
+            (insts, seen)
+        };
+        let (warm_insts, warm) = phase(warmup);
+        let (meas_insts, meas) = phase(measured);
+        assert_eq!(trace.warmup_insts(), warm_insts);
+        assert_eq!(trace.measured_insts(), meas_insts);
+        assert!(warm_insts >= warmup && meas_insts >= measured);
+        assert_eq!(trace.warmup(), &warm[..]);
+        assert_eq!(trace.measured(), &meas[..]);
+        assert_eq!(std::mem::size_of::<Access>(), 16);
     }
 
     #[test]

@@ -30,5 +30,5 @@ pub mod spec;
 pub mod trace_io;
 
 pub use catalog::CatalogError;
-pub use gen::{Access, AccessKind, TraceGen};
+pub use gen::{Access, AccessKind, Trace, TraceGen};
 pub use spec::{Category, Sharing, WorkloadSpec};
