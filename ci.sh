@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: release build, full test suite, strict clippy.
+# Tier-1 verification gate: release build, full test suite, strict clippy,
+# formatting, warning-free docs.
 # Run from the repository root. Requires no network access (the workspace
 # has zero external dependencies; see README.md "Offline builds").
 set -euo pipefail
@@ -16,6 +17,9 @@ cargo clippy --all-targets -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+
+echo "== cargo doc (broken intra-doc links fail) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== throughput harness (smoke) =="
 # The binary panics (non-zero exit) on any protocol error or schema

@@ -24,9 +24,14 @@
 //!
 //! All binaries accept `--quick` for a fast, reduced-length run.
 
+use std::path::Path;
+
 use d2m_common::config::MachineConfig;
 use d2m_common::ToJson;
-use d2m_sim::{run_sweep, MatrixResult, RunConfig, SweepResult, SweepSpec, SystemKind};
+use d2m_sim::{
+    default_jobs, run_sweep_checkpointed, MatrixResult, RunConfig, SweepResult, SweepSpec,
+    SystemKind,
+};
 use d2m_workloads::catalog;
 
 /// Harness-wide run parameters derived from the command line.
@@ -68,47 +73,45 @@ pub fn pct(x: f64) -> String {
     format!("{:5.1}", x * 100.0)
 }
 
-/// FNV-1a hash of a deterministic-JSON rendering, used to key sweep caches.
+/// FNV-1a hash of a deterministic-JSON rendering, used to key sweep files.
 fn json_hash<T: ToJson>(value: &T) -> u64 {
     d2m_common::fnv1a_64(value.to_json().to_string_compact().as_bytes())
 }
 
-/// Runs a sweep, with its deterministic JSON cached on disk under `target/`.
+/// Runs a sweep as a resume of its checkpoint journal under `target/`.
 ///
-/// The cache file is keyed by a hash of the whole [`SweepSpec`] (grid,
-/// run length, master seed), so any parameter change invalidates stale
-/// results, and every bench binary shares the same emission path
-/// ([`SweepResult::to_json_string`]).
+/// The journal is keyed by a hash of the whole [`SweepSpec`] (grid, run
+/// length, master seed), so any parameter change starts a fresh journal. A
+/// finished journal loads without running a cell, and a killed run picks up
+/// after its last journaled cell.
+///
+/// # Panics
+///
+/// Panics when the journal cannot be written or is damaged beyond its last
+/// line; deleting it starts the sweep over.
 pub fn cached_sweep(spec: &SweepSpec) -> SweepResult {
-    let cache = format!(
-        "target/d2m-sweep-{}-{:016x}.json",
+    let journal = format!(
+        "target/d2m-sweep-{}-{:016x}.ckpt",
         spec.name,
         json_hash(spec)
     );
-    if let Ok(text) = std::fs::read_to_string(&cache) {
-        if let Ok(res) = SweepResult::from_json_string(&text) {
-            if res.cells.len() == spec.num_cells() {
-                eprintln!("[sweep:{}] loaded cache {cache}", spec.name);
-                return res;
-            }
-        }
-    }
+    let jobs = default_jobs();
     eprintln!(
-        "[sweep:{}] running {} cells on {} jobs (cache: {cache}) ...",
+        "[sweep:{}] {} cells on {jobs} jobs (journal: {journal}) ...",
         spec.name,
-        spec.num_cells(),
-        d2m_sim::default_jobs()
+        spec.num_cells()
     );
-    let res = run_sweep(spec);
+    let _ = std::fs::create_dir_all("target");
+    let res = run_sweep_checkpointed(spec, jobs, Path::new(&journal), true)
+        .unwrap_or_else(|e| panic!("{e}"));
     eprintln!(
         "[sweep:{}] done in {:.1}s on {} jobs",
         spec.name, res.wall_secs, res.jobs_used
     );
-    let _ = std::fs::write(&cache, res.to_json_string());
     res
 }
 
-/// Runs (or loads from the on-disk cache) the full 45-workload × 5-system
+/// Runs (or resumes from its on-disk journal) the full 45-workload × 5-system
 /// matrix behind Tables IV/V and Figures 5/6/7, on the parallel sweep
 /// engine.
 pub fn full_matrix(hc: &HarnessConfig) -> MatrixResult {

@@ -1,7 +1,7 @@
 //! Environment-driven fault injection for exercising fault-tolerance paths.
 //!
-//! Long-running sweeps survive worker panics, transient cell failures and
-//! process kills (see `d2m_sim::sweep` / `d2m_sim::checkpoint`) — but those
+//! Long-running sweeps survive cell panics and process kills (see
+//! `d2m_sim::sweep` / `d2m_sim::checkpoint`) — but those
 //! recovery paths are only trustworthy if CI can *provoke* the faults they
 //! recover from. This module provides named **fault points**: call sites in
 //! production code invoke [`fire`], which does nothing unless a matching
@@ -13,7 +13,7 @@
 //! `D2M_FAULT` holds a comma-separated list of rules:
 //!
 //! ```text
-//! site[@scope]:key:action[:count]
+//! site[@scope]:key:action
 //! ```
 //!
 //! * `site` — the fault-point name, e.g. `cell` (sweep cell execution),
@@ -24,12 +24,10 @@
 //!   other's faults.
 //! * `key` — a `u64` (the cell index, checkpoint sequence number, …) or `*`
 //!   for any.
-//! * `action` — `panic`, `error` (the call site reports an injected
-//!   *transient* failure, e.g. a retryable `RunError`), or `exit`
-//!   (immediate `std::process::exit(`[`EXIT_CODE`]`)`, simulating a kill).
-//! * `count` — fire at most this many times (default: unlimited). A finite
-//!   count makes retry paths testable: `cell:3:error:2` fails the first two
-//!   attempts of cell 3 and lets the third succeed.
+//! * `action` — `panic`, or `exit` (immediate
+//!   `std::process::exit(`[`EXIT_CODE`]`)`, simulating a kill).
+//!
+//! A rule fires every time its fault point is reached.
 //!
 //! Examples:
 //!
@@ -37,7 +35,7 @@
 //! D2M_FAULT=cell:17:panic              # panic while running sweep cell 17
 //! D2M_FAULT=checkpoint:3:exit          # die right after the 3rd journal append
 //! D2M_FAULT=cell:2:panic,checkpoint:2:exit
-//! D2M_FAULT=cell@smoke:*:error:1       # one transient failure, sweep "smoke" only
+//! D2M_FAULT=cell@smoke:*:panic         # every cell of sweep "smoke" panics
 //! ```
 //!
 //! Panic messages are deterministic functions of `(site, key)`, so a sweep
@@ -59,8 +57,6 @@ pub const EXIT_CODE: i32 = 43;
 enum Action {
     /// Panic with a deterministic message.
     Panic,
-    /// Report an injected transient failure ([`fire`] returns `true`).
-    Error,
     /// `std::process::exit(EXIT_CODE)` — simulates a kill.
     Exit,
 }
@@ -73,8 +69,6 @@ struct Rule {
     /// `None` = any key (`*`).
     key: Option<u64>,
     action: Action,
-    /// Remaining firings; `None` = unlimited.
-    remaining: Option<u32>,
 }
 
 /// Armed rules. `None` = not yet initialized from the environment.
@@ -95,44 +89,33 @@ fn parse_rules(spec: &str) -> Result<Vec<Rule>, String> {
             continue;
         }
         let fields: Vec<&str> = part.split(':').collect();
-        if fields.len() < 3 || fields.len() > 4 {
-            return Err(format!(
-                "rule {part:?}: expected site[@scope]:key:action[:count]"
-            ));
-        }
-        let (site, scope) = match fields[0].split_once('@') {
+        let [site_scope, key, action] = fields[..] else {
+            return Err(format!("rule {part:?}: expected site[@scope]:key:action"));
+        };
+        let (site, scope) = match site_scope.split_once('@') {
             Some((s, sc)) => (s, Some(sc.to_string())),
-            None => (fields[0], None),
+            None => (site_scope, None),
         };
         if site.is_empty() {
             return Err(format!("rule {part:?}: empty site"));
         }
-        let key = match fields[1] {
+        let key = match key {
             "*" => None,
             k => Some(
                 k.parse::<u64>()
                     .map_err(|_| format!("rule {part:?}: key must be a u64 or '*'"))?,
             ),
         };
-        let action = match fields[2] {
+        let action = match action {
             "panic" => Action::Panic,
-            "error" => Action::Error,
             "exit" => Action::Exit,
             other => return Err(format!("rule {part:?}: unknown action {other:?}")),
-        };
-        let remaining = match fields.get(3) {
-            None => None,
-            Some(c) => Some(
-                c.parse::<u32>()
-                    .map_err(|_| format!("rule {part:?}: count must be a u32"))?,
-            ),
         };
         rules.push(Rule {
             site: site.to_string(),
             scope,
             key,
             action,
-            remaining,
         });
     }
     Ok(rules)
@@ -148,41 +131,31 @@ fn rules_from_env() -> Vec<Rule> {
     }
 }
 
-/// A fault point. Does nothing (and returns `false`) unless a matching rule
-/// is armed; see the module docs for the rule grammar.
+/// A fault point. Does nothing unless a matching rule is armed; see the
+/// module docs for the rule grammar.
 ///
-/// Returns `true` when an `error`-action rule fired: the caller should
-/// report an injected *transient* failure through its normal error path
-/// (e.g. a retryable `RunError`). `panic` rules panic here with a
-/// deterministic message; `exit` rules terminate the process with
-/// [`EXIT_CODE`].
+/// `panic` rules panic here with a deterministic message; `exit` rules
+/// terminate the process with [`EXIT_CODE`].
 ///
 /// # Panics
 ///
 /// Deliberately, when a matching `panic` rule is armed.
-pub fn fire(site: &str, scope: &str, key: u64) -> bool {
+pub fn fire(site: &str, scope: &str, key: u64) {
     let action = {
         let mut guard = unpoisoned(&RULES);
         let rules = guard.get_or_insert_with(rules_from_env);
-        let hit = rules.iter_mut().find(|r| {
+        let hit = rules.iter().find(|r| {
             r.site == site
                 && r.scope.as_deref().is_none_or(|s| s == scope)
                 && r.key.is_none_or(|k| k == key)
-                && r.remaining != Some(0)
         });
         match hit {
-            None => return false,
-            Some(rule) => {
-                if let Some(n) = rule.remaining.as_mut() {
-                    *n -= 1;
-                }
-                rule.action
-            }
+            None => return,
+            Some(rule) => rule.action,
         }
         // The mutex guard drops here, *before* any panic/exit below.
     };
     match action {
-        Action::Error => true,
         Action::Panic => panic!("injected fault at {site}:{key} (D2M_FAULT)"),
         Action::Exit => {
             eprintln!("injected fault at {site}:{key}: exiting with code {EXIT_CODE} (D2M_FAULT)");
@@ -225,28 +198,32 @@ pub fn arm(spec: &str) -> Result<FaultGuard, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::catch_unwind;
+
+    /// Whether `fire(site, scope, key)` panics under the armed rules.
+    fn fires(site: &str, scope: &str, key: u64) -> bool {
+        catch_unwind(|| fire(site, scope, key)).is_err()
+    }
 
     #[test]
     fn unarmed_fire_is_inert() {
         // Arm an empty set so the env (if any) cannot leak into this test.
         let _g = arm("").unwrap();
-        assert!(!fire("cell", "any", 0));
-        assert!(!fire("checkpoint", "any", 7));
+        assert!(!fires("cell", "any", 0));
+        assert!(!fires("checkpoint", "any", 7));
     }
 
     #[test]
     fn parse_accepts_full_grammar() {
-        let rules = parse_rules("cell:17:panic, checkpoint@smoke:3:exit ,build:*:error:2").unwrap();
+        let rules = parse_rules("cell:17:panic, checkpoint@smoke:3:exit ,build:*:panic").unwrap();
         assert_eq!(rules.len(), 3);
         assert_eq!(rules[0].site, "cell");
         assert_eq!(rules[0].key, Some(17));
         assert_eq!(rules[0].action, Action::Panic);
         assert_eq!(rules[0].scope, None);
-        assert_eq!(rules[0].remaining, None);
         assert_eq!(rules[1].scope.as_deref(), Some("smoke"));
         assert_eq!(rules[1].action, Action::Exit);
         assert_eq!(rules[2].key, None);
-        assert_eq!(rules[2].remaining, Some(2));
     }
 
     #[test]
@@ -256,6 +233,8 @@ mod tests {
             "cell:1",
             "cell:x:panic",
             "cell:1:explode",
+            "cell:1:error",
+            "cell:1:panic:2",
             "cell:1:panic:many",
             ":1:panic",
             "a:1:panic:2:3",
@@ -269,33 +248,33 @@ mod tests {
 
     #[test]
     fn error_rules_match_scope_key_and_count() {
-        let _g = arm("cell@mine:3:error:2").unwrap();
-        assert!(!fire("cell", "mine", 2), "key mismatch");
-        assert!(!fire("cell", "other", 3), "scope mismatch");
-        assert!(!fire("checkpoint", "mine", 3), "site mismatch");
-        assert!(fire("cell", "mine", 3), "first firing");
-        assert!(fire("cell", "mine", 3), "second firing");
-        assert!(!fire("cell", "mine", 3), "count exhausted");
+        let _g = arm("cell@mine:3:panic").unwrap();
+        assert!(!fires("cell", "mine", 2), "key mismatch");
+        assert!(!fires("cell", "other", 3), "scope mismatch");
+        assert!(!fires("checkpoint", "mine", 3), "site mismatch");
+        assert!(fires("cell", "mine", 3), "first firing");
+        assert!(fires("cell", "mine", 3), "a rule fires every time");
     }
 
     #[test]
     fn wildcard_key_matches_everything_and_guard_disarms() {
         {
-            let _g = arm("cell:*:error").unwrap();
-            assert!(fire("cell", "any", 0));
-            assert!(fire("cell", "other", u64::MAX));
+            let _g = arm("cell:*:panic").unwrap();
+            assert!(fires("cell", "any", 0));
+            assert!(fires("cell", "other", u64::MAX));
         }
-        let _g = arm("").unwrap();
-        assert!(!fire("cell", "any", 0), "guard drop must disarm");
+        // Holding the arm lock with no guard alive: nothing may be armed.
+        let _serial = unpoisoned(&ARM_LOCK);
+        assert!(!fires("cell", "any", 0), "guard drop must disarm");
     }
 
     #[test]
     fn panic_action_panics_with_deterministic_message() {
         let _g = arm("cell:5:panic").unwrap();
-        let p = std::panic::catch_unwind(|| fire("cell", "any", 5)).expect_err("must panic");
+        let p = catch_unwind(|| fire("cell", "any", 5)).expect_err("must panic");
         let msg = p.downcast_ref::<String>().expect("string payload");
         assert_eq!(msg, "injected fault at cell:5 (D2M_FAULT)");
         // A caught injected panic must not wedge the fault machinery.
-        assert!(!fire("cell", "any", 6));
+        assert!(!fires("cell", "any", 6));
     }
 }

@@ -8,8 +8,8 @@
 //! * [`config`] — the machine configuration (Table III analogue) shared by the
 //!   baselines and all D2M variants.
 //! * [`faultpoint`] — env-driven fault injection (`D2M_FAULT`) so tests and
-//!   CI can provoke the panics, transient failures and kills that the sweep
-//!   engine's fault-tolerance paths must survive.
+//!   CI can provoke the panics and kills that the sweep engine's
+//!   fault-tolerance paths must survive.
 //! * [`json`] — minimal deterministic JSON (the workspace builds without
 //!   external crates; byte-stable output is what the sweep engine's
 //!   determinism guarantee is stated in terms of).

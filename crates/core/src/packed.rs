@@ -10,12 +10,12 @@
 //! are SWAR bit tricks over the two words rather than 16-iteration enum
 //! scans.
 //!
-//! Lane values are whatever [`Li::pack`] produces, so [`Self::set`] always
-//! stores the canonical `INVALID` symbol (`0b011_001`); the SWAR predicates
-//! nevertheless classify the six reserved symbols (`0b011_010..=0b011_111`)
-//! as invalid, exactly like [`Li::unpack`], so raw injection via
-//! [`Self::set_raw`] (corruption tests) behaves identically to the old enum
-//! arrays.
+//! Lane values are whatever [`Li::pack`] produces, so
+//! [`PackedLiArray::set`] always stores the canonical `INVALID` symbol
+//! (`0b011_001`); the SWAR predicates nevertheless classify the six reserved
+//! symbols (`0b011_010..=0b011_111`) as invalid, exactly like
+//! [`Li::unpack`], so raw injection via [`PackedLiArray::set_raw`]
+//! (corruption tests) behaves identically to the old enum arrays.
 
 use d2m_common::addr::LINES_PER_REGION;
 

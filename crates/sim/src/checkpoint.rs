@@ -1,12 +1,13 @@
 //! Per-cell checkpoint journal: kill/resume for long-running sweeps.
 //!
 //! A full paper grid (45 workloads × 5 systems × config points) is hours of
-//! wall-clock inside one [`run_sweep`] call. [`run_sweep_checkpointed`]
-//! makes that call killable: every completed cell is appended to a journal
-//! file — one compact JSON line, fsync'd before the worker moves on — and a
-//! rerun with `resume = true` skips every journaled cell. The final
-//! [`SweepResult`] is assembled in cell-index order from journaled and
-//! freshly-run cells alike, so its JSON is **byte-identical** to an
+//! wall-clock inside one [`run_sweep`](crate::run_sweep) call.
+//! [`run_sweep_checkpointed`] makes that call killable: it runs on the same
+//! driver as every other sweep, whose per-cell hook appends each completed
+//! cell to a journal file — one compact JSON line, fsync'd before the worker
+//! moves on — and a rerun with `resume = true` skips every journaled cell.
+//! The final [`SweepResult`] is assembled in cell-index order from journaled
+//! and freshly-run cells alike, so its JSON is **byte-identical** to an
 //! uninterrupted run — across any kill/resume point and any worker-thread
 //! count (`tests/sweep_fault_tolerance.rs` and `ci.sh` prove this with
 //! injected kills).
@@ -41,16 +42,14 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 
 use d2m_common::fnv1a_64;
 use d2m_common::json::{FromJson, Json, ToJson};
 
-use crate::sweep::{
-    missing_cell, pool_run, run_cell, CellResult, SharedTraces, SweepResult, SweepSpec,
-};
+use crate::sweep::{drive, CellResult, SharedTraces, SweepResult, SweepSpec};
 
 /// Journal format version; bumped on any incompatible layout change.
 const JOURNAL_VERSION: u64 = 1;
@@ -212,32 +211,21 @@ fn load_journal(spec: &SweepSpec, path: &Path) -> Result<Vec<Option<CellResult>>
     Ok(done)
 }
 
-struct JournalWriter {
+/// An open journal.
+struct Journal {
     file: File,
-    /// Cells appended by *this* run (resumed cells excluded); the
+    /// Cell lines appended by *this* run (resumed cells excluded); the
     /// `checkpoint` fault-point key.
     appended: u64,
-    /// First append failure; once set, journaling stops and the sweep
-    /// aborts after the pool drains.
-    error: Option<std::io::Error>,
 }
 
-impl JournalWriter {
+impl Journal {
     /// Appends one line followed by fsync, so a completed cell survives any
-    /// later kill. On failure, records the error and drops the line.
-    fn append(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        let r = self
-            .file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.write_all(b"\n"))
-            .and_then(|()| self.file.sync_data());
-        match r {
-            Ok(()) => self.appended += 1,
-            Err(e) => self.error = Some(e),
-        }
+    /// later kill.
+    fn append(&mut self, line: &str) -> std::io::Result<()> {
+        self.file.write_all(line.as_bytes())?;
+        self.file.write_all(b"\n")?;
+        self.file.sync_data()
     }
 }
 
@@ -286,18 +274,15 @@ fn checkpointed(
     resume: bool,
     traces: &SharedTraces<'_>,
 ) -> Result<SweepResult, CheckpointError> {
-    assert!(jobs >= 1, "sweep needs at least one worker");
-    let started = Instant::now();
     let io_err = |error: std::io::Error| CheckpointError::Io {
         path: path.to_path_buf(),
         error,
     };
-    let n = spec.num_cells();
     let resuming = resume && path.exists();
-    let mut done = if resuming {
+    let done = if resuming {
         load_journal(spec, path)?
     } else {
-        vec![None; n]
+        vec![None; spec.num_cells()]
     };
     let file = if resuming {
         OpenOptions::new().append(true).open(path)
@@ -305,67 +290,31 @@ fn checkpointed(
         File::create(path)
     }
     .map_err(io_err)?;
-    let mut writer = JournalWriter {
-        file,
-        appended: 0,
-        error: None,
-    };
+    let mut journal = Journal { file, appended: 0 };
     if !resuming {
-        writer.append(&header_json(spec).to_string_compact());
-        if let Some(e) = writer.error.take() {
-            return Err(io_err(e));
-        }
-        // The header is not a cell; it must not advance the fault-point key.
-        writer.appended = 0;
+        journal
+            .append(&header_json(spec).to_string_compact())
+            .map_err(io_err)?;
     }
 
-    let todo: Vec<usize> = (0..n).filter(|&i| done[i].is_none()).collect();
-    let journal = Mutex::new(writer);
-    let jobs_used = jobs.min(todo.len().max(1));
-    let fresh = pool_run(traces, &todo, jobs_used, |index, trace| {
-        {
-            // Journaling already failed: don't burn hours simulating cells
-            // whose results can no longer be made durable.
-            let j = journal.lock().unwrap_or_else(PoisonError::into_inner);
-            if j.error.is_some() {
-                return None;
-            }
-        }
-        let cell = run_cell(spec, index, trace);
+    let journal = Mutex::new(journal);
+    let append_cell = |cell: &CellResult| {
         let seq = {
             let mut j = journal.lock().unwrap_or_else(PoisonError::into_inner);
-            j.append(&cell.to_json().to_string_compact());
+            j.append(&cell.to_json().to_string_compact())?;
+            j.appended += 1;
             j.appended
         };
         // Fire outside the lock, and isolated: a `panic` rule here must not
         // take down the pool (the cell is already durable).
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = catch_unwind(AssertUnwindSafe(|| {
             d2m_common::faultpoint::fire("checkpoint", &spec.name, seq)
         }));
-        Some(cell)
-    });
-    let writer = journal.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(error) = writer.error {
-        return Err(io_err(error));
-    }
-
-    for (k, c) in fresh.into_iter().enumerate() {
-        if let Some(Some(cell)) = c {
-            done[todo[k]] = Some(cell);
-        }
-    }
-    let cells = done
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| c.unwrap_or_else(|| missing_cell(spec, i)))
-        .collect();
-    Ok(SweepResult {
-        name: spec.name.clone(),
-        master_seed: spec.master_seed,
-        cells,
-        jobs_used,
-        wall_secs: started.elapsed().as_secs_f64(),
-    })
+        Ok(())
+    };
+    drive(spec, jobs, traces, done, false, append_cell)
+        .map(|(result, _)| result)
+        .map_err(io_err)
 }
 
 #[cfg(test)]
@@ -451,6 +400,31 @@ mod tests {
             assert_eq!(traces.live(), 0, "jobs={jobs}");
             assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 11);
         }
+    }
+
+    #[test]
+    fn journal_with_a_retired_retry_count_still_resumes() {
+        // Journals written while the engine still retried cells carry an
+        // `attempts` key on retried cells. Such a cell must load as it is.
+        let s = spec("ckpt-old-journal");
+        let path = tmp("old-journal.ckpt");
+        let clean = run_sweep_checkpointed(&s, 1, &path, false).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let cell = lines[2].strip_suffix('}').unwrap();
+        assert!(cell.starts_with("{\"index\":1,"), "{cell}");
+        lines[2] = format!("{cell},\"attempts\":2}}");
+        let old = lines.join("\n") + "\n";
+        std::fs::write(&path, &old).unwrap();
+        // Re-running cell 1 would fail it, so equal JSON means it loaded.
+        let _g = d2m_common::faultpoint::arm("cell@ckpt-old-journal:1:panic").unwrap();
+        let resumed = run_sweep_checkpointed(&s, 1, &path, true).unwrap();
+        assert_eq!(resumed.to_json_string(), clean.to_json_string());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            old,
+            "nothing appended"
+        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! The [`sweep`] module fans declarative (config × workload × system) grids
 //! over a deterministic work-stealing thread pool, generating each
 //! (config, workload) group's trace once for all its systems, with per-cell
-//! panic isolation and bounded retry; the [`checkpoint`] module adds an
-//! append-only journal so a killed sweep resumes without losing completed
-//! cells.
+//! panic isolation; the [`checkpoint`] module adds an append-only journal so
+//! a killed sweep resumes without losing completed cells. Plain, observed
+//! and checkpointed sweeps all run on one driver.
 //!
 //! # Example
 //!
@@ -37,7 +37,7 @@ pub use experiments::{run_matrix, MatrixResult};
 pub use metrics::RunMetrics;
 pub use runner::{run_one, run_one_checked, run_one_observed, RunConfig, RunError, RunObservation};
 pub use sweep::{
-    default_jobs, run_sweep, run_sweep_observed, run_sweep_observed_with_jobs, run_sweep_with_jobs,
-    CellResult, ConfigPoint, ObservedSweep, SweepResult, SweepSpec,
+    default_jobs, run_sweep, run_sweep_observed_with_jobs, run_sweep_with_jobs, CellResult,
+    ConfigPoint, ObservedSweep, SweepResult, SweepSpec,
 };
 pub use systems::{AnySystem, SystemKind};

@@ -30,10 +30,11 @@ use crate::systems::{AnySystem, SystemKind};
 
 /// Why a run could not produce metrics.
 ///
-/// Either the protocol found its metadata corrupted mid-transaction, the
-/// value-coherence oracle observed a violation, or a fault-injection rule
-/// ([`d2m_common::faultpoint`]) fired. All name the (system, workload) pair
-/// so a sweep can report exactly which cell failed.
+/// Either the protocol found its metadata corrupted mid-transaction or the
+/// value-coherence oracle observed a violation. Both name the (system,
+/// workload) pair so a sweep can report exactly which cell failed. The
+/// simulator is deterministic, so a failed run fails the same way again:
+/// sweeps record the failure and never retry it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunError {
     /// A transaction aborted on corrupted metadata.
@@ -54,20 +55,6 @@ pub enum RunError {
         /// Number of violations observed.
         violations: u64,
     },
-    /// A transient failure injected via [`d2m_common::faultpoint`]
-    /// (`D2M_FAULT=cell:<idx>:error`). The only [retryable] variant: the
-    /// simulator itself is deterministic, so a protocol or coherence failure
-    /// would recur identically on retry, but an injected fault models the
-    /// transient infrastructure failures (OOM kill, I/O hiccup) that bounded
-    /// retry exists for.
-    ///
-    /// [retryable]: RunError::is_retryable
-    Injected {
-        /// Display name of the system that failed.
-        system: &'static str,
-        /// Workload being run.
-        workload: String,
-    },
 }
 
 impl fmt::Display for RunError {
@@ -86,19 +73,7 @@ impl fmt::Display for RunError {
                 f,
                 "{system} violated value coherence on {workload} ({violations} violations)"
             ),
-            RunError::Injected { system, workload } => {
-                write!(f, "injected transient fault on {system}/{workload}")
-            }
         }
-    }
-}
-
-impl RunError {
-    /// True when a retry could plausibly succeed. Protocol and coherence
-    /// failures are deterministic — the same cell replays to the same
-    /// failure — so only injected transient faults qualify.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, RunError::Injected { .. })
     }
 }
 
@@ -106,7 +81,7 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::Protocol { error, .. } => Some(error),
-            RunError::Coherence { .. } | RunError::Injected { .. } => None,
+            RunError::Coherence { .. } => None,
         }
     }
 }

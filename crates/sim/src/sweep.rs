@@ -37,29 +37,33 @@
 //! A grid of 45 workloads × 5 systems × several configs is hours of
 //! wall-clock; one bad cell must never cost the other N−1:
 //!
-//! * **Panic isolation** — every cell attempt runs under
-//!   [`std::panic::catch_unwind`]. A panicking worker (an invalid machine
+//! * **Panic isolation** — every cell runs under
+//!   [`std::panic::catch_unwind`]. A panicking cell (an invalid machine
 //!   config, a simulator bug, an injected fault) yields a failed
 //!   [`CellResult`] with the panic message in [`CellResult::error`]; the
-//!   pool, and every other cell, keeps running.
-//! * **Bounded retry** — a cell failing with a *retryable* [`RunError`]
-//!   (see [`RunError::is_retryable`]) is retried up to [`MAX_ATTEMPTS`]
-//!   times with deterministic exponential backoff. The attempt count is
-//!   carried in [`CellResult::attempts`] and surfaced by
-//!   [`ObservedSweep::histograms_json`].
+//!   pool, and every other cell, keeps running. A failed cell is not
+//!   retried: the simulator is deterministic, so it would fail the same way
+//!   again.
 //! * **Checkpoint / resume** — [`crate::checkpoint`] journals each
 //!   completed cell to an append-only fsync'd file, so a killed sweep
 //!   resumes without recomputing finished cells and still produces
 //!   byte-identical JSON.
 //! * **Fault injection** — the recovery paths are provoked on demand via
 //!   [`d2m_common::faultpoint`] (`D2M_FAULT=cell:17:panic`, …); the `cell`
-//!   fault point fires once per attempt with the cell index as its key and
-//!   the sweep name as its scope.
+//!   fault point fires once per cell with the cell index as its key and the
+//!   sweep name as its scope.
+//!
+//! The plain, observed and checkpointed sweeps ([`run_sweep_with_jobs`],
+//! [`run_sweep_observed_with_jobs`],
+//! [`run_sweep_checkpointed`](crate::run_sweep_checkpointed)) are thin
+//! wrappers over one private driver, so they isolate, share traces and
+//! assemble results the same way.
 
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use d2m_common::config::MachineConfig;
 use d2m_common::json::{FromJson, Json, JsonError, ToJson};
@@ -68,12 +72,8 @@ use d2m_common::rng::derive_stream_seed;
 use d2m_workloads::{Trace, WorkloadSpec};
 
 use crate::metrics::RunMetrics;
-use crate::runner::{checked, observe, RunConfig, RunError, RunObservation};
+use crate::runner::{checked, observe, RunConfig, RunObservation};
 use crate::systems::SystemKind;
-
-/// Maximum execution attempts per cell: the first run plus up to two
-/// retries for failures that are [`RunError::is_retryable`].
-pub const MAX_ATTEMPTS: u32 = 3;
 
 /// One named machine configuration in a sweep grid.
 #[derive(Clone, Debug, PartialEq)]
@@ -168,7 +168,7 @@ impl SweepSpec {
     }
 
     /// The [`RunConfig`] that reproduces cell `index` through
-    /// [`run_one`] on its own, outside the pool.
+    /// [`run_one`](crate::run_one) on its own, outside the pool.
     pub fn cell_run_config(&self, index: usize) -> RunConfig {
         RunConfig {
             instructions: self.instructions,
@@ -194,11 +194,6 @@ pub struct CellResult {
     /// Extracted metrics ([`RunMetrics::failed`] placeholder if `error` is
     /// set).
     pub metrics: RunMetrics,
-    /// Execution attempts the cell took (1 = first try, up to
-    /// [`MAX_ATTEMPTS`]). Greater than 1 only when a retryable failure was
-    /// retried; serialized only in that case, so clean sweeps keep the
-    /// pre-existing byte format.
-    pub attempts: u32,
     /// Why the cell failed, if it did. A corrupted-metadata or coherence
     /// failure — or a worker panic — marks its own cell and leaves the rest
     /// of the sweep intact.
@@ -212,11 +207,13 @@ impl CellResult {
     }
 }
 
-// Hand-written instead of `impl_json_struct!` so the `attempts` and `error`
-// keys appear only on retried/failed cells: sweeps without failures keep the
-// exact pre-existing byte format (the golden-output and determinism tests
-// pin it). The checkpoint journal depends on this encoding round-tripping
+// Hand-written instead of `impl_json_struct!` so the `error` key appears
+// only on failed cells: sweeps without failures keep the exact pre-existing
+// byte format (the golden-output and determinism tests pin it). The
+// checkpoint journal depends on this encoding round-tripping
 // byte-identically — see `failed_and_clean_cells_roundtrip_byte_identically`.
+// Decoding ignores keys it does not know, such as the per-cell retry count
+// that older checkpoint journals carry.
 impl ToJson for CellResult {
     fn to_json(&self) -> Json {
         let mut fields = vec![
@@ -227,9 +224,6 @@ impl ToJson for CellResult {
             ("seed".to_string(), self.seed.to_json()),
             ("metrics".to_string(), self.metrics.to_json()),
         ];
-        if self.attempts > 1 {
-            fields.push(("attempts".to_string(), Json::U64(u64::from(self.attempts))));
-        }
         if let Some(e) = &self.error {
             fields.push(("error".to_string(), Json::Str(e.clone())));
         }
@@ -246,10 +240,6 @@ impl FromJson for CellResult {
             workload: j.field("workload")?,
             seed: j.field("seed")?,
             metrics: j.field("metrics")?,
-            attempts: match j.get("attempts") {
-                None => 1,
-                Some(_) => j.field("attempts")?,
-            },
             error: match j.get("error") {
                 None => None,
                 Some(e) => Some(
@@ -357,7 +347,7 @@ pub fn default_jobs() -> usize {
 
 /// Runs a sweep on the default pool size (see [`default_jobs`]).
 ///
-/// Worker panics and run failures never abort the sweep; see
+/// Cell panics and run failures never abort the sweep; see
 /// [`run_sweep_with_jobs`] for the per-cell failure semantics.
 pub fn run_sweep(spec: &SweepSpec) -> SweepResult {
     run_sweep_with_jobs(spec, default_jobs())
@@ -367,8 +357,8 @@ pub fn run_sweep(spec: &SweepSpec) -> SweepResult {
 ///
 /// Cell seeds leave out the system axis, so every system cell of a group
 /// replays the same access stream. The group's first cell to need it records
-/// it, inside that cell's `catch_unwind` attempt and under the group's lock,
-/// so the group's other workers wait for it instead of generating it again.
+/// it, inside that cell's `catch_unwind` and under the group's lock, so the
+/// group's other workers wait for it instead of generating it again.
 /// The group's last pending cell to finish drops it. Cells are claimed in
 /// index order, so about ⌈jobs / systems⌉ + 1 traces are live at a time, and
 /// never more than one per worker plus one.
@@ -453,29 +443,25 @@ impl<'s> SharedTraces<'s> {
     }
 }
 
-/// The work-stealing pool shared by the plain, observed and checkpointed
-/// sweeps: workers pull the next unclaimed cell of `todo` (in order) from an
-/// atomic counter, run it in isolation, and deposit the result into its
-/// preassigned slot — so the output order never depends on scheduling.
-/// Results line up with `todo`. Each cell gets its group's shared trace from
-/// `traces`.
+/// The work-stealing pool behind every sweep: workers pull the next
+/// unclaimed cell of `todo` (in order) from an atomic counter and run it.
+/// Results come back lined up with `todo`, so their order never depends on
+/// scheduling. Each cell gets its group's shared trace from `traces`.
 ///
-/// `run_cell` closures are expected to be panic-free (cell execution wraps
-/// every attempt in `catch_unwind`); should one panic anyway, the slot stays
-/// `None` — the caller substitutes a failed placeholder — and lock poisoning
-/// is shrugged off rather than cascading into an abort of the whole pool.
-pub(crate) fn pool_run<T: Send>(
+/// `run_cell` runs each cell under its own `catch_unwind` (see [`run_cell`]).
+/// A panic outside that isolation is not contained: it propagates out of the
+/// worker scope and aborts the whole sweep.
+fn pool_run<T: Send>(
     traces: &SharedTraces<'_>,
     todo: &[usize],
     jobs: usize,
     run_cell: impl Fn(usize, &dyn Fn() -> Arc<Trace>) -> T + Sync,
-) -> Vec<Option<T>> {
+) -> Vec<T> {
     for &index in todo {
         traces.slot(index).pending += 1;
     }
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<T>>> =
-        Mutex::new(std::iter::repeat_with(|| None).take(todo.len()).collect());
+    let results = Mutex::new(Vec::with_capacity(todo.len()));
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
@@ -485,11 +471,16 @@ pub(crate) fn pool_run<T: Send>(
                 };
                 let result = run_cell(index, &|| traces.get(index));
                 traces.finish(index);
-                results.lock().unwrap_or_else(PoisonError::into_inner)[k] = Some(result);
+                results
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((k, result));
             });
         }
     });
-    results.into_inner().unwrap_or_else(PoisonError::into_inner)
+    let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
+    results.sort_unstable_by_key(|&(k, _)| k);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 /// The cell's static identity plus the run config that reproduces it.
@@ -511,150 +502,167 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Deterministic exponential backoff before retry `attempt` (1-based): a
-/// pure function of the attempt number — never randomized — so retried
-/// sweeps remain reproducible in everything but wall-clock time.
-fn retry_backoff(attempt: u32) -> Duration {
-    Duration::from_millis(2u64 << attempt.min(6))
-}
-
-/// Runs one cell body under panic isolation with bounded retry.
+/// Runs cell `index` under one `catch_unwind`: the `cell` fault point, then
+/// the simulation, observed or checked. A run error or a panic becomes the
+/// cell's error, with placeholder metrics and no observation.
 ///
-/// Each attempt is wrapped in `catch_unwind`; a panic becomes an `Err` with
-/// the panic message and is **not** retried (a deterministic panic would
-/// recur, and a nondeterministic one left unknown state behind). A
-/// [`RunError::is_retryable`] failure is retried after [`retry_backoff`]
-/// until [`MAX_ATTEMPTS`] is exhausted. Returns the outcome plus the number
-/// of attempts consumed.
-fn run_attempts<T>(run: impl Fn() -> Result<T, RunError>) -> (Result<T, String>, u32) {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match catch_unwind(AssertUnwindSafe(&run)) {
-            Ok(Ok(v)) => return (Ok(v), attempts),
-            Ok(Err(e)) if e.is_retryable() && attempts < MAX_ATTEMPTS => {
-                std::thread::sleep(retry_backoff(attempts));
-            }
-            Ok(Err(e)) => return (Err(e.to_string()), attempts),
-            Err(p) => {
-                return (
-                    Err(format!("worker panicked: {}", panic_message(p.as_ref()))),
-                    attempts,
-                )
-            }
-        }
-    }
-}
-
-/// Assembles a [`CellResult`] from an outcome produced by [`run_attempts`].
-fn finish_cell(
+/// The observation is boxed so that the pool's per-cell results stay about
+/// the size of a [`CellResult`] in sweeps that do not observe. With a 1 KB
+/// inline slot per cell, short `simbench --workload journaled-observed`
+/// processes trimmed and re-faulted their heap more often (about 100 k
+/// minor page faults instead of 17 k) and ran about 8% slower.
+fn run_cell(
     spec: &SweepSpec,
     index: usize,
-    outcome: Result<RunMetrics, String>,
-    attempts: u32,
-) -> CellResult {
+    observed: bool,
+    trace: &dyn Fn() -> Arc<Trace>,
+) -> (CellResult, Option<Box<RunObservation>>) {
     let (point, system, workload) = cell_identity(spec, index);
-    let (metrics, error) = match outcome {
-        Ok(m) => (m, None),
-        Err(e) => (
-            RunMetrics::failed(system.name(), &workload.name, workload.category.name()),
-            Some(e),
-        ),
+    let rc = spec.cell_run_config(index);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        d2m_common::faultpoint::fire("cell", &spec.name, index as u64);
+        if observed {
+            observe(system, &point.config, workload, &rc, Some(trace))
+                .map(|o| (o.metrics.clone(), Some(Box::new(o))))
+        } else {
+            checked(system, &point.config, workload, &rc, Some(trace)).map(|m| (m, None))
+        }
+    }));
+    let failed = |error: String| {
+        let metrics = RunMetrics::failed(system.name(), &workload.name, workload.category.name());
+        (metrics, None, Some(error))
     };
-    CellResult {
+    let (metrics, observation, error) = match outcome {
+        Ok(Ok((metrics, observation))) => (metrics, observation, None),
+        Ok(Err(e)) => failed(e.to_string()),
+        Err(p) => failed(format!("worker panicked: {}", panic_message(p.as_ref()))),
+    };
+    let cell = CellResult {
         index: index as u64,
         config: point.label.clone(),
         system,
         workload: workload.name.clone(),
-        seed: spec.cell_seed(index),
+        seed: rc.seed,
         metrics,
-        attempts,
         error,
-    }
+    };
+    (cell, observation)
 }
 
-/// The `cell` fault point: one chance per attempt for an armed rule to
-/// panic, exit, or request an injected transient failure.
-fn injected_fault(spec: &SweepSpec, index: usize) -> Option<RunError> {
-    if d2m_common::faultpoint::fire("cell", &spec.name, index as u64) {
-        let (_, system, workload) = cell_identity(spec, index);
-        Some(RunError::Injected {
-            system: system.name(),
-            workload: workload.name.clone(),
-        })
-    } else {
-        None
-    }
-}
-
-pub(crate) fn run_cell(
+/// The driver behind every sweep: runs each cell `done` lacks on up to
+/// `jobs` workers (see [`pool_run`] and [`run_cell`]), observed when
+/// `observed` is set, and assembles the result in cell-index order from the
+/// cells in `done` and the fresh ones. The observations, one per cell, are
+/// returned only when `observed` is set.
+///
+/// Every fresh cell is passed to `hook` as it finishes (the checkpoint
+/// journal appends it there). After the first hook error the workers claim
+/// no further cells, and that error is returned once the pool drains.
+///
+/// # Panics
+///
+/// Panics if `jobs` is zero.
+pub(crate) fn drive<E: Send>(
     spec: &SweepSpec,
-    index: usize,
-    trace: &dyn Fn() -> Arc<Trace>,
-) -> CellResult {
-    let (point, system, workload) = cell_identity(spec, index);
-    let rc = spec.cell_run_config(index);
-    let (outcome, attempts) = run_attempts(|| {
-        if let Some(e) = injected_fault(spec, index) {
-            return Err(e);
+    jobs: usize,
+    traces: &SharedTraces<'_>,
+    mut done: Vec<Option<CellResult>>,
+    observed: bool,
+    hook: impl Fn(&CellResult) -> Result<(), E> + Sync,
+) -> Result<(SweepResult, Vec<Option<RunObservation>>), E> {
+    assert!(jobs >= 1, "sweep needs at least one worker");
+    let started = Instant::now();
+    let todo: Vec<usize> = (0..done.len()).filter(|&i| done[i].is_none()).collect();
+    let jobs_used = jobs.min(todo.len().max(1));
+    let hook_error: Mutex<Option<E>> = Mutex::new(None);
+    let fresh = pool_run(traces, &todo, jobs_used, |index, trace| {
+        // Once a hook has failed, don't burn hours simulating cells whose
+        // results can no longer be kept.
+        if hook_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_some()
+        {
+            return None;
         }
-        checked(system, &point.config, workload, &rc, Some(trace))
+        let (cell, observation) = run_cell(spec, index, observed, trace);
+        if let Err(e) = hook(&cell) {
+            hook_error
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(e);
+        }
+        Some((cell, observation))
     });
-    finish_cell(spec, index, outcome, attempts)
+    if let Some(e) = hook_error
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        return Err(e);
+    }
+
+    let mut observations: Vec<Option<RunObservation>> = Vec::new();
+    if observed {
+        observations.resize_with(done.len(), || None);
+    }
+    for (&index, run) in todo.iter().zip(fresh) {
+        let (cell, observation) = run.expect("with no hook error, every claimed cell ran");
+        done[index] = Some(cell);
+        if observed {
+            observations[index] = observation.map(|o| *o);
+        }
+    }
+    let cells = done
+        .into_iter()
+        .map(|c| c.expect("every cell is journaled or fresh"))
+        .collect();
+    let result = SweepResult {
+        name: spec.name.clone(),
+        master_seed: spec.master_seed,
+        cells,
+        jobs_used,
+        wall_secs: started.elapsed().as_secs_f64(),
+    };
+    Ok((result, observations))
 }
 
-/// The placeholder for a slot the pool never filled — only reachable if a
-/// worker died outside the per-attempt isolation, which the engine treats
-/// as a failed cell rather than a reason to lose the sweep.
-pub(crate) fn missing_cell(spec: &SweepSpec, index: usize) -> CellResult {
-    finish_cell(
+/// [`drive`] over a whole grid with no per-cell hook.
+fn sweep(
+    spec: &SweepSpec,
+    jobs: usize,
+    traces: &SharedTraces<'_>,
+    observed: bool,
+) -> (SweepResult, Vec<Option<RunObservation>>) {
+    let no_hook = |_: &CellResult| Ok::<(), Infallible>(());
+    match drive(
         spec,
-        index,
-        Err("cell never completed (worker lost)".to_string()),
-        1,
-    )
+        jobs,
+        traces,
+        vec![None; spec.num_cells()],
+        observed,
+        no_hook,
+    ) {
+        Ok(sweep) => sweep,
+        Err(never) => match never {},
+    }
 }
 
 /// Runs a sweep on exactly `jobs` worker threads.
 ///
 /// # Failure semantics
 ///
-/// A cell never takes the sweep down with it. Every attempt runs under
+/// A cell never takes the sweep down with it. Every cell runs under
 /// `catch_unwind`, so a run failure (corrupted metadata, coherence
-/// violation) *or a worker panic* is reported through [`CellResult::error`]
-/// — with placeholder metrics — while every other cell completes normally;
-/// [`SweepResult::failures`] lists the casualties in cell-index order.
-/// Retryable failures (see [`RunError::is_retryable`]) are retried up to
-/// [`MAX_ATTEMPTS`] times with deterministic backoff, and the attempt count
-/// lands in [`CellResult::attempts`].
+/// violation) *or a panic while running the cell* is reported through
+/// [`CellResult::error`] — with placeholder metrics — while every other cell
+/// completes normally; [`SweepResult::failures`] lists the casualties in
+/// cell-index order.
 ///
 /// # Panics
 ///
 /// Panics if `jobs` is zero.
 pub fn run_sweep_with_jobs(spec: &SweepSpec, jobs: usize) -> SweepResult {
-    sweep(spec, jobs, &SharedTraces::new(spec))
-}
-
-fn sweep(spec: &SweepSpec, jobs: usize, traces: &SharedTraces<'_>) -> SweepResult {
-    assert!(jobs >= 1, "sweep needs at least one worker");
-    let started = Instant::now();
-    let n = spec.num_cells();
-    let jobs_used = jobs.min(n.max(1));
-    let todo: Vec<usize> = (0..n).collect();
-    let cells = pool_run(traces, &todo, jobs_used, |index, trace| {
-        run_cell(spec, index, trace)
-    })
-    .into_iter()
-    .enumerate()
-    .map(|(i, c)| c.unwrap_or_else(|| missing_cell(spec, i)))
-    .collect();
-    SweepResult {
-        name: spec.name.clone(),
-        master_seed: spec.master_seed,
-        cells,
-        jobs_used,
-        wall_secs: started.elapsed().as_secs_f64(),
-    }
+    sweep(spec, jobs, &SharedTraces::new(spec), false).0
 }
 
 /// An observed sweep: the ordinary [`SweepResult`] plus the per-cell
@@ -687,11 +695,6 @@ impl ObservedSweep {
                     ("system".to_string(), Json::Str(c.system.name().to_string())),
                     ("workload".to_string(), Json::Str(c.workload.clone())),
                 ];
-                // Omit-when-default: `attempts` appears only when a retry
-                // actually happened, mirroring the scalar cell encoding.
-                if c.attempts > 1 {
-                    fields.push(("attempts".to_string(), Json::U64(u64::from(c.attempts))));
-                }
                 match o {
                     Some(o) => fields.push(("probe".to_string(), o.probe.report())),
                     // Omit-when-absent: a cell with no observation and no
@@ -713,25 +716,17 @@ impl ObservedSweep {
     }
 }
 
-/// Runs an observed sweep on the default pool size (see [`default_jobs`]).
-///
-/// Worker panics and run failures never abort the sweep; see
-/// [`run_sweep_with_jobs`] for the per-cell failure semantics.
-pub fn run_sweep_observed(spec: &SweepSpec) -> ObservedSweep {
-    run_sweep_observed_with_jobs(spec, default_jobs())
-}
-
 /// Runs a sweep with the full observability layer on every cell (see
-/// [`run_one_observed`]), on exactly `jobs` worker threads.
+/// [`run_one_observed`](crate::run_one_observed)), on exactly `jobs` worker
+/// threads.
 ///
 /// Per-cell probes are merged into [`ObservedSweep::aggregate`] in
 /// cell-index order after the pool drains, so the aggregate — like
 /// [`ObservedSweep::histograms_json`] — is byte-identical across thread
 /// counts.
 ///
-/// Cells fail in isolation exactly as in [`run_sweep_with_jobs`] (panic
-/// capture, bounded retry); a failed cell contributes no observation and
-/// nothing to the aggregate.
+/// Cells fail in isolation exactly as in [`run_sweep_with_jobs`]; a failed
+/// cell contributes no observation and nothing to the aggregate.
 ///
 /// # Panics
 ///
@@ -741,46 +736,13 @@ pub fn run_sweep_observed_with_jobs(spec: &SweepSpec, jobs: usize) -> ObservedSw
 }
 
 fn observed_sweep(spec: &SweepSpec, jobs: usize, traces: &SharedTraces<'_>) -> ObservedSweep {
-    assert!(jobs >= 1, "sweep needs at least one worker");
-    let started = Instant::now();
-    let n = spec.num_cells();
-    let jobs_used = jobs.min(n.max(1));
-    let todo: Vec<usize> = (0..n).collect();
-    let pairs = pool_run(traces, &todo, jobs_used, |index, trace| {
-        let (point, system, workload) = cell_identity(spec, index);
-        let rc = spec.cell_run_config(index);
-        let (outcome, attempts) = run_attempts(|| {
-            if let Some(e) = injected_fault(spec, index) {
-                return Err(e);
-            }
-            observe(system, &point.config, workload, &rc, Some(trace))
-        });
-        let (obs, scalar) = match outcome {
-            Ok(o) => {
-                let metrics = o.metrics.clone();
-                (Some(o), Ok(metrics))
-            }
-            Err(e) => (None, Err(e)),
-        };
-        (finish_cell(spec, index, scalar, attempts), obs)
-    });
-    let (cells, observations): (Vec<_>, Vec<_>) = pairs
-        .into_iter()
-        .enumerate()
-        .map(|(i, pair)| pair.unwrap_or_else(|| (missing_cell(spec, i), None)))
-        .unzip();
+    let (result, observations) = sweep(spec, jobs, traces, true);
     let mut aggregate = RecordingProbe::new();
     for o in observations.iter().flatten() {
         aggregate.merge(&o.probe);
     }
     ObservedSweep {
-        result: SweepResult {
-            name: spec.name.clone(),
-            master_seed: spec.master_seed,
-            cells,
-            jobs_used,
-            wall_secs: started.elapsed().as_secs_f64(),
-        },
+        result,
         observations,
         aggregate,
     }
@@ -872,7 +834,7 @@ mod tests {
         // workers.
         for jobs in [1, 2, 3, 7] {
             let traces = SharedTraces::new(&spec);
-            let plain = sweep(&spec, jobs, &traces);
+            let plain = sweep(&spec, jobs, &traces, false).0;
             assert_eq!(traces.recorded(), [1; 4], "jobs={jobs}");
             assert_eq!(traces.live(), 0, "jobs={jobs}");
             let traces = SharedTraces::new(&spec);
@@ -902,7 +864,7 @@ mod tests {
         spec.workloads.insert(1, bad);
         for jobs in [1, 3] {
             let traces = SharedTraces::new(&spec);
-            let res = sweep(&spec, jobs, &traces);
+            let res = sweep(&spec, jobs, &traces, false).0;
             for c in &res.cells {
                 if c.workload == "bad" {
                     assert_eq!(
@@ -1001,8 +963,6 @@ mod tests {
         assert!(res.cells.len() >= 4);
         res.cells[1].error = Some("synthetic: corrupted LI".into());
         res.cells[1].metrics = RunMetrics::failed("D2M-NS-R", "swaptions", "Parallel");
-        res.cells[2].attempts = 3;
-        res.cells[3].attempts = 2;
         res.cells[3].error = Some("injected transient fault on Base-2L/swaptions".into());
         let first = res.to_json_string();
         let back = SweepResult::from_json_string(&first).unwrap();
@@ -1013,22 +973,6 @@ mod tests {
             first.as_bytes() == second.as_bytes(),
             "serialize → parse → serialize must be byte-identical"
         );
-    }
-
-    #[test]
-    fn attempts_key_is_omitted_until_a_retry_happens() {
-        let mut spec = tiny_spec();
-        spec.configs.truncate(1);
-        spec.workloads.truncate(1);
-        let mut res = run_sweep_with_jobs(&spec, 1);
-        assert!(res.cells.iter().all(|c| c.attempts == 1));
-        assert!(!res.to_json_string().contains("\"attempts\""));
-        res.cells[0].attempts = MAX_ATTEMPTS;
-        let text = res.to_json_string();
-        assert!(text.contains("\"attempts\": 3"), "{text}");
-        let back = SweepResult::from_json_string(&text).unwrap();
-        assert_eq!(back.cells[0].attempts, MAX_ATTEMPTS);
-        assert_eq!(back.cells[1].attempts, 1, "absent key decodes as 1");
     }
 
     #[test]
@@ -1046,50 +990,9 @@ mod tests {
             err.contains("worker panicked") && err.contains("injected fault at cell:3"),
             "{err}"
         );
-        // Panics are not retried.
-        assert_eq!(failures[0].attempts, 1);
         for c in res.cells.iter().filter(|c| c.index != 3) {
             assert!(c.ok(), "cell {} must be unaffected", c.index);
         }
-    }
-
-    #[test]
-    fn retryable_injected_error_retries_and_succeeds() {
-        let mut spec = tiny_spec();
-        spec.name = "unit-retry".into();
-        spec.configs.truncate(1);
-        spec.workloads.truncate(1);
-        // Fail the first two attempts of cell 1; the third succeeds.
-        let _g = d2m_common::faultpoint::arm("cell@unit-retry:1:error:2").unwrap();
-        let res = run_sweep_with_jobs(&spec, 1);
-        assert!(res.failures().is_empty());
-        assert_eq!(res.cells[1].attempts, 3);
-        assert_eq!(res.cells[0].attempts, 1);
-        // The recovered cell's metrics are the ordinary deterministic ones.
-        let clean = run_sweep_with_jobs(&spec, 1);
-        assert_eq!(res.cells[1].metrics, clean.cells[1].metrics);
-    }
-
-    #[test]
-    fn persistent_injected_error_fails_after_max_attempts() {
-        let mut spec = tiny_spec();
-        spec.name = "unit-exhaust".into();
-        spec.configs.truncate(1);
-        spec.workloads.truncate(1);
-        let _g = d2m_common::faultpoint::arm("cell@unit-exhaust:0:error").unwrap();
-        let res = run_sweep_with_jobs(&spec, 1);
-        let failures = res.failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].attempts, MAX_ATTEMPTS);
-        assert!(
-            failures[0]
-                .error
-                .as_deref()
-                .unwrap()
-                .contains("injected transient fault"),
-            "{:?}",
-            failures[0].error
-        );
     }
 
     #[test]

@@ -80,9 +80,7 @@ impl AnySystem {
     /// armed (`D2M_FAULT=build@<system-name>:*:panic`) — the hook tests use
     /// to prove a panic deep inside a sweep worker is isolated to its cell.
     pub fn build(kind: SystemKind, cfg: &MachineConfig, seed: u64) -> Self {
-        // The `error` action is meaningless at a constructor; only
-        // panic/exit rules are useful here.
-        let _ = d2m_common::faultpoint::fire("build", kind.name(), seed);
+        d2m_common::faultpoint::fire("build", kind.name(), seed);
         match kind {
             SystemKind::Base2L => {
                 AnySystem::Base(Box::new(Baseline::new(cfg, BaselineKind::TwoLevel)))
