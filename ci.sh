@@ -91,4 +91,24 @@ D2M_FAULT="cell@ci-fault:1:panic" \
 cmp "$fault_dir/clean.json" "$fault_dir/resumed.json" \
     || { echo "resumed sweep JSON differs from the uninterrupted run"; exit 1; }
 
+echo "== paper artifacts (every report at --quick length) =="
+# Without an artifact, `report` prints its usage, including the line
+# `artifacts: <name>...`, and exits 2. Each listed artifact then runs once, so
+# a report that panics fails the gate. They run in a scratch directory: the
+# sweep journals they write under `target/` start fresh and are discarded.
+report="$PWD/target/release/report"
+set +e
+usage="$("$report" 2>&1)"
+usage_status=$?
+set -e
+[ "$usage_status" -eq 2 ] \
+    || { echo "report without an artifact exited $usage_status, expected 2"; exit 1; }
+artifacts="$(sed -n 's/^artifacts: //p' <<<"$usage")"
+[ -n "$artifacts" ] || { echo "report usage lists no artifacts"; exit 1; }
+mkdir "$fault_dir/report"
+for artifact in $artifacts; do
+    echo "-- report $artifact --quick"
+    (cd "$fault_dir/report" && D2M_JOBS=2 "$report" "$artifact" --quick >/dev/null)
+done
+
 echo "== ci.sh: all checks passed =="

@@ -1,9 +1,10 @@
 //! Experiment harness reproducing every table and figure of the D2M paper.
 //!
-//! Each binary in `src/bin/` regenerates one paper artifact and prints
-//! paper-vs-measured columns:
+//! The `report` binary regenerates one paper artifact per run
+//! (`report <artifact> [--quick] [workload…]`) and prints paper-vs-measured
+//! columns:
 //!
-//! | binary | artifact |
+//! | artifact | reproduces |
 //! |---|---|
 //! | `table4` | Table IV — L1 miss / late-hit ratios, NS-LLC hit ratios |
 //! | `table5` | Table V — received invalidations, % misses to private regions |
@@ -14,15 +15,16 @@
 //! | `structure_pressure` | §V-B — MD3 vs directory, MD2 vs L2-tag pressure |
 //! | `ablation_mdscale` | footnote 5 — MD capacity 1×/2×/4× sweep |
 //! | `ablation_scramble` | §IV-D — dynamic indexing on strided workloads |
-//! | `lockbits` | appendix — MD3 lock-bit collision rates |
 //! | `ablation_bypass` | §I — region-predictor cache bypassing |
 //! | `ablation_private_l2` | Figure 2 — optional private L2 level |
 //! | `ablation_traditional` | §III-A — traditional front end |
-//! | `energy_breakdown` | Figure 6 — per-structure energy composition |
+//! | `lockbits` | appendix — MD3 lock-bit collision rates |
+//! | `energy_breakdown [workload]` | Figure 6 — per-structure energy composition |
 //! | `workload_stats` | catalog parameter listing |
-//! | `calibrate`, `traffic_debug` | calibration utilities (kept for reproducibility) |
+//! | `calibrate`, `traffic_debug [workload…]` | calibration utilities (kept for reproducibility) |
 //!
-//! All binaries accept `--quick` for a fast, reduced-length run.
+//! Every artifact accepts `--quick` for a fast, reduced-length run. The
+//! `throughput` binary is the simulator's own throughput harness.
 
 use std::path::Path;
 
@@ -43,9 +45,9 @@ pub struct HarnessConfig {
     pub quick: bool,
 }
 
-/// Parses harness flags (`--quick`) from `std::env::args`.
-pub fn parse_args() -> HarnessConfig {
-    let quick = std::env::args().any(|a| a == "--quick");
+/// Parses harness flags (`--quick`) from a command line.
+pub fn parse_args(args: &[String]) -> HarnessConfig {
+    let quick = args.iter().any(|a| a == "--quick");
     let rc = if quick {
         RunConfig {
             instructions: 150_000,

@@ -1,13 +1,9 @@
-//! Parallel experiment driver: the (system × workload) matrix behind every
-//! table and figure, built on the [`crate::sweep`] engine.
+//! The (system × workload) matrix behind every table and figure: lookups
+//! and per-suite aggregates over the runs of a [`crate::sweep`].
 
-use d2m_common::config::MachineConfig;
 use d2m_common::stats::gmean;
-use d2m_workloads::WorkloadSpec;
 
 use crate::metrics::RunMetrics;
-use crate::runner::RunConfig;
-use crate::sweep::{run_sweep, SweepSpec};
 use crate::systems::SystemKind;
 
 /// The completed matrix of runs.
@@ -17,14 +13,14 @@ pub struct MatrixResult {
 }
 
 impl MatrixResult {
-    /// Reconstructs a result set from previously computed runs (e.g. a
-    /// cache file written by the benchmark harness).
+    /// Wraps previously computed runs, e.g. one config's runs of a sweep
+    /// ([`crate::SweepResult::runs_for_config`]).
     pub fn from_runs(runs: Vec<RunMetrics>) -> Self {
         Self { runs }
     }
 
-    /// All runs, in completion-independent (system-major, then workload)
-    /// order.
+    /// All runs, in the order they were given (a sweep's cell order:
+    /// workload-major, then system).
     pub fn runs(&self) -> &[RunMetrics] {
         &self.runs
     }
@@ -34,18 +30,6 @@ impl MatrixResult {
         self.runs
             .iter()
             .find(|r| r.system == system.name() && r.workload == workload)
-    }
-
-    /// Per-workload speedups of `system` over `base`, in workload order.
-    pub fn speedups(&self, system: SystemKind, base: SystemKind) -> Vec<(String, f64)> {
-        self.runs
-            .iter()
-            .filter(|r| r.system == base.name())
-            .filter_map(|b| {
-                self.get(system, &b.workload)
-                    .map(|s| (b.workload.clone(), s.speedup_vs(b)))
-            })
-            .collect()
     }
 
     /// Geometric mean of a per-workload relative metric over all workloads
@@ -91,42 +75,16 @@ impl MatrixResult {
     }
 }
 
-/// Runs every `(system, workload)` pair in parallel across the machine's
-/// cores via the sweep engine. Deterministic: results are bit-identical to a
-/// serial run regardless of thread count (see [`crate::sweep`]).
-///
-/// Each workload's trace seed is derived from `rc.seed` with
-/// [`d2m_common::rng::derive_stream_seed`], and shared by all systems so
-/// paired comparisons stay meaningful. Runs are returned in system-major,
-/// then workload, order.
-pub fn run_matrix(
-    cfg: &MachineConfig,
-    systems: &[SystemKind],
-    workloads: &[WorkloadSpec],
-    rc: &RunConfig,
-) -> MatrixResult {
-    let spec = SweepSpec::single("matrix", cfg, systems, workloads, rc);
-    let res = run_sweep(&spec);
-    // Sweep cells are workload-major within the single config; reorder into
-    // the system-major convention MatrixResult documents.
-    let s = systems.len();
-    let mut runs = Vec::with_capacity(res.cells.len());
-    for si in 0..s {
-        for wi in 0..workloads.len() {
-            runs.push(res.cells[wi * s + si].metrics.clone());
-        }
-    }
-    MatrixResult { runs }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunConfig;
+    use crate::sweep::{run_sweep, SweepSpec};
+    use d2m_common::config::MachineConfig;
     use d2m_workloads::catalog;
 
     #[test]
     fn matrix_runs_all_pairs_in_order() {
-        let cfg = MachineConfig::default();
         let specs = vec![
             catalog::by_name("swaptions").unwrap(),
             catalog::by_name("mix2").unwrap(),
@@ -136,39 +94,28 @@ mod tests {
             warmup_instructions: 10_000,
             seed: 1,
         };
-        let m = run_matrix(&cfg, &[SystemKind::Base2L, SystemKind::D2mFs], &specs, &rc);
+        let systems = [SystemKind::Base2L, SystemKind::D2mFs];
+        let spec = SweepSpec::single("matrix", &MachineConfig::default(), &systems, &specs, &rc);
+        let m = MatrixResult::from_runs(run_sweep(&spec).runs_for_config("default"));
         assert_eq!(m.runs().len(), 4);
+        assert_eq!(m.runs()[1].system, "D2M-FS");
+        assert_eq!(m.runs()[1].workload, "swaptions");
         assert!(m.get(SystemKind::Base2L, "swaptions").is_some());
         assert!(m.get(SystemKind::D2mFs, "mix2").is_some());
-        let sp = m.speedups(SystemKind::D2mFs, SystemKind::Base2L);
-        assert_eq!(sp.len(), 2);
-        for (_, s) in sp {
-            assert!(s > 0.2 && s < 5.0);
+        assert!(m.get(SystemKind::D2mNs, "mix2").is_none());
+        let sp: Vec<f64> = ["swaptions", "mix2"]
+            .iter()
+            .map(|w| {
+                let base = m.get(SystemKind::Base2L, w).unwrap();
+                m.get(SystemKind::D2mFs, w).unwrap().speedup_vs(base)
+            })
+            .collect();
+        for s in &sp {
+            assert!(*s > 0.2 && *s < 5.0);
         }
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let cfg = MachineConfig::default();
-        let specs = vec![catalog::by_name("google").unwrap()];
-        let rc = RunConfig {
-            instructions: 30_000,
-            warmup_instructions: 5_000,
-            seed: 3,
-        };
-        let par = run_matrix(&cfg, &[SystemKind::D2mNsR], &specs, &rc);
-        // The matrix derives a per-workload seed from rc.seed; reproduce the
-        // single cell serially with the same derivation.
-        let sweep = SweepSpec::single("matrix", &cfg, &[SystemKind::D2mNsR], &specs, &rc);
-        let ser = crate::runner::run_one(
-            SystemKind::D2mNsR,
-            &cfg,
-            &specs[0],
-            &sweep.cell_run_config(0),
-        );
-        let p = &par.runs()[0];
-        assert_eq!(p.cycles, ser.cycles);
-        assert_eq!(p.invalidations, ser.invalidations);
-        assert_eq!(p.counters, ser.counters);
+        let g = m.gmean_relative(SystemKind::D2mFs, SystemKind::Base2L, None, |s, b| {
+            s.speedup_vs(b)
+        });
+        assert_eq!(g, gmean(&sp));
     }
 }

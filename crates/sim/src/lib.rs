@@ -33,7 +33,7 @@ pub mod sweep;
 pub mod systems;
 
 pub use checkpoint::{run_sweep_checkpointed, CheckpointError};
-pub use experiments::{run_matrix, MatrixResult};
+pub use experiments::MatrixResult;
 pub use metrics::RunMetrics;
 pub use runner::{run_one, run_one_checked, run_one_observed, RunConfig, RunError, RunObservation};
 pub use sweep::{

@@ -107,7 +107,7 @@ impl RunConfig {
         }
     }
 
-    /// A fast configuration for tests and `--quick` harness runs.
+    /// A fast configuration: the `d2m-simulate` default and the doc example.
     pub fn quick() -> Self {
         Self {
             instructions: 200_000,

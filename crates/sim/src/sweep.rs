@@ -117,8 +117,8 @@ d2m_common::impl_json_struct!(SweepSpec {
 });
 
 impl SweepSpec {
-    /// A single-configuration sweep (the common case behind
-    /// [`crate::experiments::run_matrix`] and the figure benchmarks).
+    /// A single-configuration sweep (the common case behind the figure
+    /// benchmarks).
     pub fn single(
         name: &str,
         cfg: &MachineConfig,
