@@ -9,6 +9,11 @@ cd "$(dirname "$0")"
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== simbench build (the benchmark package, a workspace of its own) =="
+# simbench depends on the simulator crates by path, so an API change that
+# breaks the benchmark fails here instead of at benchmark time.
+cargo build --release --offline --manifest-path simbench/Cargo.toml
+
 echo "== cargo test -q =="
 cargo test -q
 

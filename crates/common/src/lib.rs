@@ -50,5 +50,5 @@ pub use json::{FromJson, Json, JsonError, ToJson};
 pub use oracle::VersionOracle;
 pub use outcome::{AccessResult, ServicedBy};
 pub use probe::{LookupLevel, NoopProbe, Probe, RecordingProbe, TxnEvent, TxnKind};
-pub use rng::{derive_stream_seed, SimRng};
+pub use rng::{derive_stream_seed, SimRng, Zipf};
 pub use stats::Counters;

@@ -14,33 +14,56 @@
 /// Number of ChaCha double-rounds (12 rounds total).
 const DOUBLE_ROUNDS: usize = 6;
 
-/// The ChaCha block function: 16 input words -> 64 output bytes.
+/// Keystream bytes produced per refill: four consecutive ChaCha12 blocks.
+const BUF_BYTES: usize = 256;
+
+/// Four consecutive ChaCha12 blocks, starting at `input`'s block counter:
+/// block *j* of `out` is the block for counter + *j*.
 ///
-/// On x86-64 this dispatches to the SSE2 row-parallel implementation (SSE2
-/// is part of the x86-64 baseline); everywhere else the portable scalar
-/// version runs. Both produce bit-identical keystreams — asserted by a test
-/// that runs the scalar reference against the dispatched version.
-fn chacha12_block(input: &[u32; 16], out: &mut [u8; 64]) {
+/// On x86-64 this dispatches to the SSE2 column-parallel implementation
+/// (SSE2 is part of the x86-64 baseline); everywhere else the portable
+/// scalar version runs once per block. Both produce bit-identical
+/// keystreams — asserted by a test that runs the scalar reference against
+/// the dispatched version.
+fn chacha12_blocks4(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
     #[cfg(target_arch = "x86_64")]
-    chacha12_block_sse2(input, out);
+    chacha12_blocks4_sse2(input, out);
     #[cfg(not(target_arch = "x86_64"))]
-    chacha12_block_scalar(input, out);
+    for (j, block) in out.chunks_exact_mut(64).enumerate() {
+        chacha12_block_scalar(
+            &counter_plus(input, j as u32),
+            block.try_into().expect("64 bytes"),
+        );
+    }
 }
 
-/// Row-parallel ChaCha12: each 128-bit register holds one 4-word row, so a
-/// quarter-round runs on all four columns at once; the diagonal rounds lane-
-/// rotate rows 1–3 before and after the same quarter-round. Wrapping adds,
-/// xors and rotates are exact on every lane, so the keystream matches the
-/// scalar version bit for bit.
+/// `state` with its 64-bit block counter (words 12/13) advanced by `n`.
+fn counter_plus(state: &[u32; 16], n: u32) -> [u32; 16] {
+    let mut s = *state;
+    let (lo, carry) = s[12].overflowing_add(n);
+    s[12] = lo;
+    s[13] = s[13].wrapping_add(u32::from(carry));
+    s
+}
+
+/// Column-parallel ChaCha12 over four blocks: register *i* holds state word
+/// *i* of all four blocks (lane *j* = block *j*, each lane with its own
+/// word-12 → 13 counter carry), so every quarter-round is the scalar one on
+/// four blocks at once and no lane shuffles are needed. A 4×4 transpose per
+/// group of four words turns lanes back into blocks on the way out.
+/// Wrapping adds, xors and rotates are exact on every lane, so the
+/// keystream matches the scalar version bit for bit.
 #[cfg(target_arch = "x86_64")]
-fn chacha12_block_sse2(input: &[u32; 16], out: &mut [u8; 64]) {
+fn chacha12_blocks4_sse2(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
     use std::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_loadu_si128, _mm_or_si128, _mm_shuffle_epi32, _mm_slli_epi32,
-        _mm_srli_epi32, _mm_storeu_si128, _mm_xor_si128,
+        __m128i, _mm_add_epi32, _mm_or_si128, _mm_set1_epi32, _mm_set_epi32, _mm_slli_epi32,
+        _mm_srli_epi32, _mm_storeu_si128, _mm_unpackhi_epi32, _mm_unpackhi_epi64,
+        _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_xor_si128,
     };
 
-    // SAFETY: SSE2 is unconditionally available on x86-64. Loads and stores
-    // are the unaligned variants over exactly the 64 bytes of `input`/`out`.
+    // SAFETY: SSE2 is unconditionally available on x86-64. The stores are
+    // the unaligned variant, at 16-byte offsets `64 * j + 16 * g` (j, g < 4)
+    // inside the 256 bytes of `out`.
     unsafe {
         macro_rules! rotl {
             ($x:expr, $n:literal) => {
@@ -48,46 +71,53 @@ fn chacha12_block_sse2(input: &[u32; 16], out: &mut [u8; 64]) {
             };
         }
         macro_rules! qround {
-            ($a:ident, $b:ident, $c:ident, $d:ident) => {
-                $a = _mm_add_epi32($a, $b);
-                $d = rotl!(_mm_xor_si128($d, $a), 16);
-                $c = _mm_add_epi32($c, $d);
-                $b = rotl!(_mm_xor_si128($b, $c), 12);
-                $a = _mm_add_epi32($a, $b);
-                $d = rotl!(_mm_xor_si128($d, $a), 8);
-                $c = _mm_add_epi32($c, $d);
-                $b = rotl!(_mm_xor_si128($b, $c), 7);
+            ($x:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {
+                $x[$a] = _mm_add_epi32($x[$a], $x[$b]);
+                $x[$d] = rotl!(_mm_xor_si128($x[$d], $x[$a]), 16);
+                $x[$c] = _mm_add_epi32($x[$c], $x[$d]);
+                $x[$b] = rotl!(_mm_xor_si128($x[$b], $x[$c]), 12);
+                $x[$a] = _mm_add_epi32($x[$a], $x[$b]);
+                $x[$d] = rotl!(_mm_xor_si128($x[$d], $x[$a]), 8);
+                $x[$c] = _mm_add_epi32($x[$c], $x[$d]);
+                $x[$b] = rotl!(_mm_xor_si128($x[$b], $x[$c]), 7);
             };
         }
 
-        let p = input.as_ptr().cast::<__m128i>();
-        let mut a = _mm_loadu_si128(p);
-        let mut b = _mm_loadu_si128(p.add(1));
-        let mut c = _mm_loadu_si128(p.add(2));
-        let mut d = _mm_loadu_si128(p.add(3));
-        let (a0, b0, c0, d0) = (a, b, c, d);
+        let blocks: [[u32; 16]; 4] = std::array::from_fn(|j| counter_plus(input, j as u32));
+        let lane = |j: usize, w: usize| blocks[j][w] as i32;
+        let mut x: [__m128i; 16] = std::array::from_fn(|w| match w {
+            12 | 13 => _mm_set_epi32(lane(3, w), lane(2, w), lane(1, w), lane(0, w)),
+            _ => _mm_set1_epi32(input[w] as i32),
+        });
+        let x0 = x;
 
         for _ in 0..DOUBLE_ROUNDS {
-            // Column round: rows already line the columns up lane-wise.
-            qround!(a, b, c, d);
-            // Diagonalize: lane-rotate row 1 by one, row 2 by two, row 3 by
-            // three, so lane l holds diagonal (l, 4+(l+1)%4, 8+(l+2)%4,
-            // 12+(l+3)%4).
-            b = _mm_shuffle_epi32(b, 0b00_11_10_01);
-            c = _mm_shuffle_epi32(c, 0b01_00_11_10);
-            d = _mm_shuffle_epi32(d, 0b10_01_00_11);
-            qround!(a, b, c, d);
-            // Undiagonalize (inverse rotations).
-            b = _mm_shuffle_epi32(b, 0b10_01_00_11);
-            c = _mm_shuffle_epi32(c, 0b01_00_11_10);
-            d = _mm_shuffle_epi32(d, 0b00_11_10_01);
+            // Column round.
+            qround!(x, 0, 4, 8, 12);
+            qround!(x, 1, 5, 9, 13);
+            qround!(x, 2, 6, 10, 14);
+            qround!(x, 3, 7, 11, 15);
+            // Diagonal round.
+            qround!(x, 0, 5, 10, 15);
+            qround!(x, 1, 6, 11, 12);
+            qround!(x, 2, 7, 8, 13);
+            qround!(x, 3, 4, 9, 14);
         }
 
         let q = out.as_mut_ptr().cast::<__m128i>();
-        _mm_storeu_si128(q, _mm_add_epi32(a, a0));
-        _mm_storeu_si128(q.add(1), _mm_add_epi32(b, b0));
-        _mm_storeu_si128(q.add(2), _mm_add_epi32(c, c0));
-        _mm_storeu_si128(q.add(3), _mm_add_epi32(d, d0));
+        for g in 0..4 {
+            let w = 4 * g;
+            let [a, b, c, d] = std::array::from_fn(|i| _mm_add_epi32(x[w + i], x0[w + i]));
+            // Transpose: row j of the result is words w..w+4 of block j.
+            let ab_lo = _mm_unpacklo_epi32(a, b);
+            let cd_lo = _mm_unpacklo_epi32(c, d);
+            let ab_hi = _mm_unpackhi_epi32(a, b);
+            let cd_hi = _mm_unpackhi_epi32(c, d);
+            _mm_storeu_si128(q.add(g), _mm_unpacklo_epi64(ab_lo, cd_lo));
+            _mm_storeu_si128(q.add(4 + g), _mm_unpackhi_epi64(ab_lo, cd_lo));
+            _mm_storeu_si128(q.add(8 + g), _mm_unpacklo_epi64(ab_hi, cd_hi));
+            _mm_storeu_si128(q.add(12 + g), _mm_unpackhi_epi64(ab_hi, cd_hi));
+        }
     }
 }
 
@@ -125,7 +155,7 @@ fn chacha12_block_scalar(input: &[u32; 16], out: &mut [u8; 64]) {
     }
 }
 
-/// A deterministic, splittable RNG stream.
+/// A deterministic RNG stream.
 ///
 /// # Example
 ///
@@ -138,54 +168,33 @@ fn chacha12_block_scalar(input: &[u32; 16], out: &mut [u8; 64]) {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SimRng {
-    state: [u32; 16],
-    buf: [u8; 64],
-    /// Next unread byte in `buf`; 64 means the buffer is exhausted.
+    /// ChaCha key words (state words 4..12).
+    key: [u32; 8],
+    /// 64-bit block counter of the next refill (state words 12/13); the
+    /// nonce words are always zero and the first four are constants, so
+    /// neither is stored.
+    counter: u64,
+    buf: [u8; BUF_BYTES],
+    /// Next unread byte in `buf`, always a multiple of 4; `BUF_BYTES` means
+    /// the buffer is exhausted.
     pos: usize,
-    /// Memoized Zipf normalizers (see [`SimRng::zipf`]). Inline and
-    /// fixed-size so cloning an rng never allocates.
-    zipf_cache: [ZipfNorm; ZIPF_CACHE_SLOTS],
-    /// Round-robin replacement cursor for `zipf_cache`.
-    zipf_next: usize,
 }
 
-/// One memoized Zipf normalizer: the `(n, s)` pair (with `s` compared
-/// bit-exactly) and the harmonic normalizer computed from it. `n == 0`
-/// marks an unused slot — `zipf` never caches `n < 2`.
-#[derive(Clone, Copy, Debug)]
-struct ZipfNorm {
-    n: u64,
-    s_bits: u64,
-    hn: f64,
-}
-
-const ZIPF_CACHE_SLOTS: usize = 8;
-
-const ZIPF_NORM_EMPTY: ZipfNorm = ZipfNorm {
-    n: 0,
-    s_bits: 0,
-    hn: 0.0,
-};
+// Every trace-generator node and every D2M system holds one by value, and
+// where glibc places heap chunks is sensitive to its size (EXPERIMENTS.md,
+// "Heap-trim mode"): no larger than the one-block generator's 336 B.
+const _: () = assert!(std::mem::size_of::<SimRng>() <= 336);
 
 impl SimRng {
     /// Creates a stream from a raw 32-byte ChaCha key.
     pub fn from_seed(key: [u8; 32]) -> Self {
-        let mut state = [0u32; 16];
-        // "expand 32-byte k"
-        state[0] = 0x6170_7865;
-        state[1] = 0x3320_646e;
-        state[2] = 0x7962_2d32;
-        state[3] = 0x6b20_6574;
-        for i in 0..8 {
-            state[4 + i] = u32::from_le_bytes(key[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        }
-        // Words 12..16: 64-bit block counter + 64-bit nonce, all zero.
         Self {
-            state,
-            buf: [0; 64],
-            pos: 64,
-            zipf_cache: [ZIPF_NORM_EMPTY; ZIPF_CACHE_SLOTS],
-            zipf_next: 0,
+            key: std::array::from_fn(|i| {
+                u32::from_le_bytes(key[i * 4..i * 4 + 4].try_into().expect("4 bytes"))
+            }),
+            counter: 0,
+            buf: [0; BUF_BYTES],
+            pos: BUF_BYTES,
         }
     }
 
@@ -212,26 +221,27 @@ impl SimRng {
         Self::from_seed(key)
     }
 
-    /// Splits off an independent child stream.
-    pub fn split(&mut self, label: &str) -> Self {
-        Self::from_label(self.next_u64(), label)
+    /// The 16-word ChaCha input block for the next refill.
+    fn block_input(&self) -> [u32; 16] {
+        let mut s = [0u32; 16];
+        // "expand 32-byte k"
+        s[..4].copy_from_slice(&[0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]);
+        s[4..12].copy_from_slice(&self.key);
+        s[12] = self.counter as u32;
+        s[13] = (self.counter >> 32) as u32;
+        s
     }
 
     fn refill(&mut self) {
-        chacha12_block(&self.state, &mut self.buf);
-        // Advance the 64-bit block counter (words 12/13).
-        let (lo, carry) = self.state[12].overflowing_add(1);
-        self.state[12] = lo;
-        if carry {
-            self.state[13] = self.state[13].wrapping_add(1);
-        }
+        chacha12_blocks4(&self.block_input(), &mut self.buf);
+        self.counter = self.counter.wrapping_add((BUF_BYTES / 64) as u64);
         self.pos = 0;
     }
 
     /// Next 32 uniformly random bits.
     #[inline]
     pub fn next_u32(&mut self) -> u32 {
-        if self.pos + 4 > 64 {
+        if self.pos + 4 > BUF_BYTES {
             self.refill();
         }
         let v = u32::from_le_bytes(
@@ -243,23 +253,18 @@ impl SimRng {
         v
     }
 
-    /// Next 64 uniformly random bits.
+    /// Next 64 uniformly random bits: the next two 32-bit words, low first.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
+        let p = self.pos;
+        if p + 8 <= BUF_BYTES {
+            self.pos = p + 8;
+            return u64::from_le_bytes(self.buf[p..p + 8].try_into().expect("8 bytes"));
+        }
+        // The two words straddle a refill (or the buffer is spent).
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
         lo | (hi << 32)
-    }
-
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for b in dest {
-            if self.pos >= 64 {
-                self.refill();
-            }
-            *b = self.buf[self.pos];
-            self.pos += 1;
-        }
     }
 
     /// Uniform value in `[0, bound)` (unbiased via rejection sampling).
@@ -299,50 +304,75 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// A Zipf-distributed rank in `[0, n)` with exponent `s`, computed by
-    /// inverse-transform over an approximate harmonic CDF.
-    ///
-    /// Small ranks are most likely — callers map rank 0 to the hottest item.
+    /// One Zipf draw: `Zipf::new(n, s).sample(self)`. Builds the normalizer
+    /// on every call; hot loops keep a [`Zipf`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
     pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
+        Zipf::new(n, s).sample(self)
+    }
+}
+
+/// A Zipf-distributed sampler over ranks `[0, n)` with exponent `s`,
+/// computed by inverse-transform over an approximate harmonic CDF (a
+/// bounded-Pareto approach: good enough for locality shaping, cheap,
+/// deterministic).
+///
+/// Small ranks are most likely — callers map rank 0 to the hottest item.
+/// Building the sampler computes the normalizer once, so a draw costs one
+/// uniform and one `powf` (or `exp` for `s ≈ 1`).
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Zipf {
+    n: u64,
+    /// Harmonic normalizer.
+    hn: f64,
+    /// `1 - s`, or 0 on the `s ≈ 1` (logarithmic) branch.
+    e: f64,
+    /// `1 / e`; unused on the logarithmic branch.
+    inv_e: f64,
+}
+
+impl Zipf {
+    /// A sampler over `[0, n)` with exponent `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn new(n: u64, s: f64) -> Self {
         assert!(n > 0);
-        if n == 1 {
-            return 0;
-        }
-        // Approximate inverse CDF for the Zipf distribution (bounded Pareto
-        // approach): good enough for locality shaping, cheap, deterministic.
-        let u = self.unit().max(1e-12);
         if (s - 1.0).abs() < 1e-9 {
-            let hn = self.zipf_norm(n, 1.0, |n, _| (n as f64).ln());
-            return ((u * hn).exp() - 1.0).min(n as f64 - 1.0) as u64;
+            return Self {
+                n,
+                hn: (n as f64).ln(),
+                e: 0.0,
+                inv_e: 0.0,
+            };
         }
         let e = 1.0 - s;
-        let hn = self.zipf_norm(n, s, |n, s| ((n as f64).powf(1.0 - s) - 1.0) / (1.0 - s));
-        let x = (1.0 + u * hn * e).powf(1.0 / e) - 1.0;
-        (x.min(n as f64 - 1.0)) as u64
+        Self {
+            n,
+            hn: ((n as f64).powf(e) - 1.0) / e,
+            e,
+            inv_e: 1.0 / e,
+        }
     }
 
-    /// Memoized Zipf normalizer: `compute(n, s)` is a pure function, so its
-    /// cached value is the bit-identical `f64` a fresh computation would
-    /// produce — the draw sequence does not depend on cache hits. Workloads
-    /// sample from a handful of fixed `(n, s)` pairs, which otherwise pay a
-    /// second `powf` on every draw (a top profile entry). `s` is compared
-    /// bit-exactly; the `s ≈ 1` branch passes a canonical `1.0` because its
-    /// normalizer only depends on `n`.
-    fn zipf_norm(&mut self, n: u64, s: f64, compute: impl Fn(u64, f64) -> f64) -> f64 {
-        let s_bits = s.to_bits();
-        for e in &self.zipf_cache {
-            if e.n == n && e.s_bits == s_bits {
-                return e.hn;
-            }
+    /// Draws one rank. A one-rank sampler returns 0 without consuming
+    /// randomness.
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> u64 {
+        if self.n == 1 {
+            return 0;
         }
-        let hn = compute(n, s);
-        self.zipf_cache[self.zipf_next] = ZipfNorm { n, s_bits, hn };
-        self.zipf_next = (self.zipf_next + 1) % ZIPF_CACHE_SLOTS;
-        hn
+        let u = rng.unit().max(1e-12);
+        let x = if self.e == 0.0 {
+            (u * self.hn).exp() - 1.0
+        } else {
+            (1.0 + u * self.hn * self.e).powf(self.inv_e) - 1.0
+        };
+        x.min(self.n as f64 - 1.0) as u64
     }
 }
 
@@ -404,30 +434,107 @@ mod tests {
         let b = r.next_u64();
         assert_ne!(a, 0);
         assert_ne!(a, b);
-        // Byte-level fill agrees with the word-level view of the stream.
-        let mut r1 = SimRng::from_seed([7u8; 32]);
-        let mut r2 = SimRng::from_seed([7u8; 32]);
-        let mut bytes = [0u8; 8];
-        r1.fill_bytes(&mut bytes);
-        assert_eq!(u64::from_le_bytes(bytes), r2.next_u64());
+    }
+
+    /// The reference keystream: scalar blocks for counters 0, 1, 2, …
+    fn scalar_words(state: &[u32; 16], blocks: u32) -> Vec<u32> {
+        let mut words = Vec::new();
+        for j in 0..blocks {
+            let mut block = [0u8; 64];
+            chacha12_block_scalar(&counter_plus(state, j), &mut block);
+            words.extend(
+                block
+                    .chunks_exact(4)
+                    .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes"))),
+            );
+        }
+        words
     }
 
     #[test]
     fn dispatched_block_matches_scalar_reference() {
         // The SIMD path must be a bit-identical drop-in: run both on a
-        // spread of inputs, including counter values that exercise carries.
+        // spread of inputs, with block counters whose word-12 → 13 carry
+        // falls before, inside and after the four blocks of one call.
         let mut state = [0u32; 16];
         for trial in 0u32..64 {
             for (i, w) in state.iter_mut().enumerate() {
                 *w = (trial.wrapping_mul(0x9e37_79b9))
                     .wrapping_add((i as u32).wrapping_mul(0x85eb_ca6b));
             }
-            state[12] = u32::MAX - (trial % 3);
-            let mut got = [0u8; 64];
-            let mut want = [0u8; 64];
-            chacha12_block(&state, &mut got);
-            chacha12_block_scalar(&state, &mut want);
-            assert_eq!(got, want, "keystream diverged on trial {trial}");
+            state[12] = u32::MAX - (trial % 6);
+            let mut got = [0u8; BUF_BYTES];
+            chacha12_blocks4(&state, &mut got);
+            let got: Vec<u32> = got
+                .chunks_exact(4)
+                .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+                .collect();
+            assert_eq!(
+                got,
+                scalar_words(&state, 4),
+                "keystream diverged on trial {trial}"
+            );
+        }
+    }
+
+    #[test]
+    fn refills_across_the_counter_carry_match_scalar_reference() {
+        // Three refills (twelve blocks) starting five blocks before the low
+        // counter word wraps: the stream must be the scalar blocks in order.
+        let mut r = SimRng::from_label(5, "carry");
+        r.counter = u64::from(u32::MAX - 4);
+        let start = r.block_input();
+        let got: Vec<u32> = (0..3 * BUF_BYTES / 4).map(|_| r.next_u32()).collect();
+        assert_eq!(got, scalar_words(&start, 12));
+        assert_eq!(r.counter, (1 << 32) + 7);
+    }
+
+    fn fold(vals: &[u64]) -> u64 {
+        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        crate::fnv1a_64(&bytes)
+    }
+
+    #[test]
+    fn streams_match_pinned_values() {
+        // Values captured from the one-block-per-refill generator this
+        // replaced: the four-block buffer must not change a single output.
+        let pins = [
+            (
+                1,
+                "pin/a",
+                0x4dd5_b4e0_f9e4_9c77,
+                0xfd0a_6862_0b5e_22cc,
+                0x5294_7547_899f_1ece,
+            ),
+            (
+                2,
+                "pin/b",
+                0xb81a_013e_ad19_e6b5,
+                0x01ce_05af_699a_ca2d,
+                0x7ec7_8f71_d36a_94a3,
+            ),
+        ];
+        for (seed, label, first, mixed, straddled) in pins {
+            // The first 1024 outputs of interleaved next_u64/below/unit.
+            let mut r = SimRng::from_label(seed, label);
+            let v: Vec<u64> = (0..1024u64)
+                .map(|i| match i % 3 {
+                    0 => r.next_u64(),
+                    1 => r.below(1 + i * 7919),
+                    _ => r.unit().to_bits(),
+                })
+                .collect();
+            assert_eq!(v[0], first, "{label}");
+            assert_eq!(fold(&v), mixed, "{label}: next_u64/below/unit");
+            // Odd runs of next_u32 before each run of next_u64, so 64-bit
+            // reads straddle refills.
+            let mut r = SimRng::from_label(seed, label);
+            let mut v = Vec::new();
+            for round in 0..6 {
+                v.extend((0..2 * round + 1).map(|_| u64::from(r.next_u32())));
+                v.extend((0..97).map(|_| r.next_u64()));
+            }
+            assert_eq!(fold(&v), straddled, "{label}: next_u32/next_u64");
         }
     }
 
@@ -477,30 +584,40 @@ mod tests {
     }
 
     #[test]
-    fn zipf_norm_cache_is_transparent() {
-        // Interleave more distinct (n, s) pairs than the cache holds, forcing
-        // evictions, and check every draw against the uncached closed-form
-        // computation driven by a twin stream: the cache must never consume
-        // randomness or change a normalizer's value.
-        let mut cached = SimRng::from_label(9, "zipf-cache");
-        let mut raw = SimRng::from_label(9, "zipf-cache");
-        let pairs: Vec<(u64, f64)> = (0..(ZIPF_CACHE_SLOTS + 4))
-            .map(|i| (50 + 10 * i as u64, 0.4 + 0.05 * i as f64))
-            .collect();
-        for step in 0..500 {
+    fn zipf_sample_matches_closed_form() {
+        // Every draw against the closed-form inverse CDF driven by a twin
+        // stream, on both branches (s = 1 and s != 1), including a
+        // one-rank sampler that must not consume randomness.
+        let mut rng = SimRng::from_label(9, "zipf-closed-form");
+        let mut raw = SimRng::from_label(9, "zipf-closed-form");
+        let pairs = [
+            (1, 0.6),
+            (16, 1.5),
+            (380, 1.0),
+            (70, 0.45),
+            (8192, 1.2),
+            (2, 1.0),
+        ];
+        let samplers = pairs.map(|(n, s)| Zipf::new(n, s));
+        for step in 0..600 {
             let (n, s) = pairs[step % pairs.len()];
-            let got = cached.zipf(n, s);
-            let u = ((raw.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)).max(1e-12);
-            let want = if (s - 1.0).abs() < 1e-9 {
-                let hn = (n as f64).ln();
-                ((u * hn).exp() - 1.0).min(n as f64 - 1.0) as u64
+            let got = samplers[step % pairs.len()].sample(&mut rng);
+            let want = if n == 1 {
+                0
             } else {
-                let e = 1.0 - s;
-                let hn = ((n as f64).powf(e) - 1.0) / e;
-                (((1.0 + u * hn * e).powf(1.0 / e) - 1.0).min(n as f64 - 1.0)) as u64
+                let u = raw.unit().max(1e-12);
+                if s == 1.0 {
+                    let hn = (n as f64).ln();
+                    ((u * hn).exp() - 1.0).min(n as f64 - 1.0) as u64
+                } else {
+                    let e = 1.0 - s;
+                    let hn = ((n as f64).powf(e) - 1.0) / e;
+                    (((1.0 + u * hn * e).powf(1.0 / e) - 1.0).min(n as f64 - 1.0)) as u64
+                }
             };
             assert_eq!(got, want, "draw diverged at step {step} (n={n}, s={s})");
         }
+        assert_eq!(rng.next_u64(), raw.next_u64(), "same randomness consumed");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!    that holds exactly the expected line, with serveable (non-stale) data.
 //! 2. **Metadata inclusion** — every node-resident line's region is in the
 //!    node's MD2; every MD2 region is in MD3 (with the PB bit set); PB bits
-//!    exactly mirror MD2 residency.
+//!    exactly mirror MD2 residency; every LLC-resident line's region is in
+//!    MD3 with the line marked in the entry's `llc_seen` index.
 //! 3. **Single master** — at most one master copy of a line exists anywhere;
 //!    lines with no cached master are mastered by memory.
 //! 4. **Tracking-pointer coherence** — MD2 TPs and MD1 entries are in
@@ -382,17 +383,24 @@ impl D2mSystem {
                 }
             }
         }
-        // Every LLC-resident line's region must be in MD3.
+        // Every LLC-resident line's region must be in MD3, with the line's
+        // offset marked in the entry's `llc_seen` index (the MD3-eviction
+        // purge visits only marked offsets).
         for slice in 0..self.llc.banks() {
             for (_, _, key, _) in self.llc.iter_bank(slice) {
-                let region = LineAddr::new(key).region();
-                if self
+                let line = LineAddr::new(key);
+                let region = line.region();
+                let Some(e3) = self
                     .md3
                     .peek(self.md3.set_index(region.raw()), region.raw())
-                    .is_none()
-                {
+                else {
                     return Err(format!(
                         "LLC slice {slice} holds line {key:#x} whose region left MD3 (inclusion)"
+                    ));
+                };
+                if e3.llc_seen & (1 << line.region_offset().raw()) == 0 {
+                    return Err(format!(
+                        "LLC slice {slice} holds line {key:#x} missing from its MD3 llc_seen index"
                     ));
                 }
             }

@@ -122,7 +122,15 @@ pub struct Md3Entry {
     /// Master locations; invalid while the region is Private (the owner's
     /// MD1/MD2 is authoritative).
     pub li: PackedLiArray,
+    /// Simulator bookkeeping, not modelled hardware: bit *o* is set when
+    /// line offset *o* of the region is placed in any LLC slice, and only
+    /// cleared with the entry. A superset of the region's LLC-resident
+    /// offsets, so the MD3-eviction purge visits only these lines.
+    pub llc_seen: u16,
 }
+
+// The index bits live in what was padding: the entry stays 24 B.
+const _: () = assert!(std::mem::size_of::<Md3Entry>() == 24);
 
 impl Md3Entry {
     /// Classification per Table II.
@@ -195,6 +203,7 @@ mod tests {
         let e = Md3Entry {
             pb: 0b1000_0010,
             li: PackedLiArray::MEM,
+            llc_seen: 0,
         };
         let nodes: Vec<u8> = e.pb_nodes().map(|n| n.raw()).collect();
         assert_eq!(nodes, vec![1, 7]);
@@ -208,6 +217,7 @@ mod tests {
         let e = Md3Entry {
             pb: u8::MAX,
             li: PackedLiArray::INVALID,
+            llc_seen: 0,
         };
         assert_eq!(e.pb_nodes().count(), NodeId::MAX_NODES);
     }
@@ -229,7 +239,11 @@ mod tests {
             reuse: 0,
         };
         assert_eq!(md2.node_resident_lines(), 2);
-        let md3 = Md3Entry { pb: 0, li };
+        let md3 = Md3Entry {
+            pb: 0,
+            li,
+            llc_seen: 0,
+        };
         assert_eq!(md3.llc_resident_lines(), 1);
     }
 
@@ -246,7 +260,6 @@ mod tests {
         // The point of the packing: entry sizes are now dominated by the two
         // LI words, not enum padding. Guard against regressions.
         assert!(std::mem::size_of::<Md2Entry>() <= 32);
-        assert!(std::mem::size_of::<Md3Entry>() <= 24);
         assert!(std::mem::size_of::<Md1Entry>() <= 32);
     }
 }

@@ -18,7 +18,7 @@
 //! deterministic LIs, a single master per line, metadata inclusion, and
 //! PB ⇔ MD2-residency.
 
-use d2m_common::addr::{LineAddr, NodeId, RegionAddr, LINES_PER_REGION};
+use d2m_common::addr::{LineAddr, LineOffset, NodeId, RegionAddr, LINES_PER_REGION};
 use d2m_common::outcome::{AccessResult, ServicedBy};
 use d2m_common::probe::{LookupLevel, Probe, TxnEvent, TxnKind};
 use d2m_energy::EnergyEvent;
@@ -583,6 +583,7 @@ impl D2mSystem {
                 Md3Entry {
                     pb: 1 << node,
                     li: PackedLiArray::INVALID,
+                    llc_seen: 0,
                 },
             );
             (true, PackedLiArray::MEM)
@@ -830,7 +831,7 @@ impl D2mSystem {
         // position of a remote slice.
         let mut rp = li;
         if self.feats.replication && slice != node && (is_i || was_mru) {
-            rp = self.replicate_local(node, line, slot.version, li);
+            rp = self.replicate_local(node, line, slot.version, li)?;
         }
         Ok((lat, serviced, DataLine::replica(slot.version, 0, rp)))
     }
@@ -943,7 +944,7 @@ impl D2mSystem {
             lat += self.noc.send(MsgClass::DataReply, Endpoint::FarSide, me);
             return Ok((lat, ServicedBy::Mem, DataLine::replica(version, 0, Li::Mem)));
         }
-        let slot_li = self.alloc_llc_master(node, line, version);
+        let slot_li = self.alloc_llc_master(node, line, version)?;
         // Record the new master in MD3 unless the region is private there
         // (Invalid LIs: the owner's MD2 is authoritative and gets the slot
         // via the L1 replica's RP).
@@ -1061,7 +1062,7 @@ impl D2mSystem {
             if self.feats.private_l2 {
                 rp = self.alloc_l2_victim_slot(node, line, rp)?;
             } else if rp == Li::Mem {
-                rp = self.alloc_llc_victim_slot(node, line);
+                rp = self.alloc_llc_victim_slot(node, line)?;
             }
         }
         let version = self.oracle.on_store(line);
@@ -1108,7 +1109,7 @@ impl D2mSystem {
             let victim = if self.feats.private_l2 {
                 self.alloc_l2_victim_slot(node, line, downstream)?
             } else if downstream == Li::Mem {
-                self.alloc_llc_victim_slot(node, line)
+                self.alloc_llc_victim_slot(node, line)?
             } else {
                 downstream
             };
@@ -1131,7 +1132,7 @@ impl D2mSystem {
                     self.alloc_l2_victim_slot(node, line, downstream)?
                 }
                 (Some(v), false) if v != Li::Mem => v,
-                _ => self.alloc_llc_victim_slot(node, line),
+                _ => self.alloc_llc_victim_slot(node, line)?,
             };
             let version = self.oracle.on_store(line);
             Ok((lat, serviced, DataLine::master(version, 0, true, victim)))
@@ -1455,7 +1456,12 @@ impl D2mSystem {
     /// If the chosen slice already holds a (stale victim / replica) slot for
     /// this line, that slot is reused — the same line must never occupy two
     /// ways of one set.
-    fn alloc_llc_master(&mut self, node: usize, line: LineAddr, version: u64) -> Li {
+    fn alloc_llc_master(
+        &mut self,
+        node: usize,
+        line: LineAddr,
+        version: u64,
+    ) -> Result<Li, ProtocolError> {
         let slice = self.pick_slice(node);
         let set = self.llc_set(line, slice);
         let way = match self.llc.way_of(slice, set, line.raw()) {
@@ -1468,11 +1474,11 @@ impl D2mSystem {
                 way
             }
         };
-        self.llc.insert_at(
+        self.llc_place(
             slice,
             set,
             way,
-            line.raw(),
+            line,
             DataLine {
                 master: true,
                 excl: false,
@@ -1482,13 +1488,13 @@ impl D2mSystem {
                 ready_at: 0,
                 rp: Li::Mem,
             },
-        );
-        self.li_of_llc(slice, way)
+        )?;
+        Ok(self.li_of_llc(slice, way))
     }
 
     /// Allocates a stale LLC victim slot for a new node-held master (so its
     /// eventual eviction lands in the LLC rather than going to memory).
-    fn alloc_llc_victim_slot(&mut self, node: usize, line: LineAddr) -> Li {
+    fn alloc_llc_victim_slot(&mut self, node: usize, line: LineAddr) -> Result<Li, ProtocolError> {
         let slice = self.pick_slice(node);
         let set = self.llc_set(line, slice);
         let way = match self.llc.way_of(slice, set, line.raw()) {
@@ -1501,11 +1507,11 @@ impl D2mSystem {
                 way
             }
         };
-        self.llc.insert_at(
+        self.llc_place(
             slice,
             set,
             way,
-            line.raw(),
+            line,
             DataLine {
                 master: false,
                 excl: false,
@@ -1515,8 +1521,37 @@ impl D2mSystem {
                 ready_at: 0,
                 rp: Li::Mem,
             },
-        );
-        self.li_of_llc(slice, way)
+        )?;
+        Ok(self.li_of_llc(slice, way))
+    }
+
+    /// Places `dl` for `line` in an LLC slot and marks the line's offset in
+    /// its region's MD3 `llc_seen` index. Every LLC insert goes through
+    /// here, which keeps the index a superset of the resident offsets.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::CorruptMetadata`] if the region has no MD3 entry: an
+    /// LLC line outside MD3 breaks metadata inclusion.
+    fn llc_place(
+        &mut self,
+        slice: usize,
+        set: usize,
+        way: usize,
+        line: LineAddr,
+        dl: DataLine,
+    ) -> Result<(), ProtocolError> {
+        let region = line.region();
+        let set3 = self.md3.set_index(region.raw());
+        let Some(way3) = self.md3.way_of(set3, region.raw()) else {
+            return Err(ProtocolError::CorruptMetadata {
+                context: "LLC insert for a region without an MD3 entry",
+            });
+        };
+        let (_, e3) = self.md3.at_mut(set3, way3).expect("occupied");
+        e3.llc_seen |= 1 << line.region_offset().raw();
+        self.llc.insert_at(slice, set, way, line.raw(), dl);
+        Ok(())
     }
 
     /// Frees (evicting if needed) an L2 slot for `line` at `node`.
@@ -1582,26 +1617,32 @@ impl D2mSystem {
 
     /// §IV-C: replicate a line read from a remote slice into the local
     /// slice; returns the local replica's location (the L1 copy's new RP).
-    fn replicate_local(&mut self, node: usize, line: LineAddr, version: u64, master_li: Li) -> Li {
+    fn replicate_local(
+        &mut self,
+        node: usize,
+        line: LineAddr,
+        version: u64,
+        master_li: Li,
+    ) -> Result<Li, ProtocolError> {
         let set = self.llc_set(line, node);
         if let Some(way) = self.llc.way_of(node, set, line.raw()) {
             // Already present locally (replica or master): reuse.
-            return self.li_of_llc(node, way);
+            return Ok(self.li_of_llc(node, way));
         }
         let way = self.llc.victim_way(node, set);
         if self.llc.at(node, set, way).is_some() {
             self.evict_llc_slot(node, set, way);
         }
-        self.llc.insert_at(
+        self.llc_place(
             node,
             set,
             way,
-            line.raw(),
+            line,
             DataLine::replica(version, 0, master_li),
-        );
+        )?;
         self.ctr.replications += 1;
         self.energy.record(EnergyEvent::NsSliceArray, 1);
-        self.li_of_llc(node, way)
+        Ok(self.li_of_llc(node, way))
     }
 
     // ================= evictions =================
@@ -1998,9 +2039,15 @@ impl D2mSystem {
             );
         }
 
-        // Sweep the region's lines out of every LLC slice.
+        // Sweep the region's lines out of every LLC slice. Only offsets in
+        // `llc_seen` can be resident there, and the mask is read only now:
+        // the MD2 evictions above can park masters in LLC victim slots.
+        let seen = self.md3.at(set3, way3).expect("occupied").1.llc_seen;
         for slice in 0..self.llc.banks() {
-            for line in region.lines() {
+            let mut mask = seen;
+            while mask != 0 {
+                let line = region.line(LineOffset::new(mask.trailing_zeros() as u8));
+                mask &= mask - 1;
                 let set = self.llc_set(line, slice);
                 if let Some(way) = self.llc.way_of(slice, set, line.raw()) {
                     let (_, dl) = self.llc.at(slice, set, way).expect("occupied");

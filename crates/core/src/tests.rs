@@ -1025,3 +1025,29 @@ fn corrupted_li_yields_protocol_error_not_abort() {
     // The error message names the offender for cell-failure reports.
     assert!(err.to_string().contains("LlcFs"), "{err}");
 }
+
+#[test]
+fn llc_insert_outside_md3_yields_corrupt_metadata() {
+    use crate::error::ProtocolError;
+
+    for v in all_variants() {
+        let mut sys = D2mSystem::new(&cfg(), v);
+        let va = 0x980_0000u64;
+        sys.access(&acc(0, AccessKind::Load, va), 0).unwrap();
+        // Drop the region's MD3 entry behind the protocol's back: the next
+        // memory fill in the region has no entry to index its LLC slot in.
+        let slots: Vec<(usize, usize)> = sys.md3.iter().map(|(s, w, _, _)| (s, w)).collect();
+        assert_eq!(slots.len(), 1, "{v:?}: one region touched");
+        for (s, w) in slots {
+            sys.md3.remove(s, w);
+        }
+        let err = sys
+            .access(&acc(0, AccessKind::Load, va + 64), 0)
+            .expect_err("an LLC insert outside MD3 must fail the transaction");
+        assert!(
+            matches!(err, ProtocolError::CorruptMetadata { .. }),
+            "{v:?}: {err}"
+        );
+        assert!(err.to_string().contains("MD3"), "{err}");
+    }
+}

@@ -10,7 +10,7 @@
 //! implements.
 
 use d2m_common::addr::{Asid, NodeId, VAddr, LINE_SHIFT};
-use d2m_common::rng::SimRng;
+use d2m_common::rng::{SimRng, Zipf};
 
 use crate::spec::{Sharing, WorkloadSpec};
 
@@ -69,10 +69,54 @@ struct NodeGen {
     cold_region: u64,
 }
 
+/// The Zipf samplers a spec draws from, one per `(n, s)` pair, built once
+/// per generator so no draw recomputes a normalizer.
+#[derive(Clone, Debug)]
+struct Samplers {
+    /// Hot code lines.
+    hot_code: Zipf,
+    /// Cold code regions.
+    code_regions: Zipf,
+    /// Hot private data lines.
+    hot_data: Zipf,
+    /// Warm private data regions.
+    warm_regions: Zipf,
+    /// Shared region (read-shared) or per-node chunk rank (migratory,
+    /// producer-consumer).
+    shared_rank: Zipf,
+    /// Line within the shared region or chunk.
+    shared_line: Zipf,
+}
+
+impl Samplers {
+    fn new(spec: &WorkloadSpec, node_count: usize) -> Self {
+        let (ranks, lines) = match spec.sharing {
+            Sharing::Migratory | Sharing::ProducerConsumer => {
+                let nodes = node_count as u64;
+                let chunks = (spec.shared_lines / CHUNK_LINES).max(nodes);
+                ((chunks / nodes).max(1), CHUNK_LINES)
+            }
+            Sharing::None | Sharing::ReadShared => {
+                ((spec.shared_lines / REGION_LINES).max(1), REGION_LINES)
+            }
+        };
+        Self {
+            hot_code: Zipf::new(spec.hot_code_lines, 1.0),
+            code_regions: Zipf::new((spec.code_lines / REGION_LINES).max(1), 1.15),
+            hot_data: Zipf::new(spec.hot_lines, 0.6),
+            // `validate` allows an empty warm set only when it is never drawn.
+            warm_regions: Zipf::new(spec.warm_regions.max(1), 0.45),
+            shared_rank: Zipf::new(ranks, spec.data_zipf + 0.3),
+            shared_line: Zipf::new(lines, 1.5),
+        }
+    }
+}
+
 /// Deterministic interleaved trace generator (see module docs).
 #[derive(Clone, Debug)]
 pub struct TraceGen {
     spec: WorkloadSpec,
+    zipf: Samplers,
     nodes: Vec<NodeGen>,
     batches: u64,
 }
@@ -105,6 +149,7 @@ impl TraceGen {
             .collect();
         Self {
             spec: spec.clone(),
+            zipf: Samplers::new(spec, node_count),
             nodes,
             batches: 0,
         }
@@ -135,6 +180,7 @@ impl TraceGen {
     pub fn next_batch(&mut self, out: &mut Vec<Access>) -> u64 {
         let epoch = self.epoch();
         let spec = &self.spec;
+        let zipf = &self.zipf;
         let node_count = self.nodes.len();
         let mut insts_total = 0u64;
         for (n, st) in self.nodes.iter_mut().enumerate() {
@@ -152,12 +198,11 @@ impl TraceGen {
             insts_total += insts;
             if st.rng.chance(spec.jump_prob) {
                 st.pc = if st.rng.chance(spec.p_hot_code) {
-                    st.rng.zipf(spec.hot_code_lines, 1.0)
+                    zipf.hot_code.sample(&mut st.rng)
                 } else {
                     // Cold code: region-granular pick keeps basic blocks
                     // spatially clustered.
-                    let regions = (spec.code_lines / REGION_LINES).max(1);
-                    let r = st.rng.zipf(regions, 1.15);
+                    let r = zipf.code_regions.sample(&mut st.rng);
                     (r * REGION_LINES + st.rng.below(REGION_LINES)) % spec.code_lines
                 };
             } else {
@@ -178,9 +223,9 @@ impl TraceGen {
             }
             for _ in 0..n_mem {
                 let access = if spec.shared_frac > 0.0 && st.rng.chance(spec.shared_frac) {
-                    Self::shared_access(spec, st, node, asid, epoch, node_count)
+                    Self::shared_access(spec, zipf, st, node, asid, epoch, node_count)
                 } else {
-                    Self::private_access(spec, st, node, asid, n)
+                    Self::private_access(spec, zipf, st, node, asid, n)
                 };
                 out.push(access);
             }
@@ -192,6 +237,7 @@ impl TraceGen {
     /// Hot/warm/cold mixture with optional strided scans (see module docs).
     fn private_access(
         spec: &WorkloadSpec,
+        zipf: &Samplers,
         st: &mut NodeGen,
         node: NodeId,
         asid: Asid,
@@ -208,10 +254,10 @@ impl TraceGen {
             }
             st.scan_pos
         } else if st.rng.chance(spec.p_hot) {
-            st.rng.zipf(spec.hot_lines, 0.6)
+            zipf.hot_data.sample(&mut st.rng)
         } else if st.rng.chance(spec.p_warm / (1.0 - spec.p_hot).max(1e-9)) {
             // Warm: region-granular (spatial locality inside 1 KB regions).
-            let region = st.rng.zipf(spec.warm_regions, 0.45);
+            let region = zipf.warm_regions.sample(&mut st.rng);
             let line = spec.hot_lines + region * REGION_LINES + st.rng.below(REGION_LINES);
             line % spec.private_lines
         } else {
@@ -238,6 +284,7 @@ impl TraceGen {
 
     fn shared_access(
         spec: &WorkloadSpec,
+        zipf: &Samplers,
         st: &mut NodeGen,
         node: NodeId,
         asid: Asid,
@@ -250,10 +297,9 @@ impl TraceGen {
             Sharing::None => unreachable!("shared access with Sharing::None"),
             Sharing::ReadShared => {
                 // Region-granular reuse of mostly-read shared data.
-                let regions = (spec.shared_lines / REGION_LINES).max(1);
-                let region = st.rng.zipf(regions, spec.data_zipf + 0.3);
-                let line =
-                    (region * REGION_LINES + st.rng.zipf(REGION_LINES, 1.5)) % spec.shared_lines;
+                let region = zipf.shared_rank.sample(&mut st.rng);
+                let line = (region * REGION_LINES + zipf.shared_line.sample(&mut st.rng))
+                    % spec.shared_lines;
                 let kind = if st.rng.chance(spec.write_frac * 0.1) {
                     AccessKind::Store
                 } else {
@@ -265,11 +311,10 @@ impl TraceGen {
                 // Each chunk is owned by one node per epoch; ownership
                 // rotates so dirty lines migrate between private caches.
                 let chunks = (spec.shared_lines / CHUNK_LINES).max(nodes);
-                let chunks_per_node = (chunks / nodes).max(1);
-                let rank = st.rng.zipf(chunks_per_node, spec.data_zipf + 0.3);
+                let rank = zipf.shared_rank.sample(&mut st.rng);
                 let chunk = (rank * nodes + ((n + epoch) % nodes)) % chunks;
-                let line =
-                    (chunk * CHUNK_LINES + st.rng.zipf(CHUNK_LINES, 1.5)) % spec.shared_lines;
+                let line = (chunk * CHUNK_LINES + zipf.shared_line.sample(&mut st.rng))
+                    % spec.shared_lines;
                 let kind = if st.rng.chance(spec.write_frac) {
                     AccessKind::Store
                 } else {
@@ -282,11 +327,10 @@ impl TraceGen {
                 // producer neighbour's chunks.
                 let producer = n & !1;
                 let chunks = (spec.shared_lines / CHUNK_LINES).max(nodes);
-                let chunks_per_node = (chunks / nodes).max(1);
-                let rank = st.rng.zipf(chunks_per_node, spec.data_zipf + 0.3);
+                let rank = zipf.shared_rank.sample(&mut st.rng);
                 let chunk = (rank * nodes + producer) % chunks;
-                let line =
-                    (chunk * CHUNK_LINES + st.rng.zipf(CHUNK_LINES, 1.5)) % spec.shared_lines;
+                let line = (chunk * CHUNK_LINES + zipf.shared_line.sample(&mut st.rng))
+                    % spec.shared_lines;
                 let kind = if n.is_multiple_of(2) && st.rng.chance(spec.write_frac) {
                     AccessKind::Store
                 } else {
@@ -419,6 +463,100 @@ mod tests {
         assert_eq!(trace.warmup(), &warm[..]);
         assert_eq!(trace.measured(), &meas[..]);
         assert_eq!(std::mem::size_of::<Access>(), 16);
+    }
+
+    /// Every `(n, s)` pair the catalog's generators draw from at 8 nodes, in
+    /// first-use order over the catalog.
+    const CATALOG_ZIPF_PAIRS: [(u64, f64); 44] = [
+        (380, 1.0),
+        (125, 1.15),
+        (320, 0.6),
+        (70, 0.45),
+        (1024, 1.2),
+        (16, 1.5),
+        (100, 0.45),
+        (3000, 0.45),
+        (65536, 0.6),
+        (80, 0.45),
+        (32, 1.2),
+        (64, 1.5),
+        (130, 0.45),
+        (250, 1.15),
+        (120, 0.45),
+        (110, 0.45),
+        (400, 0.45),
+        (8192, 1.1),
+        (312, 1.15),
+        (300, 1.0),
+        (128, 1.2),
+        (128, 1.25),
+        (8192, 1.2),
+        (187, 1.15),
+        (420, 1.0),
+        (1750, 1.15),
+        (95, 0.45),
+        (1375, 1.15),
+        (1875, 1.15),
+        (2125, 1.15),
+        (600, 0.45),
+        (1625, 1.15),
+        (2000, 1.15),
+        (1000, 1.15),
+        (1500, 1.15),
+        (1250, 1.15),
+        (875, 1.15),
+        (75, 0.45),
+        (375, 1.15),
+        (180, 0.45),
+        (625, 1.15),
+        (450, 1.0),
+        (7500, 1.15),
+        (256, 1.2),
+    ];
+
+    #[test]
+    fn catalog_samplers_use_the_pinned_pairs() {
+        let pinned = CATALOG_ZIPF_PAIRS.map(|(n, s)| Zipf::new(n, s));
+        for spec in crate::catalog::all().expect("catalog") {
+            let z = TraceGen::new(&spec, 8, 0).zipf;
+            let mut drawn = vec![
+                ("hot_code", z.hot_code),
+                ("code_regions", z.code_regions),
+                ("hot_data", z.hot_data),
+                ("warm_regions", z.warm_regions),
+            ];
+            if spec.shared_frac > 0.0 && spec.sharing != Sharing::None {
+                drawn.push(("shared_rank", z.shared_rank));
+                drawn.push(("shared_line", z.shared_line));
+            }
+            for (field, sampler) in drawn {
+                assert!(
+                    pinned.contains(&sampler),
+                    "{}: {field} sampler {sampler:?} is not pinned",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_samples_match_pinned_values() {
+        // Values captured from the per-draw `SimRng::zipf` path this
+        // replaced: 64 draws per catalog pair, pairs in order, one stream.
+        for (seed, label, want) in [
+            (1, "pin/a", 0x837b_eb13_3364_f763),
+            (2, "pin/b", 0xc2b4_3df8_2b31_886b),
+        ] {
+            let mut rng = SimRng::from_label(seed, label);
+            let mut bytes = Vec::new();
+            for (n, s) in CATALOG_ZIPF_PAIRS {
+                let zipf = Zipf::new(n, s);
+                for _ in 0..64 {
+                    bytes.extend(zipf.sample(&mut rng).to_le_bytes());
+                }
+            }
+            assert_eq!(d2m_common::fnv1a_64(&bytes), want, "{label}");
+        }
     }
 
     #[test]

@@ -239,6 +239,9 @@ impl WorkloadSpec {
         if self.warm_regions * 16 > self.private_lines {
             return Err("warm set must fit inside private_lines".into());
         }
+        if self.p_warm > 0.0 && self.warm_regions == 0 {
+            return Err("p_warm > 0 requires warm_regions > 0".into());
+        }
         if self.shared_frac > 0.0 && self.shared_lines == 0 {
             return Err("shared_frac > 0 requires shared_lines > 0".into());
         }
@@ -343,6 +346,11 @@ mod tests {
         let mut s3 = WorkloadSpec::base(Category::Server, "x");
         s3.shared_frac = 0.1;
         assert!(s3.validate().is_err(), "multiprogrammed cannot share");
+        let mut s4 = WorkloadSpec::base(Category::Parallel, "x");
+        s4.warm_regions = 0;
+        assert!(s4.validate().is_err(), "warm draws need a warm set");
+        s4.p_warm = 0.0;
+        s4.validate().unwrap();
     }
 
     #[test]
