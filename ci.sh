@@ -116,4 +116,14 @@ for artifact in $artifacts; do
     (cd "$fault_dir/report" && D2M_JOBS=2 "$report" "$artifact" --quick >/dev/null)
 done
 
+echo "== simbench (every workload once, untraced, 1 s) =="
+# Each run repeats its workload against the simulator's public API and exits
+# nonzero when a named correctness check fails (failed_cell, pass_mismatch,
+# jobs_mismatch, resume_mismatch, observed_mismatch, ...), so those checks
+# gate every change, not only benchmark runs.
+for workload in figure-matrix deep-run journaled-observed; do
+    echo "-- simbench --workload $workload --seconds 1"
+    simbench/target/release/simbench --workload "$workload" --seconds 1 >/dev/null
+done
+
 echo "== ci.sh: all checks passed =="

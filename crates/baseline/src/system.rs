@@ -566,10 +566,15 @@ impl Baseline {
 
         let key = line.raw();
         let set = self.llc.set_index(key);
-        if let Some(entry) = self.llc.peek(set, key).copied() {
-            // --- LLC hit ---
+        if let Some(way) = self.llc.way_of(set, key) {
+            // --- LLC hit --- (one tag scan: read the slot, then LRU touch)
+            let entry = *self
+                .llc
+                .at(set, way)
+                .expect("way_of found an occupied slot")
+                .1;
             self.ctr.llc_hits += 1;
-            self.llc.get(set, key); // LRU touch
+            self.llc.touch(set, way);
             self.energy.record(EnergyEvent::LlcArray, 1);
             lat += self.cfg.lat.llc;
             if want_store {

@@ -11,26 +11,13 @@
 //! indirections, mirroring how D2M's own LI scheme keeps metadata lookups
 //! pointer-free in hardware.
 //!
-//! Storage is split structure-of-arrays: the per-slot scan record (key +
-//! recency tick, 16 bytes) lives apart from the value payload, so the
-//! associative scans (`way_of`, victim selection, `is_mru`) stride over a
-//! dense tag array — the software analogue of a hardware tag array sitting
-//! next to a data array — instead of skipping over value bytes.
+//! Storage is split structure-of-arrays exactly as in [`crate::SetAssoc`]:
+//! keys, recency ticks and value payloads are three parallel arrays, so
+//! `way_of` strides over keys alone and the victim and MRU scans over ticks
+//! alone — the software analogue of a hardware tag array sitting next to a
+//! data array.
 
-use d2m_common::rng::SimRng;
-
-/// Per-slot scan record. `last_use == 0` means the slot is empty — ticks
-/// start at 1, so an occupied slot always has a nonzero tick.
-#[derive(Clone, Copy, Debug)]
-struct SlotMeta {
-    key: u64,
-    last_use: u64,
-}
-
-const EMPTY: SlotMeta = SlotMeta {
-    key: 0,
-    last_use: 0,
-};
+use crate::set_assoc::EMPTY_KEY;
 
 /// A fixed geometry of `banks × sets × ways` slots in one contiguous arena,
 /// mapping `u64` keys to `V` values within each `(bank, set)`.
@@ -39,14 +26,17 @@ pub struct Banked<V> {
     banks: usize,
     sets: usize,
     ways: usize,
-    /// Scan records, `(bank * sets + set) * ways + way` indexed.
-    meta: Vec<SlotMeta>,
-    /// Value payloads, same indexing. `vals[i].is_some()` ⇔
-    /// `meta[i].last_use != 0`.
+    /// Keys, `(bank * sets + set) * ways + way` indexed; [`EMPTY_KEY`] in
+    /// an empty slot.
+    keys: Vec<u64>,
+    /// Recency ticks, same indexing; 0 in an empty slot — ticks start at 1,
+    /// so an occupied slot always has a nonzero tick.
+    ticks: Vec<u64>,
+    /// Value payloads, same indexing. `vals[i].is_some()` ⇔ `ticks[i] != 0`.
     vals: Vec<Option<V>>,
     /// One LRU clock per bank — identical tick sequences to per-bank
     /// `SetAssoc` instances, which is what keeps replacement byte-identical.
-    ticks: Vec<u64>,
+    clocks: Vec<u64>,
     hashed: bool,
 }
 
@@ -81,9 +71,10 @@ impl<V> Banked<V> {
             banks,
             sets,
             ways,
-            meta: vec![EMPTY; n],
+            keys: vec![EMPTY_KEY; n],
+            ticks: vec![0; n],
             vals,
-            ticks: vec![0; banks],
+            clocks: vec![0; banks],
             hashed,
         }
     }
@@ -127,18 +118,17 @@ impl<V> Banked<V> {
 
     #[inline]
     fn bump(&mut self, bank: usize) -> u64 {
-        self.ticks[bank] += 1;
-        self.ticks[bank]
+        self.clocks[bank] += 1;
+        self.clocks[bank]
     }
 
     /// Finds the way holding `key` in `(bank, set)`, if present. No LRU
-    /// update. A dense scan over the 16-byte records only.
+    /// update. A dense scan over the set's keys only.
     #[inline]
     pub fn way_of(&self, bank: usize, set: usize, key: u64) -> Option<usize> {
+        debug_assert_ne!(key, EMPTY_KEY, "the empty-slot key is never stored");
         let b = self.base(bank, set);
-        self.meta[b..b + self.ways]
-            .iter()
-            .position(|m| m.last_use != 0 && m.key == key)
+        self.keys[b..b + self.ways].iter().position(|&k| k == key)
     }
 
     /// Keyed lookup with LRU touch. Returns the value if present.
@@ -169,7 +159,7 @@ impl<V> Banked<V> {
     pub fn at(&self, bank: usize, set: usize, way: usize) -> Option<(u64, &V)> {
         assert!(way < self.ways, "way {way} out of range");
         let i = self.base(bank, set) + way;
-        let key = self.meta[i].key;
+        let key = self.keys[i];
         self.vals[i].as_ref().map(|v| (key, v))
     }
 
@@ -178,7 +168,7 @@ impl<V> Banked<V> {
     pub fn at_mut(&mut self, bank: usize, set: usize, way: usize) -> Option<(u64, &mut V)> {
         assert!(way < self.ways, "way {way} out of range");
         let i = self.base(bank, set) + way;
-        let key = self.meta[i].key;
+        let key = self.keys[i];
         self.vals[i].as_mut().map(|v| (key, v))
     }
 
@@ -186,9 +176,8 @@ impl<V> Banked<V> {
     pub fn touch(&mut self, bank: usize, set: usize, way: usize) {
         let t = self.bump(bank);
         let i = self.base(bank, set) + way;
-        let m = &mut self.meta[i];
-        if m.last_use != 0 {
-            m.last_use = t;
+        if self.ticks[i] != 0 {
+            self.ticks[i] = t;
         }
     }
 
@@ -196,17 +185,17 @@ impl<V> Banked<V> {
     /// its set.
     pub fn is_mru(&self, bank: usize, set: usize, way: usize) -> bool {
         let b = self.base(bank, set);
-        let me = self.meta[b + way];
-        if me.last_use == 0 {
-            return false;
-        }
-        self.meta[b..b + self.ways]
-            .iter()
-            .all(|m| m.last_use <= me.last_use)
+        let me = self.ticks[b + way];
+        me != 0 && self.ticks[b..b + self.ways].iter().all(|&t| t <= me)
     }
 
     /// Inserts at an explicit `(bank, set, way)`, returning any evicted
     /// `(key, value)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way` is out of range or `key` is `u64::MAX`, the key that
+    /// marks an empty slot.
     pub fn insert_at(
         &mut self,
         bank: usize,
@@ -216,10 +205,11 @@ impl<V> Banked<V> {
         value: V,
     ) -> Option<(u64, V)> {
         assert!(way < self.ways, "way {way} out of range");
+        assert_ne!(key, EMPTY_KEY, "u64::MAX is the empty-slot key");
         let t = self.bump(bank);
         let i = self.base(bank, set) + way;
-        let old_key = self.meta[i].key;
-        self.meta[i] = SlotMeta { key, last_use: t };
+        let old_key = std::mem::replace(&mut self.keys[i], key);
+        self.ticks[i] = t;
         self.vals[i].replace(value).map(|v| (old_key, v))
     }
 
@@ -227,40 +217,29 @@ impl<V> Banked<V> {
     pub fn remove(&mut self, bank: usize, set: usize, way: usize) -> Option<(u64, V)> {
         assert!(way < self.ways, "way {way} out of range");
         let i = self.base(bank, set) + way;
-        let key = self.meta[i].key;
-        self.meta[i] = EMPTY;
+        let key = std::mem::replace(&mut self.keys[i], EMPTY_KEY);
+        self.ticks[i] = 0;
         self.vals[i].take().map(|v| (key, v))
     }
 
     /// LRU victim way: the first invalid way if any, otherwise the
-    /// least-recently-used way. Scans records only — empty slots (tick 0)
+    /// least-recently-used way. Scans ticks only — empty slots (tick 0)
     /// naturally win the minimum.
     pub fn victim_way(&self, bank: usize, set: usize) -> usize {
         let b = self.base(bank, set);
         let mut victim = 0;
         let mut best = u64::MAX;
-        for (w, m) in self.meta[b..b + self.ways].iter().enumerate() {
-            if m.last_use < best {
-                best = m.last_use;
+        for (w, &t) in self.ticks[b..b + self.ways].iter().enumerate() {
+            if t < best {
+                best = t;
                 victim = w;
             }
         }
         victim
     }
 
-    /// Random victim way among valid entries (invalid ways still win first).
-    pub fn victim_way_random(&self, bank: usize, set: usize, rng: &mut SimRng) -> usize {
-        let b = self.base(bank, set);
-        for (w, m) in self.meta[b..b + self.ways].iter().enumerate() {
-            if m.last_use == 0 {
-                return w;
-            }
-        }
-        rng.below(self.ways as u64) as usize
-    }
-
     /// Cost-biased victim: picks the valid way minimizing
-    /// `(cost(key, value), last_use)`; invalid ways win outright.
+    /// `(cost(key, value), tick)`; invalid ways win outright.
     pub fn victim_way_with_cost<F>(&self, bank: usize, set: usize, cost: F) -> usize
     where
         F: Fn(u64, &V) -> u64,
@@ -268,12 +247,12 @@ impl<V> Banked<V> {
         let b = self.base(bank, set);
         let mut victim = 0;
         let mut best = (u64::MAX, u64::MAX);
-        for (w, m) in self.meta[b..b + self.ways].iter().enumerate() {
-            if m.last_use == 0 {
+        for (w, &t) in self.ticks[b..b + self.ways].iter().enumerate() {
+            if t == 0 {
                 return w;
             }
-            let v = self.vals[b + w].as_ref().expect("meta/vals in sync");
-            let c = (cost(m.key, v), m.last_use);
+            let v = self.vals[b + w].as_ref().expect("ticks/vals in sync");
+            let c = (cost(self.keys[b + w], v), t);
             if c < best {
                 best = c;
                 victim = w;
@@ -287,38 +266,13 @@ impl<V> Banked<V> {
     pub fn iter_bank(&self, bank: usize) -> impl Iterator<Item = (usize, usize, u64, &V)> {
         let b = self.base(bank, 0);
         let n = self.sets * self.ways;
-        self.meta[b..b + n]
+        self.keys[b..b + n]
             .iter()
             .zip(&self.vals[b..b + n])
             .enumerate()
-            .filter_map(move |(i, (m, v))| {
-                v.as_ref().map(|v| (i / self.ways, i % self.ways, m.key, v))
+            .filter_map(move |(i, (&k, v))| {
+                v.as_ref().map(|v| (i / self.ways, i % self.ways, k, v))
             })
-    }
-
-    /// Iterates over the occupied slots of one `(bank, set)` as
-    /// `(way, key, &value)`.
-    pub fn iter_set(&self, bank: usize, set: usize) -> impl Iterator<Item = (usize, u64, &V)> {
-        let b = self.base(bank, set);
-        self.meta[b..b + self.ways]
-            .iter()
-            .zip(&self.vals[b..b + self.ways])
-            .enumerate()
-            .filter_map(|(w, (m, v))| v.as_ref().map(|v| (w, m.key, v)))
-    }
-
-    /// Number of occupied slots in `(bank, set)`.
-    pub fn set_occupancy(&self, bank: usize, set: usize) -> usize {
-        let b = self.base(bank, set);
-        self.meta[b..b + self.ways]
-            .iter()
-            .filter(|m| m.last_use != 0)
-            .count()
-    }
-
-    /// Total occupied slots across all banks.
-    pub fn occupancy(&self) -> usize {
-        self.meta.iter().filter(|m| m.last_use != 0).count()
     }
 }
 
@@ -326,6 +280,7 @@ impl<V> Banked<V> {
 mod tests {
     use super::*;
     use crate::SetAssoc;
+    use d2m_common::rng::SimRng;
 
     /// The load-bearing property: one `Banked` arena makes exactly the same
     /// hit/miss/victim decisions as independent per-bank `SetAssoc`s under
@@ -404,15 +359,15 @@ mod tests {
         assert_eq!(c.get(1, 1, 42), Some(&"hello"));
         *c.get_mut(1, 1, 42).unwrap() = "world";
         assert_eq!(c.remove(1, 1, 1), Some((42, "world")));
-        assert_eq!(c.occupancy(), 0);
+        assert_eq!(c.iter_bank(1).count(), 0);
     }
 
     #[test]
     fn removed_slot_is_not_found_by_its_old_key() {
-        // A stale key in an emptied record must not produce a phantom hit —
-        // occupancy is part of the scan predicate.
+        // Removal must reset the slot's key, since the scan compares keys
+        // only: a stale key would be a phantom hit.
         let mut c: Banked<u64> = Banked::new(1, 1, 2);
-        c.insert_at(0, 0, 0, 0, 10); // key 0 == the EMPTY sentinel key
+        c.insert_at(0, 0, 0, 0, 10);
         assert_eq!(c.way_of(0, 0, 0), Some(0));
         c.remove(0, 0, 0);
         assert_eq!(c.way_of(0, 0, 0), None);
@@ -425,25 +380,37 @@ mod tests {
         c.insert_at(2, 0, 0, 1, 10);
         c.insert_at(2, 0, 1, 2, 20);
         c.insert_at(0, 0, 0, 3, 30);
-        assert_eq!(c.set_occupancy(2, 0), 2);
-        assert_eq!(c.set_occupancy(1, 0), 0);
-        assert_eq!(c.iter_set(2, 0).count(), 2);
+        let set0 = |bank| c.iter_bank(bank).filter(|&(set, ..)| set == 0).count();
+        assert_eq!(set0(2), 2);
+        assert_eq!(set0(1), 0);
         assert_eq!(c.iter_bank(2).count(), 2);
-        assert_eq!(c.occupancy(), 3);
+        assert_eq!(
+            (0..3).map(|bank| c.iter_bank(bank).count()).sum::<usize>(),
+            3
+        );
     }
 
     #[test]
-    fn random_victim_prefers_invalid_ways() {
-        let mut rng = SimRng::from_label(1, "banked-victim");
-        let mut c: Banked<u64> = Banked::new(1, 1, 4);
-        c.insert_at(0, 0, 0, 1, 1);
-        assert_eq!(c.victim_way_random(0, 0, &mut rng), 1);
-        for w in 1..4 {
-            c.insert_at(0, 0, w, w as u64 + 1, 0);
-        }
-        for _ in 0..50 {
-            assert!(c.victim_way_random(0, 0, &mut rng) < 4);
-        }
+    fn remove_then_way_of_misses() {
+        // Removing one bank's entry must make its key miss there while the
+        // same key in another bank, and the set's other way, still hit.
+        let mut c: Banked<u64> = Banked::new(2, 1, 2);
+        c.insert_at(0, 0, 0, 7, 70);
+        c.insert_at(0, 0, 1, 8, 80);
+        c.insert_at(1, 0, 1, 7, 71);
+        assert_eq!(c.remove(0, 0, 0), Some((7, 70)));
+        assert_eq!(c.way_of(0, 0, 7), None);
+        assert_eq!(c.peek(0, 0, 7), None);
+        assert_eq!(c.way_of(0, 0, 8), Some(1));
+        assert_eq!(c.way_of(1, 0, 7), Some(1));
+        assert_eq!(c.victim_way(0, 0), 0, "the emptied way is the victim");
+    }
+
+    #[test]
+    #[should_panic(expected = "empty-slot key")]
+    fn insert_rejects_the_empty_slot_key() {
+        let mut c: Banked<u64> = Banked::new(1, 1, 2);
+        c.insert_at(0, 0, 0, u64::MAX, 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Generic cache structures shared by the baselines and D2M.
 //!
-//! * [`set_assoc`] — a set-associative array with LRU/random replacement,
+//! * [`set_assoc`] — a set-associative array with LRU replacement,
 //!   cost-biased victim selection (used by the metadata stores' region-aware
 //!   policies) and direct `(set, way)` addressing (used by D2M's tag-less
 //!   data arrays, which are never searched by key).

@@ -13,39 +13,31 @@
 //!   lines / unset PB bits).
 //!
 //! Replacement is true LRU per set via a global use-tick, which is
-//! deterministic and cheap; a random policy is available through
-//! [`SetAssoc::victim_way_random`].
+//! deterministic and cheap.
 //!
-//! Storage is split structure-of-arrays: the per-slot scan record (key +
-//! recency tick, 16 bytes) lives apart from the value payload, so tag
-//! searches and victim scans stride over a dense array — the software
-//! analogue of a hardware tag array sitting next to a data array — instead
-//! of skipping over value bytes.
+//! Storage is split structure-of-arrays into three parallel arrays: keys,
+//! recency ticks and value payloads. A tag search ([`SetAssoc::way_of`])
+//! strides over the keys alone — 8 bytes per way, so a 32-way set is 256 B —
+//! and victim and MRU scans over the ticks alone: the software analogue of
+//! a hardware tag array sitting next to a data array, with neither scan
+//! skipping over bytes it does not compare.
 
-use d2m_common::rng::SimRng;
-
-/// Per-slot scan record. `last_use == 0` means the slot is empty — ticks
-/// start at 1, so an occupied slot always has a nonzero tick.
-#[derive(Clone, Copy, Debug)]
-struct SlotMeta {
-    key: u64,
-    last_use: u64,
-}
-
-const EMPTY: SlotMeta = SlotMeta {
-    key: 0,
-    last_use: 0,
-};
+/// Key of an empty slot, in both [`SetAssoc`] and [`crate::Banked`]. Their
+/// `insert_at` rejects it, so a key compare alone tells a hit from an empty
+/// way.
+pub(crate) const EMPTY_KEY: u64 = u64::MAX;
 
 /// A set-associative array mapping `u64` keys to `V` values.
 #[derive(Clone, Debug)]
 pub struct SetAssoc<V> {
     sets: usize,
     ways: usize,
-    /// Scan records, `set * ways + way` indexed.
-    meta: Vec<SlotMeta>,
-    /// Value payloads, same indexing. `vals[i].is_some()` ⇔
-    /// `meta[i].last_use != 0`.
+    /// Keys, `set * ways + way` indexed; [`EMPTY_KEY`] in an empty slot.
+    keys: Vec<u64>,
+    /// Recency ticks, same indexing; 0 in an empty slot — ticks start at 1,
+    /// so an occupied slot always has a nonzero tick.
+    ticks: Vec<u64>,
+    /// Value payloads, same indexing. `vals[i].is_some()` ⇔ `ticks[i] != 0`.
     vals: Vec<Option<V>>,
     tick: u64,
     hashed: bool,
@@ -81,7 +73,8 @@ impl<V> SetAssoc<V> {
         Self {
             sets,
             ways,
-            meta: vec![EMPTY; n],
+            keys: vec![EMPTY_KEY; n],
+            ticks: vec![0; n],
             vals,
             tick: 0,
             hashed,
@@ -123,13 +116,12 @@ impl<V> SetAssoc<V> {
     }
 
     /// Finds the way holding `key` in `set`, if present. No LRU update.
-    /// A dense scan over the 16-byte records only.
+    /// A dense scan over the set's keys only.
     #[inline]
     pub fn way_of(&self, set: usize, key: u64) -> Option<usize> {
+        debug_assert_ne!(key, EMPTY_KEY, "the empty-slot key is never stored");
         let b = self.base(set);
-        self.meta[b..b + self.ways]
-            .iter()
-            .position(|m| m.last_use != 0 && m.key == key)
+        self.keys[b..b + self.ways].iter().position(|&k| k == key)
     }
 
     /// Keyed lookup with LRU touch. Returns the value if present.
@@ -159,7 +151,7 @@ impl<V> SetAssoc<V> {
     pub fn at(&self, set: usize, way: usize) -> Option<(u64, &V)> {
         assert!(way < self.ways, "way {way} out of range");
         let i = self.base(set) + way;
-        let key = self.meta[i].key;
+        let key = self.keys[i];
         self.vals[i].as_ref().map(|v| (key, v))
     }
 
@@ -167,7 +159,7 @@ impl<V> SetAssoc<V> {
     pub fn at_mut(&mut self, set: usize, way: usize) -> Option<(u64, &mut V)> {
         assert!(way < self.ways, "way {way} out of range");
         let i = self.base(set) + way;
-        let key = self.meta[i].key;
+        let key = self.keys[i];
         self.vals[i].as_mut().map(|v| (key, v))
     }
 
@@ -175,9 +167,8 @@ impl<V> SetAssoc<V> {
     pub fn touch(&mut self, set: usize, way: usize) {
         let t = self.bump();
         let i = self.base(set) + way;
-        let m = &mut self.meta[i];
-        if m.last_use != 0 {
-            m.last_use = t;
+        if self.ticks[i] != 0 {
+            self.ticks[i] = t;
         }
     }
 
@@ -187,22 +178,23 @@ impl<V> SetAssoc<V> {
     /// of a remote NS-LLC slice (§IV-C).
     pub fn is_mru(&self, set: usize, way: usize) -> bool {
         let b = self.base(set);
-        let me = self.meta[b + way];
-        if me.last_use == 0 {
-            return false;
-        }
-        self.meta[b..b + self.ways]
-            .iter()
-            .all(|m| m.last_use <= me.last_use)
+        let me = self.ticks[b + way];
+        me != 0 && self.ticks[b..b + self.ways].iter().all(|&t| t <= me)
     }
 
     /// Inserts at an explicit `(set, way)`, returning any evicted `(key, value)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way` is out of range or `key` is `u64::MAX`, the key that
+    /// marks an empty slot.
     pub fn insert_at(&mut self, set: usize, way: usize, key: u64, value: V) -> Option<(u64, V)> {
         assert!(way < self.ways, "way {way} out of range");
+        assert_ne!(key, EMPTY_KEY, "u64::MAX is the empty-slot key");
         let t = self.bump();
         let i = self.base(set) + way;
-        let old_key = self.meta[i].key;
-        self.meta[i] = SlotMeta { key, last_use: t };
+        let old_key = std::mem::replace(&mut self.keys[i], key);
+        self.ticks[i] = t;
         self.vals[i].replace(value).map(|v| (old_key, v))
     }
 
@@ -210,40 +202,29 @@ impl<V> SetAssoc<V> {
     pub fn remove(&mut self, set: usize, way: usize) -> Option<(u64, V)> {
         assert!(way < self.ways, "way {way} out of range");
         let i = self.base(set) + way;
-        let key = self.meta[i].key;
-        self.meta[i] = EMPTY;
+        let key = std::mem::replace(&mut self.keys[i], EMPTY_KEY);
+        self.ticks[i] = 0;
         self.vals[i].take().map(|v| (key, v))
     }
 
     /// LRU victim way: the first invalid way if any, otherwise the
-    /// least-recently-used way. Scans records only — empty slots (tick 0)
+    /// least-recently-used way. Scans ticks only — empty slots (tick 0)
     /// naturally win the minimum, and strict `<` keeps the first one.
     pub fn victim_way(&self, set: usize) -> usize {
         let b = self.base(set);
         let mut victim = 0;
         let mut best = u64::MAX;
-        for (w, m) in self.meta[b..b + self.ways].iter().enumerate() {
-            if m.last_use < best {
-                best = m.last_use;
+        for (w, &t) in self.ticks[b..b + self.ways].iter().enumerate() {
+            if t < best {
+                best = t;
                 victim = w;
             }
         }
         victim
     }
 
-    /// Random victim way among valid entries (invalid ways still win first).
-    pub fn victim_way_random(&self, set: usize, rng: &mut SimRng) -> usize {
-        let b = self.base(set);
-        for (w, m) in self.meta[b..b + self.ways].iter().enumerate() {
-            if m.last_use == 0 {
-                return w;
-            }
-        }
-        rng.below(self.ways as u64) as usize
-    }
-
     /// Cost-biased victim: picks the valid way minimizing
-    /// `(cost(key, value), last_use)`; invalid ways win outright.
+    /// `(cost(key, value), tick)`; invalid ways win outright.
     ///
     /// The metadata stores use this to prefer evicting regions with few
     /// tracked cachelines (MD2, paper §II-A) or no presence bits (MD3).
@@ -254,12 +235,12 @@ impl<V> SetAssoc<V> {
         let b = self.base(set);
         let mut victim = 0;
         let mut best = (u64::MAX, u64::MAX);
-        for (w, m) in self.meta[b..b + self.ways].iter().enumerate() {
-            if m.last_use == 0 {
+        for (w, &t) in self.ticks[b..b + self.ways].iter().enumerate() {
+            if t == 0 {
                 return w;
             }
-            let v = self.vals[b + w].as_ref().expect("meta/vals in sync");
-            let c = (cost(m.key, v), m.last_use);
+            let v = self.vals[b + w].as_ref().expect("ticks/vals in sync");
+            let c = (cost(self.keys[b + w], v), t);
             if c < best {
                 best = c;
                 victim = w;
@@ -270,47 +251,13 @@ impl<V> SetAssoc<V> {
 
     /// Iterates over all occupied slots as `(set, way, key, &value)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, u64, &V)> {
-        self.meta
+        self.keys
             .iter()
             .zip(&self.vals)
             .enumerate()
-            .filter_map(move |(i, (m, v))| {
-                v.as_ref().map(|v| (i / self.ways, i % self.ways, m.key, v))
+            .filter_map(move |(i, (&k, v))| {
+                v.as_ref().map(|v| (i / self.ways, i % self.ways, k, v))
             })
-    }
-
-    /// Iterates over the occupied slots of one set as `(way, key, &value)`.
-    pub fn iter_set(&self, set: usize) -> impl Iterator<Item = (usize, u64, &V)> {
-        let b = self.base(set);
-        self.meta[b..b + self.ways]
-            .iter()
-            .zip(&self.vals[b..b + self.ways])
-            .enumerate()
-            .filter_map(|(w, (m, v))| v.as_ref().map(|v| (w, m.key, v)))
-    }
-
-    /// Number of occupied slots in a set.
-    pub fn set_occupancy(&self, set: usize) -> usize {
-        let b = self.base(set);
-        self.meta[b..b + self.ways]
-            .iter()
-            .filter(|m| m.last_use != 0)
-            .count()
-    }
-
-    /// Total occupied slots.
-    pub fn occupancy(&self) -> usize {
-        self.meta.iter().filter(|m| m.last_use != 0).count()
-    }
-
-    /// Removes all entries.
-    pub fn clear(&mut self) {
-        for m in &mut self.meta {
-            *m = EMPTY;
-        }
-        for v in &mut self.vals {
-            *v = None;
-        }
     }
 }
 
@@ -379,19 +326,19 @@ mod tests {
     #[test]
     fn remove_and_occupancy() {
         let mut c = filled(4, 2, 8);
-        assert_eq!(c.occupancy(), 8);
+        assert_eq!(c.iter().count(), 8);
         let (k, v) = c.remove(0, 0).unwrap();
         assert_eq!(v, k * 10);
-        assert_eq!(c.occupancy(), 7);
-        assert_eq!(c.set_occupancy(0), 1);
+        assert_eq!(c.iter().count(), 7);
+        assert_eq!(c.iter().filter(|&(set, ..)| set == 0).count(), 1);
     }
 
     #[test]
     fn removed_slot_is_not_found_by_its_old_key() {
-        // A stale key in an emptied record must not produce a phantom hit —
-        // occupancy is part of the scan predicate.
+        // Removal must reset the slot's key, since the scan compares keys
+        // only: a stale key would be a phantom hit.
         let mut c: SetAssoc<u64> = SetAssoc::new(1, 2);
-        c.insert_at(0, 0, 0, 10); // key 0 == the EMPTY sentinel key
+        c.insert_at(0, 0, 0, 10);
         assert_eq!(c.way_of(0, 0), Some(0));
         c.remove(0, 0);
         assert_eq!(c.way_of(0, 0), None);
@@ -423,10 +370,34 @@ mod tests {
     }
 
     #[test]
+    fn remove_then_way_of_misses() {
+        // Every key of a full set, removed in turn: each removal must make
+        // exactly that key miss while the others still hit at their ways.
+        let mut c = filled(1, 4, 4);
+        for k in 0..4 {
+            let way = c.way_of(0, k).expect("resident");
+            assert_eq!(c.remove(0, way), Some((k, k * 10)));
+            assert_eq!(c.way_of(0, k), None, "key {k} still found after remove");
+            assert_eq!(c.peek(0, k), None);
+            for other in k + 1..4 {
+                assert!(c.way_of(0, other).is_some(), "key {other} lost");
+            }
+        }
+        assert_eq!(c.victim_way(0), 0, "an emptied set refills from way 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "empty-slot key")]
+    fn insert_rejects_the_empty_slot_key() {
+        let mut c: SetAssoc<u64> = SetAssoc::new(1, 2);
+        c.insert_at(0, 0, u64::MAX, 1);
+    }
+
+    #[test]
     fn iter_set_and_iter() {
         let c = filled(4, 2, 8);
         assert_eq!(c.iter().count(), 8);
-        assert_eq!(c.iter_set(1).count(), 2);
+        assert_eq!(c.iter().filter(|&(set, ..)| set == 1).count(), 2);
         for (set, _way, key, _v) in c.iter() {
             assert_eq!(c.set_index(key), set);
         }
@@ -439,23 +410,6 @@ mod tests {
         let old = c.insert_at(0, 0, 2, 20);
         assert_eq!(old, Some((1, 10)));
         assert_eq!(c.peek(0, 2), Some(&20));
-    }
-
-    #[test]
-    fn random_victim_in_range() {
-        let mut rng = SimRng::from_label(1, "victim");
-        let c = filled(1, 4, 4);
-        for _ in 0..100 {
-            assert!(c.victim_way_random(0, &mut rng) < 4);
-        }
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut c = filled(4, 2, 8);
-        c.clear();
-        assert_eq!(c.occupancy(), 0);
-        assert_eq!(c.way_of(0, 0), None, "cleared keys must not resolve");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Deterministic random number generation.
 //!
-//! Every stochastic component of the simulator (workload generation, random
-//! replacement, the NS allocation policy's 80/20 split, …) draws from a
-//! [`SimRng`] derived from a master seed plus a component label. Identical
-//! configurations therefore produce bit-identical simulations on every
-//! platform, which the integration tests assert.
+//! Every stochastic component of the simulator (workload generation, the
+//! NS allocation policy's 80/20 split, …) draws from a [`SimRng`] derived
+//! from a master seed plus a component label. Identical configurations
+//! therefore produce bit-identical simulations on every platform, which the
+//! integration tests assert.
 //!
 //! The generator is a self-contained ChaCha12 stream cipher in counter mode
 //! (no external crates, so the workspace builds without network access); the
@@ -17,17 +17,36 @@ const DOUBLE_ROUNDS: usize = 6;
 /// Keystream bytes produced per refill: four consecutive ChaCha12 blocks.
 const BUF_BYTES: usize = 256;
 
+/// A four-block keystream kernel: see [`chacha12_blocks4`].
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+type Blocks4 = fn(&[u32; 16], &mut [u8; BUF_BYTES]);
+
 /// Four consecutive ChaCha12 blocks, starting at `input`'s block counter:
 /// block *j* of `out` is the block for counter + *j*.
 ///
-/// On x86-64 this dispatches to the SSE2 column-parallel implementation
-/// (SSE2 is part of the x86-64 baseline); everywhere else the portable
-/// scalar version runs once per block. Both produce bit-identical
+/// On x86-64 this runs the column-parallel kernel, compiled twice: for
+/// AVX-512F + AVX-512VL (picked once, on the first call, when the CPU has
+/// both) and for SSE2, the x86-64 baseline, otherwise. Everywhere else the
+/// portable scalar version runs once per block. All produce bit-identical
 /// keystreams — asserted by a test that runs the scalar reference against
-/// the dispatched version.
+/// each kernel the host can execute.
 fn chacha12_blocks4(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
     #[cfg(target_arch = "x86_64")]
-    chacha12_blocks4_sse2(input, out);
+    {
+        static KERNEL: std::sync::OnceLock<Blocks4> = std::sync::OnceLock::new();
+        let kernel = KERNEL.get_or_init(|| {
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+            {
+                // SAFETY: the CPU has just been found to support both
+                // features the kernel is compiled for.
+                |input, out| unsafe { chacha12_blocks4_avx512(input, out) }
+            } else {
+                chacha12_blocks4_sse2
+            }
+        });
+        kernel(input, out);
+    }
     #[cfg(not(target_arch = "x86_64"))]
     for (j, block) in out.chunks_exact_mut(64).enumerate() {
         chacha12_block_scalar(
@@ -53,15 +72,25 @@ fn counter_plus(state: &[u32; 16], n: u32) -> [u32; 16] {
 /// group of four words turns lanes back into blocks on the way out.
 /// Wrapping adds, xors and rotates are exact on every lane, so the
 /// keystream matches the scalar version bit for bit.
+///
+/// Written with SSE2 intrinsics only and always inlined into its two
+/// callers, so each compiles it for its own target features: the AVX-512
+/// build turns every shift-shift-or rotate into one `vprold` and keeps the
+/// 16 state words plus temporaries in its 32 vector registers.
+///
+/// # Safety
+///
+/// The CPU must support SSE2, which every x86-64 CPU does.
 #[cfg(target_arch = "x86_64")]
-fn chacha12_blocks4_sse2(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
+#[inline(always)]
+unsafe fn chacha12_blocks4_x86(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
     use std::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_or_si128, _mm_set1_epi32, _mm_set_epi32, _mm_slli_epi32,
         _mm_srli_epi32, _mm_storeu_si128, _mm_unpackhi_epi32, _mm_unpackhi_epi64,
         _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_xor_si128,
     };
 
-    // SAFETY: SSE2 is unconditionally available on x86-64. The stores are
+    // SAFETY: SSE2 is available (the caller's contract). The stores are
     // the unaligned variant, at 16-byte offsets `64 * j + 16 * g` (j, g < 4)
     // inside the 256 bytes of `out`.
     unsafe {
@@ -121,7 +150,26 @@ fn chacha12_blocks4_sse2(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
     }
 }
 
-/// Portable scalar ChaCha12 — the reference the SIMD path is tested against,
+/// The column-parallel kernel for the x86-64 baseline.
+#[cfg(target_arch = "x86_64")]
+fn chacha12_blocks4_sse2(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
+    // SAFETY: SSE2 is part of the x86-64 baseline.
+    unsafe { chacha12_blocks4_x86(input, out) }
+}
+
+/// The column-parallel kernel compiled for AVX-512F + AVX-512VL.
+///
+/// # Safety
+///
+/// The CPU must support both features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+unsafe fn chacha12_blocks4_avx512(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
+    // SAFETY: AVX-512F implies SSE2.
+    unsafe { chacha12_blocks4_x86(input, out) }
+}
+
+/// Portable scalar ChaCha12 — the reference the SIMD kernels are tested against,
 /// and the implementation used on non-x86-64 targets.
 #[cfg_attr(target_arch = "x86_64", allow(dead_code))]
 fn chacha12_block_scalar(input: &[u32; 16], out: &mut [u8; 64]) {
@@ -300,20 +348,36 @@ impl SimRng {
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
     pub fn unit(&mut self) -> f64 {
-        // 53 random mantissa bits, the standard conversion.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_of(self.next_u64() >> 11)
     }
 
-    /// One Zipf draw: `Zipf::new(n, s).sample(self)`. Builds the normalizer
-    /// on every call; hot loops keep a [`Zipf`] instead.
+    /// One Zipf draw: the same rank `Zipf::new(n, s).sample(self)` returns,
+    /// by the exact inverse CDF alone. Builds the normalizer on every call;
+    /// hot loops keep a [`Zipf`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
     pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        Zipf::new(n, s).sample(self)
+        Zipf::untabled(n, s).sample(self)
     }
 }
+
+/// The `[0, 1)` value of a 53-bit uniform: the standard conversion of 53
+/// random mantissa bits.
+#[inline]
+fn unit_of(bits: u64) -> f64 {
+    bits as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Bits of the 53-bit uniform that index a [`Zipf`] table.
+const SLOT_BITS: u32 = 12;
+/// Slots of a [`Zipf`] table; also the largest `n` that gets one.
+const SLOTS: usize = 1 << SLOT_BITS;
+/// A table slot whose draws do not all share one rank.
+const SPLIT: u16 = u16::MAX;
+/// How far inside its rank's interval of `u` a slot must lie to be direct.
+const MARGIN: f64 = 1.0 / (1u64 << 30) as f64;
 
 /// A Zipf-distributed sampler over ranks `[0, n)` with exponent `s`,
 /// computed by inverse-transform over an approximate harmonic CDF (a
@@ -321,9 +385,14 @@ impl SimRng {
 /// deterministic).
 ///
 /// Small ranks are most likely — callers map rank 0 to the hottest item.
-/// Building the sampler computes the normalizer once, so a draw costs one
-/// uniform and one `powf` (or `exp` for `s ≈ 1`).
-#[derive(Clone, Copy, PartialEq, Debug)]
+/// Building the sampler computes the normalizer once. For `n ≤ 4096` it
+/// also builds a 4096-slot table over the top 12 bits of the 53-bit
+/// uniform: a slot lying wholly inside one rank's interval holds that rank,
+/// so most draws cost one uniform and one table load. A draw in a slot that
+/// straddles a rank boundary, or from a sampler without a table, costs one
+/// `powf` (or `exp` for `s ≈ 1`). Either way the rank is the one the exact
+/// formula gives (DESIGN.md §10), from the same randomness.
+#[derive(Clone, PartialEq, Debug)]
 pub struct Zipf {
     n: u64,
     /// Harmonic normalizer.
@@ -332,6 +401,8 @@ pub struct Zipf {
     e: f64,
     /// `1 / e`; unused on the logarithmic branch.
     inv_e: f64,
+    /// Rank of every draw in each slot, or [`SPLIT`].
+    table: Option<Box<[u16; SLOTS]>>,
 }
 
 impl Zipf {
@@ -341,6 +412,15 @@ impl Zipf {
     ///
     /// Panics if `n` is zero.
     pub fn new(n: u64, s: f64) -> Self {
+        let mut z = Self::untabled(n, s);
+        if (2..=SLOTS as u64).contains(&n) && s > 0.0 && z.rounding_error() <= MARGIN / 4.0 {
+            z.table = Some(z.build_table());
+        }
+        z
+    }
+
+    /// The sampler without its table: every draw evaluates the formula.
+    fn untabled(n: u64, s: f64) -> Self {
         assert!(n > 0);
         if (s - 1.0).abs() < 1e-9 {
             return Self {
@@ -348,6 +428,7 @@ impl Zipf {
                 hn: (n as f64).ln(),
                 e: 0.0,
                 inv_e: 0.0,
+                table: None,
             };
         }
         let e = 1.0 - s;
@@ -356,23 +437,104 @@ impl Zipf {
             hn: ((n as f64).powf(e) - 1.0) / e,
             e,
             inv_e: 1.0 / e,
+            table: None,
         }
     }
 
+    /// A bound, in units of `u`, on how far rounding can move the computed
+    /// rank boundaries — of the formula in [`Self::exact_rank`] and of
+    /// [`Self::boundary`] — from the analytic ones (DESIGN.md §10).
+    fn rounding_error(&self) -> f64 {
+        let ulp = 1.0 / (1u64 << 50) as f64;
+        let n = self.n as f64;
+        let (x_err, u_err) = if self.e == 0.0 {
+            (n * ulp * (2.0 + n.ln()), ulp)
+        } else {
+            let growth = n.powf(self.e.abs());
+            (
+                n * ulp * (1.0 + self.inv_e.abs() * growth),
+                ulp * (1.0 + growth) / (self.hn * self.e.abs()),
+            )
+        };
+        // dx/du = hn * (x + 1)^s >= hn for s > 0.
+        x_err / self.hn + u_err
+    }
+
+    /// `u_k`, the uniform at which the inverse CDF reaches rank `k`: rank
+    /// `k` is drawn for `u` in `[u_k, u_{k+1})`.
+    fn boundary(&self, k: u64) -> f64 {
+        let k1 = (k + 1) as f64;
+        if self.e == 0.0 {
+            k1.ln() / self.hn
+        } else {
+            (k1.powf(self.e) - 1.0) / (self.hn * self.e)
+        }
+    }
+
+    /// One `powf` per rank: slot `j` covers `u` in `[j, j + 1) / 4096` and
+    /// is direct for rank `k` when that lies at least [`MARGIN`] inside
+    /// `[u_k, u_{k+1})`. Rank 0 has no lower boundary (no draw falls below
+    /// it); the last slot is never direct, since `u_{n-1} = 1` and the
+    /// formula's clamp to `n - 1` acts only there.
+    fn build_table(&self) -> Box<[u16; SLOTS]> {
+        let mut table = Box::new([SPLIT; SLOTS]);
+        let slots = SLOTS as f64;
+        let mut lo = f64::NEG_INFINITY;
+        for k in 0..self.n - 1 {
+            let hi = self.boundary(k + 1);
+            let first = ((lo + MARGIN) * slots).ceil().max(0.0) as usize;
+            let end = (((hi - MARGIN) * slots).floor().max(0.0) as usize).min(SLOTS);
+            if first < end {
+                table[first..end].fill(k as u16);
+            }
+            lo = hi;
+        }
+        table
+    }
+
     /// Draws one rank. A one-rank sampler returns 0 without consuming
-    /// randomness.
+    /// randomness; any other draw consumes one `next_u64`.
     #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         if self.n == 1 {
             return 0;
         }
-        let u = rng.unit().max(1e-12);
+        let bits = rng.next_u64() >> 11;
+        if let Some(table) = &self.table {
+            let rank = table[(bits >> (53 - SLOT_BITS)) as usize];
+            if rank != SPLIT {
+                return u64::from(rank);
+            }
+        }
+        self.exact_rank(bits)
+    }
+
+    /// The rank the inverse CDF gives the 53-bit uniform `bits`: what
+    /// [`Self::sample`] returns for a draw whose `next_u64() >> 11` is
+    /// `bits`, with or without the table.
+    pub fn exact_rank(&self, bits: u64) -> u64 {
+        let u = unit_of(bits).max(1e-12);
         let x = if self.e == 0.0 {
             (u * self.hn).exp() - 1.0
         } else {
             (1.0 + u * self.hn * self.e).powf(self.inv_e) - 1.0
         };
         x.min(self.n as f64 - 1.0) as u64
+    }
+
+    /// The table's direct slots as `(first, last, rank)`: every 53-bit
+    /// uniform in `first..=last` draws `rank` by a table load. Empty for a
+    /// sampler without a table.
+    pub fn direct_slots(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        let shift = 53 - SLOT_BITS;
+        self.table
+            .iter()
+            .flat_map(|t| t.iter().enumerate())
+            .filter(|&(_, &rank)| rank != SPLIT)
+            .map(move |(j, &rank)| {
+                let j = j as u64;
+                (j << shift, ((j + 1) << shift) - 1, u64::from(rank))
+            })
     }
 }
 
@@ -451,29 +613,50 @@ mod tests {
         words
     }
 
+    /// Every four-block kernel this host can run, by name: the dispatched
+    /// one, and on x86-64 the SSE2 kernel always and the AVX-512 kernel
+    /// when the CPU has it — so an AVX-512 host still tests the fallback.
+    fn kernels() -> Vec<(&'static str, Blocks4)> {
+        #[allow(unused_mut)]
+        let mut kernels: Vec<(&'static str, Blocks4)> = vec![("dispatched", chacha12_blocks4)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            kernels.push(("sse2", chacha12_blocks4_sse2));
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+            {
+                // SAFETY: both features were just detected.
+                kernels.push(("avx512", |i, o| unsafe { chacha12_blocks4_avx512(i, o) }));
+            }
+        }
+        kernels
+    }
+
     #[test]
     fn dispatched_block_matches_scalar_reference() {
-        // The SIMD path must be a bit-identical drop-in: run both on a
+        // Every SIMD kernel must be a bit-identical drop-in: run each on a
         // spread of inputs, with block counters whose word-12 → 13 carry
         // falls before, inside and after the four blocks of one call.
         let mut state = [0u32; 16];
-        for trial in 0u32..64 {
-            for (i, w) in state.iter_mut().enumerate() {
-                *w = (trial.wrapping_mul(0x9e37_79b9))
-                    .wrapping_add((i as u32).wrapping_mul(0x85eb_ca6b));
+        for (name, kernel) in kernels() {
+            for trial in 0u32..64 {
+                for (i, w) in state.iter_mut().enumerate() {
+                    *w = (trial.wrapping_mul(0x9e37_79b9))
+                        .wrapping_add((i as u32).wrapping_mul(0x85eb_ca6b));
+                }
+                state[12] = u32::MAX - (trial % 6);
+                let mut got = [0u8; BUF_BYTES];
+                kernel(&state, &mut got);
+                let got: Vec<u32> = got
+                    .chunks_exact(4)
+                    .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+                    .collect();
+                assert_eq!(
+                    got,
+                    scalar_words(&state, 4),
+                    "{name} keystream diverged on trial {trial}"
+                );
             }
-            state[12] = u32::MAX - (trial % 6);
-            let mut got = [0u8; BUF_BYTES];
-            chacha12_blocks4(&state, &mut got);
-            let got: Vec<u32> = got
-                .chunks_exact(4)
-                .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
-                .collect();
-            assert_eq!(
-                got,
-                scalar_words(&state, 4),
-                "keystream diverged on trial {trial}"
-            );
         }
     }
 

@@ -560,6 +560,56 @@ mod tests {
     }
 
     #[test]
+    fn zipf_table_slots_match_the_exact_formula() {
+        // A direct slot must hold the rank the inverse CDF gives at both
+        // ends of its 53-bit grid range.
+        for (n, s) in CATALOG_ZIPF_PAIRS.into_iter().filter(|&(n, _)| n <= 4096) {
+            let zipf = Zipf::new(n, s);
+            let mut direct = 0;
+            for (first, last, rank) in zipf.direct_slots() {
+                for bits in [first, last] {
+                    assert_eq!(
+                        zipf.exact_rank(bits),
+                        rank,
+                        "(n={n}, s={s}): slot {} at {bits:#x}",
+                        first >> 41
+                    );
+                }
+                direct += 1;
+            }
+            assert!(direct > 0, "(n={n}, s={s}): no direct slot");
+        }
+    }
+
+    #[test]
+    fn large_zipf_pairs_take_the_exact_path() {
+        // canneal's 65536 shared ranks, tpc-c's 7500 code regions, ...
+        let large: Vec<_> = CATALOG_ZIPF_PAIRS
+            .into_iter()
+            .filter(|&(n, _)| n > 4096)
+            .collect();
+        assert!(large.contains(&(65536, 0.6)) && large.contains(&(7500, 1.15)));
+        for (n, s) in large {
+            assert_eq!(Zipf::new(n, s).direct_slots().count(), 0, "(n={n}, s={s})");
+        }
+    }
+
+    #[test]
+    fn zipf_table_draws_match_the_table_free_path() {
+        // A million draws per catalog pair against `SimRng::zipf`, which
+        // never builds a table, on a cloned stream.
+        for (i, (n, s)) in CATALOG_ZIPF_PAIRS.into_iter().enumerate() {
+            let zipf = Zipf::new(n, s);
+            let mut rng = SimRng::from_label(i as u64, "zipf-table");
+            let mut twin = rng.clone();
+            for draw in 0..1_000_000 {
+                let got = zipf.sample(&mut rng);
+                assert_eq!(got, twin.zipf(n, s), "(n={n}, s={s}) draw {draw}");
+            }
+        }
+    }
+
+    #[test]
     fn deterministic_across_instances() {
         let mut a = gen_for(Category::Parallel);
         let mut b = gen_for(Category::Parallel);

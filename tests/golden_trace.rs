@@ -15,6 +15,10 @@
 //!
 //! Blessing rewrites both the traces (deterministically generated from the
 //! workload catalog) and the snapshots; review the diff before committing.
+//!
+//! The golden traces are short. At the benchmark's deep-run length the
+//! generator's output is pinned by checksum instead
+//! (`tests/golden/deep_trace.checksums.json`, blessed the same way).
 
 use std::path::{Path, PathBuf};
 
@@ -23,7 +27,7 @@ use d2m_common::stats::Counters;
 use d2m_common::MachineConfig;
 use d2m_sim::{AnySystem, SystemKind};
 use d2m_workloads::trace_io::{read_trace, write_trace};
-use d2m_workloads::{catalog, Access, TraceGen};
+use d2m_workloads::{catalog, Access, Trace, TraceGen};
 
 /// The committed golden cases: (name, workload, generator seed, batches).
 /// Batches are small on purpose — each trace is a few thousand records.
@@ -31,6 +35,13 @@ const CASES: [(&str, &str, u64, usize); 3] = [
     ("swaptions", "swaptions", 11, 40),
     ("mix2", "mix2", 23, 40),
     ("tpc-c", "tpc-c", 37, 40),
+];
+
+/// Deep-length recordings pinned by checksum: (workload, seed, warmup
+/// instructions, measured instructions) — the benchmark's deep-run runs.
+const DEEP_CASES: [(&str, u64, u64, u64); 2] = [
+    ("canneal", 42, 400_000, 1_200_000),
+    ("tpc-c", 42, 400_000, 1_200_000),
 ];
 
 /// Systems snapshotted per trace: the mobile baseline and the full D2M.
@@ -139,6 +150,60 @@ fn golden_traces_are_regenerable() {
             committed,
             generate(workload, seed, batches),
             "{name}: committed trace no longer matches its generator recipe"
+        );
+    }
+}
+
+/// What pins one recording: its phase sizes and the FNV-1a of both phases
+/// in the `D2MT` encoding.
+fn deep_summary(trace: &Trace) -> Json {
+    let mut bytes = Vec::new();
+    for phase in [trace.warmup(), trace.measured()] {
+        write_trace(&mut bytes, phase).expect("encode trace");
+    }
+    Json::Obj(vec![
+        ("warmup_insts".into(), Json::U64(trace.warmup_insts())),
+        ("measured_insts".into(), Json::U64(trace.measured_insts())),
+        (
+            "warmup_accesses".into(),
+            Json::U64(trace.warmup().len() as u64),
+        ),
+        (
+            "measured_accesses".into(),
+            Json::U64(trace.measured().len() as u64),
+        ),
+        ("fnv1a".into(), Json::U64(d2m_common::fnv1a_64(&bytes))),
+    ])
+}
+
+#[test]
+fn deep_length_traces_match_pinned_checksums() {
+    let path = golden_dir().join("deep_trace.checksums.json");
+    let got = Json::Obj(
+        DEEP_CASES
+            .iter()
+            .map(|&(workload, seed, warmup, measured)| {
+                let spec = catalog::by_name(workload).expect("catalog workload");
+                let nodes = MachineConfig::default().nodes;
+                let trace = Trace::record(&spec, nodes, seed, warmup, measured);
+                (workload.to_string(), deep_summary(&trace))
+            })
+            .collect(),
+    );
+    if blessing() {
+        let mut text = got.to_string_pretty();
+        text.push('\n');
+        std::fs::write(&path, text).expect("write checksums");
+        return;
+    }
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing {path:?} ({e}); run D2M_BLESS=1 to create"));
+    let want = Json::parse(&text).expect("valid checksum JSON");
+    for (workload, ..) in DEEP_CASES {
+        assert_eq!(
+            got.get(workload),
+            want.get(workload),
+            "{workload}: deep-length trace diverged from its pinned checksum"
         );
     }
 }
