@@ -6,6 +6,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# No step may write a tracked file or leave an untracked one behind: the
+# working tree's status is snapshotted here and compared at the end.
+in_git=false
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    in_git=true
+    status_before="$(git status --porcelain)"
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -26,27 +34,9 @@ cargo fmt --check
 echo "== cargo doc (broken intra-doc links fail) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "== throughput harness (smoke) =="
-# The binary panics (non-zero exit) on any protocol error or schema
-# violation; it also self-validates the emitted JSON by re-parsing it.
-# The committed smoke snapshot is stashed first so the fresh run can be
-# diffed against it: any counter-checksum or access-count drift fails the
-# build, while throughput/allocation deltas are machine noise and only warn.
-committed_smoke="$(mktemp)"
+# Scratch space for the sweep and report runs below.
 fault_dir="$(mktemp -d)"
-trap 'rm -f "$committed_smoke"; rm -rf "$fault_dir"' EXIT
-cp BENCH_throughput.smoke.json "$committed_smoke"
-cargo run --release -q -p d2m-bench --bin throughput -- --smoke
-test -s BENCH_throughput.smoke.json
-for key in name mode systems total accesses_per_sec counter_checksum metadata_footprint; do
-    grep -q "\"$key\"" BENCH_throughput.smoke.json \
-        || { echo "BENCH_throughput.smoke.json missing key: $key"; exit 1; }
-done
-
-echo "== throughput compare (committed smoke vs fresh smoke) =="
-cargo run --release -q -p d2m-bench --bin throughput -- \
-    compare "$committed_smoke" BENCH_throughput.smoke.json \
-    || { echo "simulation behavior drifted from the committed smoke snapshot"; exit 1; }
+trap 'rm -rf "$fault_dir"' EXIT
 
 echo "== shared-trace sweep smoke (1 worker vs 3 workers, diff) =="
 # A sweep records each (config, workload) group's trace once and every
@@ -125,5 +115,16 @@ for workload in figure-matrix deep-run journaled-observed; do
     echo "-- simbench --workload $workload --seconds 1"
     simbench/target/release/simbench --workload "$workload" --seconds 1 >/dev/null
 done
+
+if $in_git; then
+    echo "== working tree unchanged by ci.sh =="
+    status_after="$(git status --porcelain)"
+    if [ "$status_before" != "$status_after" ]; then
+        echo "ci.sh changed the status of these paths:"
+        { diff <(echo "$status_before") <(echo "$status_after") || true; } \
+            | sed -n 's/^[<>] ...//p' | sort -u
+        exit 1
+    fi
+fi
 
 echo "== ci.sh: all checks passed =="

@@ -24,7 +24,8 @@
 //! | `calibrate`, `traffic_debug [workload…]` | calibration utilities (kept for reproducibility) |
 //!
 //! Every artifact accepts `--quick` for a fast, reduced-length run. The
-//! `throughput` binary is the simulator's own throughput harness.
+//! simulator's speed is measured by the separate `simbench` package, not
+//! here.
 
 use std::path::Path;
 
@@ -145,38 +146,6 @@ pub fn header(title: &str, hc: &HarnessConfig) {
         hc.rc.warmup_instructions,
         if hc.quick { "  [--quick]" } else { "" }
     );
-}
-
-/// Minimal wall-clock micro-benchmark harness used by the `benches/`
-/// binaries (`harness = false`; the workspace carries no external benchmark
-/// framework).
-pub mod timing {
-    use std::time::{Duration, Instant};
-
-    /// Times `f` and prints its mean cost per iteration.
-    ///
-    /// A short warmup sizes the batch so one measurement pass lasts roughly
-    /// `measure`; results are indicative (wall-clock, no statistics) — the
-    /// goal is spotting order-of-magnitude regressions in the hot paths.
-    pub fn bench<F: FnMut()>(name: &str, mut f: F) {
-        let warmup = Duration::from_millis(200);
-        let measure = Duration::from_millis(600);
-        // Warmup while estimating iterations/second.
-        let t0 = Instant::now();
-        let mut warm_iters = 0u64;
-        while t0.elapsed() < warmup {
-            f();
-            warm_iters += 1;
-        }
-        let per_iter = t0.elapsed().as_secs_f64() / warm_iters.max(1) as f64;
-        let iters = ((measure.as_secs_f64() / per_iter) as u64).max(1);
-        let t1 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let ns = t1.elapsed().as_secs_f64() * 1e9 / iters as f64;
-        println!("{name:<40} {ns:>12.1} ns/iter   ({iters} iters)");
-    }
 }
 
 #[cfg(test)]

@@ -156,8 +156,8 @@ impl Md3Entry {
 
 /// Simulator-resident metadata footprint: bytes held in the MD structures,
 /// derived from entry sizes × configured capacities. Deterministic (pure
-/// type-layout arithmetic), so the throughput harness can record it as a
-/// comparable JSON field.
+/// type-layout arithmetic), so the mixed-replay golden test
+/// (`tests/golden/mix_replay.checksums.json`) pins it exactly.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MetadataFootprint {
     /// All MD1 entries across both sides and all nodes.

@@ -19,6 +19,15 @@
 //! The golden traces are short. At the benchmark's deep-run length the
 //! generator's output is pinned by checksum instead
 //! (`tests/golden/deep_trace.checksums.json`, blessed the same way).
+//!
+//! A mixed replay of one workload per suite pins every system, Base-3L and
+//! D2M-FS/NS included: per system, its measured access count, an FNV-1a of
+//! its counter JSON and its metadata footprint
+//! (`tests/golden/mix_replay.checksums.json`). Re-bless it alone with
+//!
+//! ```text
+//! D2M_BLESS=1 cargo test --test golden_trace mix_replay
+//! ```
 
 use std::path::{Path, PathBuf};
 
@@ -44,6 +53,13 @@ const DEEP_CASES: [(&str, u64, u64, u64); 2] = [
     ("tpc-c", 42, 400_000, 1_200_000),
 ];
 
+/// The pinned mixed replay: one workload per suite, one generator batch of
+/// each per round, warmup rounds then measured rounds on every system.
+const MIX: [&str; 5] = ["swaptions", "ocean_cp", "google", "mix2", "tpc-c"];
+const MIX_SEED: u64 = 42;
+const MIX_WARMUP_ROUNDS: u64 = 50;
+const MIX_MEASURED_ROUNDS: u64 = 200;
+
 /// Systems snapshotted per trace: the mobile baseline and the full D2M.
 const SYSTEMS: [SystemKind; 2] = [SystemKind::Base2L, SystemKind::D2mNsR];
 
@@ -53,6 +69,35 @@ fn golden_dir() -> PathBuf {
 
 fn blessing() -> bool {
     std::env::var("D2M_BLESS").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
+/// Compares `got` with the pinned object at `path` as a whole, so a missing,
+/// extra or changed entry fails and is named; when blessing, rewrites the
+/// file instead.
+fn check_pinned(path: &Path, got: &Json) {
+    if blessing() {
+        let mut text = got.to_string_pretty();
+        text.push('\n');
+        std::fs::write(path, text).expect("write pinned checksums");
+        return;
+    }
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("missing {path:?} ({e}); run D2M_BLESS=1 to create"));
+    let want = Json::parse(&text).expect("valid checksum JSON");
+    if *got == want {
+        return;
+    }
+    let keys = |j: &Json| match j {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
+        _ => Vec::new(),
+    };
+    let mut differing: Vec<String> = keys(&want);
+    differing.extend(keys(got).into_iter().filter(|k| want.get(k).is_none()));
+    differing.retain(|k| got.get(k) != want.get(k));
+    panic!(
+        "{path:?}: pinned entries differ for {differing:?} \
+         (if intentional, re-bless with D2M_BLESS=1)"
+    );
 }
 
 fn generate(workload: &str, seed: u64, batches: usize) -> Vec<Access> {
@@ -190,20 +235,69 @@ fn deep_length_traces_match_pinned_checksums() {
             })
             .collect(),
     );
-    if blessing() {
-        let mut text = got.to_string_pretty();
-        text.push('\n');
-        std::fs::write(&path, text).expect("write checksums");
-        return;
-    }
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing {path:?} ({e}); run D2M_BLESS=1 to create"));
-    let want = Json::parse(&text).expect("valid checksum JSON");
-    for (workload, ..) in DEEP_CASES {
-        assert_eq!(
-            got.get(workload),
-            want.get(workload),
-            "{workload}: deep-length trace diverged from its pinned checksum"
-        );
-    }
+    check_pinned(&path, &got);
+}
+
+/// Replays the mix on `kind` with the oracle off, rounds 40 cycles apart
+/// (the count restarts for the measured rounds), and summarizes the
+/// measured window: access count, counter checksum and metadata footprint.
+fn mix_replay(kind: SystemKind) -> Json {
+    let cfg = MachineConfig::default();
+    let mut sys = AnySystem::build(kind, &cfg, MIX_SEED);
+    let mut gens: Vec<TraceGen> = MIX
+        .iter()
+        .map(|name| {
+            let spec = catalog::by_name(name).expect("catalog workload");
+            TraceGen::new(&spec, cfg.nodes, MIX_SEED)
+        })
+        .collect();
+    let mut batch = Vec::new();
+    let mut replay = |rounds: u64| {
+        let mut accesses = 0u64;
+        for round in 0..rounds {
+            for gen in &mut gens {
+                batch.clear();
+                gen.next_batch(&mut batch);
+                for a in &batch {
+                    sys.access(a, 40 * round)
+                        .expect("protocol error during replay");
+                }
+                accesses += batch.len() as u64;
+            }
+        }
+        accesses
+    };
+    replay(MIX_WARMUP_ROUNDS);
+    let accesses = replay(MIX_MEASURED_ROUNDS);
+    let counters = sys.counters().to_json().to_string_compact();
+    let fp = sys.metadata_footprint();
+    Json::Obj(vec![
+        ("accesses".into(), Json::U64(accesses)),
+        (
+            "counter_checksum".into(),
+            Json::Str(format!(
+                "{:016x}",
+                d2m_common::fnv1a_64(counters.as_bytes())
+            )),
+        ),
+        (
+            "metadata_footprint".into(),
+            Json::Obj(vec![
+                ("md1_bytes".into(), Json::U64(fp.md1_bytes)),
+                ("md2_bytes".into(), Json::U64(fp.md2_bytes)),
+                ("md3_bytes".into(), Json::U64(fp.md3_bytes)),
+            ]),
+        ),
+    ])
+}
+
+#[test]
+fn mix_replay_matches_pinned_checksums() {
+    let got = Json::Obj(
+        SystemKind::ALL
+            .iter()
+            .map(|&kind| (kind.name().to_string(), mix_replay(kind)))
+            .collect(),
+    );
+    check_pinned(&golden_dir().join("mix_replay.checksums.json"), &got);
 }
