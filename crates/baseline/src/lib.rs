@@ -33,6 +33,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod counters;
 mod system;
 

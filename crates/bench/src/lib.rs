@@ -27,6 +27,8 @@
 //! simulator's speed is measured by the separate `simbench` package, not
 //! here.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 
 use d2m_common::config::MachineConfig;

@@ -1,28 +1,36 @@
-//! A banked set-associative arena: every bank of a replicated structure
-//! (one MD1 per node, one L1 per node, one LLC slice per node, ...) lives
-//! in ONE contiguous allocation, addressed by `(bank, set, way)` arithmetic.
+//! The one cache-array core: a banked set-associative arena. Every bank of
+//! a replicated structure (one MD1 per node, one L1 per node, one LLC slice
+//! per node, ...) lives in ONE contiguous allocation, addressed by
+//! `(bank, set, way)` arithmetic; [`crate::SetAssoc`] is the same core with
+//! one bank.
 //!
-//! Semantically each bank is an independent [`crate::SetAssoc`]: it has its
-//! own LRU use-tick and the same hashed/plain set indexing, so replacing a
-//! `Vec<SetAssoc<V>>` (or per-node struct fields) with one [`Banked`] arena
-//! is behavior-preserving down to the exact victim choices — simulation
-//! output stays byte-identical. What changes is the memory layout: the hot
-//! path walks a single flat slice instead of chasing `Vec<Vec<...>>`
-//! indirections, mirroring how D2M's own LI scheme keeps metadata lookups
-//! pointer-free in hardware.
+//! Each bank has its own LRU use-tick and the same hashed/plain set
+//! indexing, so one [`Banked`] arena makes exactly the victim choices that
+//! independent per-bank arrays would, and simulation output does not depend
+//! on how a structure is banked. The hot path walks a single flat slice
+//! instead of chasing `Vec<Vec<...>>` indirections, mirroring how D2M's own
+//! LI scheme keeps metadata lookups pointer-free in hardware.
 //!
-//! Storage is split structure-of-arrays exactly as in [`crate::SetAssoc`]:
-//! keys, recency ticks and value payloads are three parallel arrays, so
-//! `way_of` strides over keys alone and the victim and MRU scans over ticks
-//! alone — the software analogue of a hardware tag array sitting next to a
-//! data array.
+//! Storage is split structure-of-arrays into keys, recency ticks and value
+//! payloads, so `way_of` strides over keys alone and the victim and MRU
+//! scans over ticks alone — the software analogue of a hardware tag array
+//! sitting next to a data array. The key alone says whether a slot is
+//! occupied: the empty key `u64::MAX` marks an empty slot (its tick is then
+//! 0, and ticks start at 1). Payload slots are never initialized up front,
+//! so building an array writes only its keys; a payload is read only behind
+//! a key other than the empty key, which only [`Banked::insert_at`] stores,
+//! in the same call that writes the payload.
 
-use crate::set_assoc::EMPTY_KEY;
+use std::mem::MaybeUninit;
+
+/// Key of an empty slot. [`Banked::insert_at`] rejects it, so a key
+/// compare alone tells a hit from an empty way.
+const EMPTY_KEY: u64 = u64::MAX;
 
 /// A fixed geometry of `banks × sets × ways` slots in one contiguous arena,
 /// mapping `u64` keys to `V` values within each `(bank, set)`.
 #[derive(Clone, Debug)]
-pub struct Banked<V> {
+pub struct Banked<V: Copy> {
     banks: usize,
     sets: usize,
     ways: usize,
@@ -32,15 +40,17 @@ pub struct Banked<V> {
     /// Recency ticks, same indexing; 0 in an empty slot — ticks start at 1,
     /// so an occupied slot always has a nonzero tick.
     ticks: Vec<u64>,
-    /// Value payloads, same indexing. `vals[i].is_some()` ⇔ `ticks[i] != 0`.
-    vals: Vec<Option<V>>,
-    /// One LRU clock per bank — identical tick sequences to per-bank
-    /// `SetAssoc` instances, which is what keeps replacement byte-identical.
+    /// Value payloads, same indexing. Initialized exactly where `keys` is
+    /// not [`EMPTY_KEY`]; read only through [`Self::slot`] and
+    /// [`Self::slot_mut`].
+    vals: Box<[MaybeUninit<V>]>,
+    /// One LRU clock per bank — the tick sequence each bank would have on
+    /// its own, which is what keeps replacement independent of banking.
     clocks: Vec<u64>,
     hashed: bool,
 }
 
-impl<V> Banked<V> {
+impl<V: Copy> Banked<V> {
     /// Creates an empty arena with plain low-bit set indexing.
     ///
     /// # Panics
@@ -50,8 +60,9 @@ impl<V> Banked<V> {
         Self::build(banks, sets, ways, false)
     }
 
-    /// Creates an arena whose [`Self::set_index`] XOR-folds the key (the
-    /// skewed indexing used by the metadata stores).
+    /// Creates an arena whose [`Self::set_index`] XOR-folds the key — the
+    /// skewed indexing used by the metadata stores so that regular
+    /// region-stride patterns do not collapse onto a few sets.
     ///
     /// # Panics
     ///
@@ -65,15 +76,13 @@ impl<V> Banked<V> {
         assert!(sets.is_power_of_two(), "sets must be a power of two");
         assert!(ways > 0, "ways must be nonzero");
         let n = banks * sets * ways;
-        let mut vals = Vec::with_capacity(n);
-        vals.resize_with(n, || None);
         Self {
             banks,
             sets,
             ways,
             keys: vec![EMPTY_KEY; n],
             ticks: vec![0; n],
-            vals,
+            vals: Box::new_uninit_slice(n),
             clocks: vec![0; banks],
             hashed,
         }
@@ -95,8 +104,7 @@ impl<V> Banked<V> {
     }
 
     /// Set index for a key: low bits, or an XOR-fold of the whole key for
-    /// arenas built with [`Self::with_hashed_index`]. Identical to
-    /// [`crate::SetAssoc::set_index`].
+    /// arenas built with [`Self::with_hashed_index`].
     #[inline]
     pub fn set_index(&self, key: u64) -> usize {
         let k = if self.hashed {
@@ -122,6 +130,34 @@ impl<V> Banked<V> {
         self.clocks[bank]
     }
 
+    /// `(key, value)` of flat slot `i` if it is occupied.
+    #[inline]
+    #[allow(unsafe_code)]
+    fn slot(&self, i: usize) -> Option<(u64, &V)> {
+        let key = self.keys[i];
+        if key == EMPTY_KEY {
+            return None;
+        }
+        // SAFETY: `keys` and `vals` are private to this module. `build`
+        // fills every key with `EMPTY_KEY`, `remove` resets a key to it, and
+        // only `insert_at` stores any other key, after writing the slot's
+        // payload in the same call. So an occupied key means an initialized
+        // payload.
+        Some((key, unsafe { self.vals[i].assume_init_ref() }))
+    }
+
+    /// Mutable twin of [`Self::slot`].
+    #[inline]
+    #[allow(unsafe_code)]
+    fn slot_mut(&mut self, i: usize) -> Option<(u64, &mut V)> {
+        let key = self.keys[i];
+        if key == EMPTY_KEY {
+            return None;
+        }
+        // SAFETY: as in `slot`: an occupied key means an initialized payload.
+        Some((key, unsafe { self.vals[i].assume_init_mut() }))
+    }
+
     /// Finds the way holding `key` in `(bank, set)`, if present. No LRU
     /// update. A dense scan over the set's keys only.
     #[inline]
@@ -135,41 +171,34 @@ impl<V> Banked<V> {
     pub fn get(&mut self, bank: usize, set: usize, key: u64) -> Option<&V> {
         let way = self.way_of(bank, set, key)?;
         self.touch(bank, set, way);
-        let b = self.base(bank, set);
-        self.vals[b + way].as_ref()
+        self.slot(self.base(bank, set) + way).map(|(_, v)| v)
     }
 
     /// Keyed mutable lookup with LRU touch.
     pub fn get_mut(&mut self, bank: usize, set: usize, key: u64) -> Option<&mut V> {
         let way = self.way_of(bank, set, key)?;
         self.touch(bank, set, way);
-        let b = self.base(bank, set);
-        self.vals[b + way].as_mut()
+        self.slot_mut(self.base(bank, set) + way).map(|(_, v)| v)
     }
 
     /// Keyed lookup without LRU update.
     pub fn peek(&self, bank: usize, set: usize, key: u64) -> Option<&V> {
         let way = self.way_of(bank, set, key)?;
-        let b = self.base(bank, set);
-        self.vals[b + way].as_ref()
+        self.slot(self.base(bank, set) + way).map(|(_, v)| v)
     }
 
     /// Direct slot read: `(key, value)` at `(bank, set, way)` if occupied.
     #[inline]
     pub fn at(&self, bank: usize, set: usize, way: usize) -> Option<(u64, &V)> {
         assert!(way < self.ways, "way {way} out of range");
-        let i = self.base(bank, set) + way;
-        let key = self.keys[i];
-        self.vals[i].as_ref().map(|v| (key, v))
+        self.slot(self.base(bank, set) + way)
     }
 
     /// Direct mutable slot access (no LRU update; pair with [`Self::touch`]).
     #[inline]
     pub fn at_mut(&mut self, bank: usize, set: usize, way: usize) -> Option<(u64, &mut V)> {
         assert!(way < self.ways, "way {way} out of range");
-        let i = self.base(bank, set) + way;
-        let key = self.keys[i];
-        self.vals[i].as_mut().map(|v| (key, v))
+        self.slot_mut(self.base(bank, set) + way)
     }
 
     /// Marks `(bank, set, way)` most-recently used.
@@ -183,6 +212,9 @@ impl<V> Banked<V> {
 
     /// True if `(bank, set, way)` is the most-recently-used valid entry of
     /// its set.
+    ///
+    /// D2M's replication heuristic replicates data read from the MRU
+    /// position of a remote NS-LLC slice (§IV-C).
     pub fn is_mru(&self, bank: usize, set: usize, way: usize) -> bool {
         let b = self.base(bank, set);
         let me = self.ticks[b + way];
@@ -208,23 +240,26 @@ impl<V> Banked<V> {
         assert_ne!(key, EMPTY_KEY, "u64::MAX is the empty-slot key");
         let t = self.bump(bank);
         let i = self.base(bank, set) + way;
-        let old_key = std::mem::replace(&mut self.keys[i], key);
+        let old = self.slot(i).map(|(k, &v)| (k, v));
+        self.vals[i] = MaybeUninit::new(value);
+        self.keys[i] = key;
         self.ticks[i] = t;
-        self.vals[i].replace(value).map(|v| (old_key, v))
+        old
     }
 
     /// Removes and returns the entry at `(bank, set, way)`.
     pub fn remove(&mut self, bank: usize, set: usize, way: usize) -> Option<(u64, V)> {
         assert!(way < self.ways, "way {way} out of range");
         let i = self.base(bank, set) + way;
-        let key = std::mem::replace(&mut self.keys[i], EMPTY_KEY);
+        let old = self.slot(i).map(|(k, &v)| (k, v));
+        self.keys[i] = EMPTY_KEY;
         self.ticks[i] = 0;
-        self.vals[i].take().map(|v| (key, v))
+        old
     }
 
     /// LRU victim way: the first invalid way if any, otherwise the
     /// least-recently-used way. Scans ticks only — empty slots (tick 0)
-    /// naturally win the minimum.
+    /// naturally win the minimum, and strict `<` keeps the first one.
     pub fn victim_way(&self, bank: usize, set: usize) -> usize {
         let b = self.base(bank, set);
         let mut victim = 0;
@@ -240,6 +275,9 @@ impl<V> Banked<V> {
 
     /// Cost-biased victim: picks the valid way minimizing
     /// `(cost(key, value), tick)`; invalid ways win outright.
+    ///
+    /// The metadata stores use this to prefer evicting regions with few
+    /// tracked cachelines (MD2, paper §II-A) or no presence bits (MD3).
     pub fn victim_way_with_cost<F>(&self, bank: usize, set: usize, cost: F) -> usize
     where
         F: Fn(u64, &V) -> u64,
@@ -247,12 +285,11 @@ impl<V> Banked<V> {
         let b = self.base(bank, set);
         let mut victim = 0;
         let mut best = (u64::MAX, u64::MAX);
-        for (w, &t) in self.ticks[b..b + self.ways].iter().enumerate() {
-            if t == 0 {
+        for w in 0..self.ways {
+            let Some((key, v)) = self.slot(b + w) else {
                 return w;
-            }
-            let v = self.vals[b + w].as_ref().expect("ticks/vals in sync");
-            let c = (cost(self.keys[b + w], v), t);
+            };
+            let c = (cost(key, v), self.ticks[b + w]);
             if c < best {
                 best = c;
                 victim = w;
@@ -262,17 +299,13 @@ impl<V> Banked<V> {
     }
 
     /// Iterates over the occupied slots of one bank as
-    /// `(set, way, key, &value)`.
+    /// `(set, way, key, &value)`, in set-then-way order.
     pub fn iter_bank(&self, bank: usize) -> impl Iterator<Item = (usize, usize, u64, &V)> {
         let b = self.base(bank, 0);
-        let n = self.sets * self.ways;
-        self.keys[b..b + n]
-            .iter()
-            .zip(&self.vals[b..b + n])
-            .enumerate()
-            .filter_map(move |(i, (&k, v))| {
-                v.as_ref().map(|v| (i / self.ways, i % self.ways, k, v))
-            })
+        (0..self.sets * self.ways).filter_map(move |i| {
+            self.slot(b + i)
+                .map(|(k, v)| (i / self.ways, i % self.ways, k, v))
+        })
     }
 }
 
@@ -282,9 +315,10 @@ mod tests {
     use crate::SetAssoc;
     use d2m_common::rng::SimRng;
 
-    /// The load-bearing property: one `Banked` arena makes exactly the same
-    /// hit/miss/victim decisions as independent per-bank `SetAssoc`s under
-    /// an interleaved access stream.
+    /// The load-bearing property: one N-bank arena makes exactly the same
+    /// hit/miss/victim decisions as N single-bank `SetAssoc` views under an
+    /// interleaved access stream, so banking a structure never changes
+    /// replacement.
     #[test]
     fn banked_matches_independent_set_assocs() {
         let banks = 4;

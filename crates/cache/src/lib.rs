@@ -1,13 +1,13 @@
 //! Generic cache structures shared by the baselines and D2M.
 //!
-//! * [`set_assoc`] — a set-associative array with LRU replacement,
-//!   cost-biased victim selection (used by the metadata stores' region-aware
-//!   policies) and direct `(set, way)` addressing (used by D2M's tag-less
-//!   data arrays, which are never searched by key).
-//! * [`banked`] — a banked arena of set-associative banks in one contiguous
-//!   allocation, addressed by `(bank, set, way)` arithmetic; per-bank
-//!   structures (MD1s, L1s, LLC slices) flatten onto it with byte-identical
-//!   replacement behavior.
+//! * [`banked`] — the one cache-array core: a banked arena of
+//!   set-associative banks in one contiguous allocation, addressed by
+//!   `(bank, set, way)` arithmetic, with LRU replacement, cost-biased victim
+//!   selection (used by the metadata stores' region-aware policies) and
+//!   direct slot addressing (used by D2M's tag-less data arrays, which are
+//!   never searched by key). Per-bank structures (MD1s, L1s, LLC slices)
+//!   flatten onto it.
+//! * [`set_assoc`] — the single-bank view of that core.
 //! * [`tlb`] — a small TLB model with deterministic translation.
 //! * [`scramble`] — index-scrambling helpers for the paper's dynamic-indexing
 //!   optimization (§IV-D).
@@ -23,6 +23,8 @@
 //! l1.insert_at(set, way, 0x40, 7);
 //! assert_eq!(l1.get(set, 0x40), Some(&7));
 //! ```
+
+#![deny(unsafe_code)]
 
 pub mod banked;
 pub mod scramble;

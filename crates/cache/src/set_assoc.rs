@@ -1,6 +1,7 @@
-//! A set-associative array with explicit way control.
+//! A set-associative array with explicit way control: the single-bank view
+//! of the [`Banked`] core, with the bank argument dropped.
 //!
-//! This single structure backs every table in the simulator:
+//! The core backs every table in the simulator:
 //!
 //! * **Baseline caches** use keyed lookup ([`SetAssoc::get`]) — the
 //!   associative tag search whose energy the baselines pay.
@@ -12,174 +13,98 @@
 //!   region-aware replacement (prefer evicting regions with few tracked
 //!   lines / unset PB bits).
 //!
-//! Replacement is true LRU per set via a global use-tick, which is
-//! deterministic and cheap.
-//!
-//! Storage is split structure-of-arrays into three parallel arrays: keys,
-//! recency ticks and value payloads. A tag search ([`SetAssoc::way_of`])
-//! strides over the keys alone — 8 bytes per way, so a 32-way set is 256 B —
-//! and victim and MRU scans over the ticks alone: the software analogue of
-//! a hardware tag array sitting next to a data array, with neither scan
-//! skipping over bytes it does not compare.
+//! Replacement is true LRU per set via a use-tick, which is deterministic
+//! and cheap. Storage, occupancy and the uninitialized payload slots are
+//! the core's; see [`crate::banked`].
 
-/// Key of an empty slot, in both [`SetAssoc`] and [`crate::Banked`]. Their
-/// `insert_at` rejects it, so a key compare alone tells a hit from an empty
-/// way.
-pub(crate) const EMPTY_KEY: u64 = u64::MAX;
+use crate::banked::Banked;
 
 /// A set-associative array mapping `u64` keys to `V` values.
 #[derive(Clone, Debug)]
-pub struct SetAssoc<V> {
-    sets: usize,
-    ways: usize,
-    /// Keys, `set * ways + way` indexed; [`EMPTY_KEY`] in an empty slot.
-    keys: Vec<u64>,
-    /// Recency ticks, same indexing; 0 in an empty slot — ticks start at 1,
-    /// so an occupied slot always has a nonzero tick.
-    ticks: Vec<u64>,
-    /// Value payloads, same indexing. `vals[i].is_some()` ⇔ `ticks[i] != 0`.
-    vals: Vec<Option<V>>,
-    tick: u64,
-    hashed: bool,
-}
+pub struct SetAssoc<V: Copy>(Banked<V>);
 
-impl<V> SetAssoc<V> {
+impl<V: Copy> SetAssoc<V> {
     /// Creates an empty array with plain low-bit set indexing.
     ///
     /// # Panics
     ///
     /// Panics if `sets` is not a power of two or `ways` is zero.
     pub fn new(sets: usize, ways: usize) -> Self {
-        Self::build(sets, ways, false)
+        Self(Banked::new(1, sets, ways))
     }
 
-    /// Creates an array whose [`Self::set_index`] XOR-folds the key — the
-    /// skewed indexing used by the metadata stores so that regular
-    /// region-stride patterns do not collapse onto a few sets.
+    /// Creates an array whose [`Self::set_index`] XOR-folds the key, as
+    /// [`Banked::with_hashed_index`].
     ///
     /// # Panics
     ///
     /// Panics if `sets` is not a power of two or `ways` is zero.
     pub fn with_hashed_index(sets: usize, ways: usize) -> Self {
-        Self::build(sets, ways, true)
-    }
-
-    fn build(sets: usize, ways: usize, hashed: bool) -> Self {
-        assert!(sets.is_power_of_two(), "sets must be a power of two");
-        assert!(ways > 0, "ways must be nonzero");
-        let n = sets * ways;
-        let mut vals = Vec::with_capacity(n);
-        vals.resize_with(n, || None);
-        Self {
-            sets,
-            ways,
-            keys: vec![EMPTY_KEY; n],
-            ticks: vec![0; n],
-            vals,
-            tick: 0,
-            hashed,
-        }
+        Self(Banked::with_hashed_index(1, sets, ways))
     }
 
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets
+        self.0.sets()
     }
 
     /// Associativity.
     pub fn ways(&self) -> usize {
-        self.ways
+        self.0.ways()
     }
 
-    /// Set index for a key: low bits, or an XOR-fold of the whole key for
-    /// arrays built with [`Self::with_hashed_index`].
+    /// Set index for a key: see [`Banked::set_index`].
     #[inline]
     pub fn set_index(&self, key: u64) -> usize {
-        let k = if self.hashed {
-            key ^ (key >> 10) ^ (key >> 21) ^ (key >> 34)
-        } else {
-            key
-        };
-        (k as usize) & (self.sets - 1)
-    }
-
-    #[inline]
-    fn base(&self, set: usize) -> usize {
-        debug_assert!(set < self.sets, "set {set} out of range");
-        set * self.ways
-    }
-
-    #[inline]
-    fn bump(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+        self.0.set_index(key)
     }
 
     /// Finds the way holding `key` in `set`, if present. No LRU update.
-    /// A dense scan over the set's keys only.
     #[inline]
     pub fn way_of(&self, set: usize, key: u64) -> Option<usize> {
-        debug_assert_ne!(key, EMPTY_KEY, "the empty-slot key is never stored");
-        let b = self.base(set);
-        self.keys[b..b + self.ways].iter().position(|&k| k == key)
+        self.0.way_of(0, set, key)
     }
 
     /// Keyed lookup with LRU touch. Returns the value if present.
+    #[inline]
     pub fn get(&mut self, set: usize, key: u64) -> Option<&V> {
-        let way = self.way_of(set, key)?;
-        self.touch(set, way);
-        let b = self.base(set);
-        self.vals[b + way].as_ref()
+        self.0.get(0, set, key)
     }
 
     /// Keyed mutable lookup with LRU touch.
+    #[inline]
     pub fn get_mut(&mut self, set: usize, key: u64) -> Option<&mut V> {
-        let way = self.way_of(set, key)?;
-        self.touch(set, way);
-        let b = self.base(set);
-        self.vals[b + way].as_mut()
+        self.0.get_mut(0, set, key)
     }
 
     /// Keyed lookup without LRU update.
+    #[inline]
     pub fn peek(&self, set: usize, key: u64) -> Option<&V> {
-        let way = self.way_of(set, key)?;
-        let b = self.base(set);
-        self.vals[b + way].as_ref()
+        self.0.peek(0, set, key)
     }
 
     /// Direct slot read: `(key, value)` at `(set, way)` if occupied.
+    #[inline]
     pub fn at(&self, set: usize, way: usize) -> Option<(u64, &V)> {
-        assert!(way < self.ways, "way {way} out of range");
-        let i = self.base(set) + way;
-        let key = self.keys[i];
-        self.vals[i].as_ref().map(|v| (key, v))
+        self.0.at(0, set, way)
     }
 
     /// Direct mutable slot access (no LRU update; pair with [`Self::touch`]).
+    #[inline]
     pub fn at_mut(&mut self, set: usize, way: usize) -> Option<(u64, &mut V)> {
-        assert!(way < self.ways, "way {way} out of range");
-        let i = self.base(set) + way;
-        let key = self.keys[i];
-        self.vals[i].as_mut().map(|v| (key, v))
+        self.0.at_mut(0, set, way)
     }
 
     /// Marks `(set, way)` most-recently used.
+    #[inline]
     pub fn touch(&mut self, set: usize, way: usize) {
-        let t = self.bump();
-        let i = self.base(set) + way;
-        if self.ticks[i] != 0 {
-            self.ticks[i] = t;
-        }
+        self.0.touch(0, set, way)
     }
 
     /// True if `(set, way)` is the most-recently-used valid entry of its set.
-    ///
-    /// D2M's replication heuristic replicates data read from the MRU position
-    /// of a remote NS-LLC slice (§IV-C).
+    #[inline]
     pub fn is_mru(&self, set: usize, way: usize) -> bool {
-        let b = self.base(set);
-        let me = self.ticks[b + way];
-        me != 0 && self.ticks[b..b + self.ways].iter().all(|&t| t <= me)
+        self.0.is_mru(0, set, way)
     }
 
     /// Inserts at an explicit `(set, way)`, returning any evicted `(key, value)`.
@@ -188,76 +113,36 @@ impl<V> SetAssoc<V> {
     ///
     /// Panics if `way` is out of range or `key` is `u64::MAX`, the key that
     /// marks an empty slot.
+    #[inline]
     pub fn insert_at(&mut self, set: usize, way: usize, key: u64, value: V) -> Option<(u64, V)> {
-        assert!(way < self.ways, "way {way} out of range");
-        assert_ne!(key, EMPTY_KEY, "u64::MAX is the empty-slot key");
-        let t = self.bump();
-        let i = self.base(set) + way;
-        let old_key = std::mem::replace(&mut self.keys[i], key);
-        self.ticks[i] = t;
-        self.vals[i].replace(value).map(|v| (old_key, v))
+        self.0.insert_at(0, set, way, key, value)
     }
 
     /// Removes and returns the entry at `(set, way)`.
+    #[inline]
     pub fn remove(&mut self, set: usize, way: usize) -> Option<(u64, V)> {
-        assert!(way < self.ways, "way {way} out of range");
-        let i = self.base(set) + way;
-        let key = std::mem::replace(&mut self.keys[i], EMPTY_KEY);
-        self.ticks[i] = 0;
-        self.vals[i].take().map(|v| (key, v))
+        self.0.remove(0, set, way)
     }
 
     /// LRU victim way: the first invalid way if any, otherwise the
-    /// least-recently-used way. Scans ticks only — empty slots (tick 0)
-    /// naturally win the minimum, and strict `<` keeps the first one.
+    /// least-recently-used way.
+    #[inline]
     pub fn victim_way(&self, set: usize) -> usize {
-        let b = self.base(set);
-        let mut victim = 0;
-        let mut best = u64::MAX;
-        for (w, &t) in self.ticks[b..b + self.ways].iter().enumerate() {
-            if t < best {
-                best = t;
-                victim = w;
-            }
-        }
-        victim
+        self.0.victim_way(0, set)
     }
 
-    /// Cost-biased victim: picks the valid way minimizing
-    /// `(cost(key, value), tick)`; invalid ways win outright.
-    ///
-    /// The metadata stores use this to prefer evicting regions with few
-    /// tracked cachelines (MD2, paper §II-A) or no presence bits (MD3).
+    /// Cost-biased victim: see [`Banked::victim_way_with_cost`].
+    #[inline]
     pub fn victim_way_with_cost<F>(&self, set: usize, cost: F) -> usize
     where
         F: Fn(u64, &V) -> u64,
     {
-        let b = self.base(set);
-        let mut victim = 0;
-        let mut best = (u64::MAX, u64::MAX);
-        for (w, &t) in self.ticks[b..b + self.ways].iter().enumerate() {
-            if t == 0 {
-                return w;
-            }
-            let v = self.vals[b + w].as_ref().expect("ticks/vals in sync");
-            let c = (cost(self.keys[b + w], v), t);
-            if c < best {
-                best = c;
-                victim = w;
-            }
-        }
-        victim
+        self.0.victim_way_with_cost(0, set, cost)
     }
 
     /// Iterates over all occupied slots as `(set, way, key, &value)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, u64, &V)> {
-        self.keys
-            .iter()
-            .zip(&self.vals)
-            .enumerate()
-            .filter_map(move |(i, (&k, v))| {
-                v.as_ref().map(|v| (i / self.ways, i % self.ways, k, v))
-            })
+        self.0.iter_bank(0)
     }
 }
 

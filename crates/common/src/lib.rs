@@ -32,6 +32,8 @@
 //! assert_eq!(LINE_BYTES, 64);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod addr;
 pub mod config;
 pub mod fasthash;

@@ -30,6 +30,7 @@ type Blocks4 = fn(&[u32; 16], &mut [u8; BUF_BYTES]);
 /// portable scalar version runs once per block. All produce bit-identical
 /// keystreams — asserted by a test that runs the scalar reference against
 /// each kernel the host can execute.
+#[allow(unsafe_code)]
 fn chacha12_blocks4(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
     #[cfg(target_arch = "x86_64")]
     {
@@ -82,6 +83,7 @@ fn counter_plus(state: &[u32; 16], n: u32) -> [u32; 16] {
 ///
 /// The CPU must support SSE2, which every x86-64 CPU does.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 #[inline(always)]
 unsafe fn chacha12_blocks4_x86(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
     use std::arch::x86_64::{
@@ -152,6 +154,7 @@ unsafe fn chacha12_blocks4_x86(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
 
 /// The column-parallel kernel for the x86-64 baseline.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 fn chacha12_blocks4_sse2(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
     // SAFETY: SSE2 is part of the x86-64 baseline.
     unsafe { chacha12_blocks4_x86(input, out) }
@@ -163,6 +166,7 @@ fn chacha12_blocks4_sse2(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
 ///
 /// The CPU must support both features.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 #[target_feature(enable = "avx512f,avx512vl")]
 unsafe fn chacha12_blocks4_avx512(input: &[u32; 16], out: &mut [u8; BUF_BYTES]) {
     // SAFETY: AVX-512F implies SSE2.
@@ -616,6 +620,7 @@ mod tests {
     /// Every four-block kernel this host can run, by name: the dispatched
     /// one, and on x86-64 the SSE2 kernel always and the AVX-512 kernel
     /// when the CPU has it — so an AVX-512 host still tests the fallback.
+    #[allow(unsafe_code)]
     fn kernels() -> Vec<(&'static str, Blocks4)> {
         #[allow(unused_mut)]
         let mut kernels: Vec<(&'static str, Blocks4)> = vec![("dispatched", chacha12_blocks4)];

@@ -40,6 +40,8 @@
 //! sys.check_invariants().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod counters;
 pub mod data;
 pub mod error;

@@ -1451,11 +1451,23 @@ impl D2mSystem {
 
     // ================= placement & replication =================
 
-    /// Allocates an LLC slot as the (clean) master for a memory fill.
-    ///
-    /// If the chosen slice already holds a (stale victim / replica) slot for
-    /// this line, that slot is reused — the same line must never occupy two
-    /// ways of one set.
+    /// The LLC way `line` is to occupy in `(slice, set)`: the slot it
+    /// already holds (a stale victim or replica slot is reused — the same
+    /// line must never occupy two ways of one set), or else the LRU victim,
+    /// with its occupant evicted.
+    fn llc_way_for(&mut self, slice: usize, set: usize, line: LineAddr) -> usize {
+        if let Some(existing) = self.llc.way_of(slice, set, line.raw()) {
+            return existing;
+        }
+        let way = self.llc.victim_way(slice, set);
+        if self.llc.at(slice, set, way).is_some() {
+            self.evict_llc_slot(slice, set, way);
+        }
+        way
+    }
+
+    /// Allocates an LLC slot as the (clean) master for a memory fill, in
+    /// the way [`Self::llc_way_for`] picks.
     fn alloc_llc_master(
         &mut self,
         node: usize,
@@ -1464,16 +1476,7 @@ impl D2mSystem {
     ) -> Result<Li, ProtocolError> {
         let slice = self.pick_slice(node);
         let set = self.llc_set(line, slice);
-        let way = match self.llc.way_of(slice, set, line.raw()) {
-            Some(existing) => existing,
-            None => {
-                let way = self.llc.victim_way(slice, set);
-                if self.llc.at(slice, set, way).is_some() {
-                    self.evict_llc_slot(slice, set, way);
-                }
-                way
-            }
-        };
+        let way = self.llc_way_for(slice, set, line);
         self.llc_place(
             slice,
             set,
@@ -1493,20 +1496,12 @@ impl D2mSystem {
     }
 
     /// Allocates a stale LLC victim slot for a new node-held master (so its
-    /// eventual eviction lands in the LLC rather than going to memory).
+    /// eventual eviction lands in the LLC rather than going to memory), in
+    /// the way [`Self::llc_way_for`] picks.
     fn alloc_llc_victim_slot(&mut self, node: usize, line: LineAddr) -> Result<Li, ProtocolError> {
         let slice = self.pick_slice(node);
         let set = self.llc_set(line, slice);
-        let way = match self.llc.way_of(slice, set, line.raw()) {
-            Some(existing) => existing,
-            None => {
-                let way = self.llc.victim_way(slice, set);
-                if self.llc.at(slice, set, way).is_some() {
-                    self.evict_llc_slot(slice, set, way);
-                }
-                way
-            }
-        };
+        let way = self.llc_way_for(slice, set, line);
         self.llc_place(
             slice,
             set,

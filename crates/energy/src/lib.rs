@@ -26,6 +26,8 @@
 //! assert!(edp > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use d2m_common::impl_json_struct;
 
 /// A dynamic energy event, one per structure access or message.

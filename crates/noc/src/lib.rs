@@ -21,6 +21,8 @@
 //! assert_eq!(noc.messages(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use d2m_common::addr::NodeId;
 use d2m_common::json::{Json, ToJson};
 use d2m_common::stats::Counters;

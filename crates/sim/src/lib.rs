@@ -25,6 +25,8 @@
 //! println!("{}: {:.1} msgs/KI", m.system, m.msgs_per_kilo_inst);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod experiments;
 pub mod metrics;

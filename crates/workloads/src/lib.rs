@@ -24,6 +24,8 @@
 //! assert!(insts > 0 && !batch.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod gen;
 pub mod spec;

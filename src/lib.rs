@@ -8,6 +8,8 @@
 //! * [`d2m_sim`] — the trace-driven runner and metrics
 //! * [`d2m_workloads`] — synthetic workloads calibrated to the paper's suites
 
+#![forbid(unsafe_code)]
+
 pub use d2m_baseline as baseline;
 pub use d2m_cache as cache;
 pub use d2m_common as common;
