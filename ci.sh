@@ -106,6 +106,22 @@ for artifact in $artifacts; do
     (cd "$fault_dir/report" && D2M_JOBS=2 "$report" "$artifact" --quick >/dev/null)
 done
 
+echo "== published artifact with a failed cell (inject, expect nonzero exit) =="
+# Unlike `d2m-simulate --sweep`, a report must not print tables built from a
+# failed cell's placeholder metrics. `calibrate` is the cheapest artifact on
+# the journaled sweep path. It runs in its own directory: the failed cell is
+# journaled, and a later clean run there would resume it.
+mkdir "$fault_dir/report-fault"
+set +e
+fault_err="$(cd "$fault_dir/report-fault" && D2M_JOBS=2 D2M_FAULT="cell@calibrate:0:panic" \
+    "$report" calibrate --quick 2>&1 >/dev/null)"
+fault_status=$?
+set -e
+[ "$fault_status" -ne 0 ] \
+    || { echo "report calibrate with a failed cell exited 0"; exit 1; }
+grep -q "1 failed cell" <<<"$fault_err" \
+    || { echo "report calibrate failed without naming its failed cell"; exit 1; }
+
 echo "== simbench (every workload once, untraced, 1 s) =="
 # Each run repeats its workload against the simulator's public API and exits
 # nonzero when a named correctness check fails (failed_cell, pass_mismatch,

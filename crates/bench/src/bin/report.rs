@@ -18,7 +18,7 @@ use d2m_workloads::{catalog, Access, Category, TraceGen};
 type Printer = fn(&HarnessConfig, &[String]);
 
 /// Every artifact, in usage order.
-const ARTIFACTS: [(&str, Printer); 17] = [
+const ARTIFACTS: [(&str, Printer); 16] = [
     ("table4", table4),
     ("table5", table5),
     ("fig5_traffic", fig5_traffic),
@@ -29,7 +29,6 @@ const ARTIFACTS: [(&str, Printer); 17] = [
     ("ablation_mdscale", ablation_mdscale),
     ("ablation_scramble", ablation_scramble),
     ("ablation_bypass", ablation_bypass),
-    ("ablation_private_l2", ablation_private_l2),
     ("ablation_traditional", ablation_traditional),
     ("lockbits", lockbits),
     ("energy_breakdown", energy_breakdown),
@@ -828,56 +827,6 @@ fn ablation_bypass(hc: &HarnessConfig, _: &[String]) {
         "Streaming workloads shed LLC allocations (less slice churn) without\n\
          losing local NS hits; reuse-heavy workloads are unaffected."
     );
-}
-
-/// Generic-architecture ablation: D2M-FS with and without the optional
-/// private L2 of Figure 2 (a unified per-node victim cache between the L1s
-/// and the far-side LLC). The evaluated paper variants are L2-less
-/// (Figure 4); this measures what the generic level buys.
-fn ablation_private_l2(hc: &HarnessConfig, _: &[String]) {
-    let total = hc.rc.warmup_instructions + hc.rc.instructions;
-    header("Generic-architecture ablation: D2M-FS ± private L2", hc);
-    println!(
-        "\n{:<14} {:>6} {:>12} {:>12} {:>10}",
-        "workload", "L2", "L2 hits", "LLC/mem", "miss-lat"
-    );
-    rule(60);
-    for name in ["mix2", "facebook", "tpc-c", "barnes"] {
-        for private_l2 in [false, true] {
-            let feats = D2mFeatures {
-                private_l2,
-                ..D2mVariant::FarSide.features()
-            };
-            let (mut sys, mut gen) = ablation(name, D2mVariant::FarSide, feats, &hc.rc);
-            let (mut l2_hits, mut other) = (0u64, 0u64);
-            let (mut lat_sum, mut lat_n) = (0f64, 0u64);
-            // Misses count from the batch that crosses the warmup mark.
-            replay(&mut gen, total, |insts, a| {
-                let r = sys.access(a, 0).unwrap();
-                if insts >= hc.rc.warmup_instructions && !r.l1_hit {
-                    lat_sum += r.latency as f64;
-                    lat_n += 1;
-                    if r.serviced_by == d2m_common::outcome::ServicedBy::L2 {
-                        l2_hits += 1;
-                    } else {
-                        other += 1;
-                    }
-                }
-            });
-            println!(
-                "{:<14} {:>6} {:>12} {:>12} {:>10.1}",
-                name,
-                if private_l2 { "on" } else { "off" },
-                l2_hits,
-                other,
-                lat_sum / lat_n.max(1) as f64
-            );
-        }
-    }
-    rule(60);
-    println!("The L2 victim cache intercepts L1 evictions, trading SRAM for");
-    println!("shorter miss paths — the Figure 2 generic level the evaluated");
-    println!("variants replace with the near-side LLC slice.");
 }
 
 /// §III-A ablation: D2M with a *traditional* front end (unmodified core,

@@ -16,7 +16,6 @@
 //! | `ablation_mdscale` | footnote 5 — MD capacity 1×/2×/4× sweep |
 //! | `ablation_scramble` | §IV-D — dynamic indexing on strided workloads |
 //! | `ablation_bypass` | §I — region-predictor cache bypassing |
-//! | `ablation_private_l2` | Figure 2 — optional private L2 level |
 //! | `ablation_traditional` | §III-A — traditional front end |
 //! | `lockbits` | appendix — MD3 lock-bit collision rates |
 //! | `energy_breakdown [workload]` | Figure 6 — per-structure energy composition |
@@ -93,7 +92,9 @@ fn json_hash<T: ToJson>(value: &T) -> u64 {
 /// # Panics
 ///
 /// Panics when the journal cannot be written or is damaged beyond its last
-/// line; deleting it starts the sweep over.
+/// line, or when any cell failed: a failed cell's all-zero placeholder
+/// metrics must not enter a published table. Deleting the journal starts
+/// the sweep over.
 pub fn cached_sweep(spec: &SweepSpec) -> SweepResult {
     let journal = format!(
         "target/d2m-sweep-{}-{:016x}.ckpt",
@@ -113,7 +114,33 @@ pub fn cached_sweep(spec: &SweepSpec) -> SweepResult {
         "[sweep:{}] done in {:.1}s on {} jobs",
         spec.name, res.wall_secs, res.jobs_used
     );
+    check_no_failed_cells(&res, &journal).unwrap_or_else(|e| panic!("{e}"));
     res
+}
+
+/// `Ok` when every cell of `res` ran, else a message naming each failed
+/// cell (config, system, workload and its error) and `journal`, which holds
+/// the failures: a rerun would resume them, so it must be deleted first.
+fn check_no_failed_cells(res: &SweepResult, journal: &str) -> Result<(), String> {
+    let failures = res.failures();
+    if failures.is_empty() {
+        return Ok(());
+    }
+    let mut msg = format!(
+        "sweep {} has {} failed cell(s); fix the cause, delete {journal} and rerun:",
+        res.name,
+        failures.len()
+    );
+    for c in failures {
+        msg += &format!(
+            "\n  {}/{}/{}: {}",
+            c.config,
+            c.system.name(),
+            c.workload,
+            c.error.as_deref().unwrap_or_default()
+        );
+    }
+    Err(msg)
 }
 
 /// Runs (or resumes from its on-disk journal) the full 45-workload × 5-system
@@ -162,5 +189,40 @@ mod tests {
     #[test]
     fn pct_formats() {
         assert_eq!(pct(0.545).trim(), "54.5");
+    }
+
+    #[test]
+    fn failed_cells_fail_the_artifact() {
+        use d2m_sim::{CellResult, RunMetrics};
+
+        let cell = |index: u64, error: Option<&str>| CellResult {
+            index,
+            config: "default".into(),
+            system: SystemKind::D2mNsR,
+            workload: "tpc-c".into(),
+            seed: 7,
+            metrics: RunMetrics::failed("D2M-NS-R", "tpc-c", "server"),
+            error: error.map(str::to_string),
+        };
+        let mut res = SweepResult {
+            name: "full-matrix".into(),
+            master_seed: 42,
+            cells: vec![cell(0, None)],
+            jobs_used: 1,
+            wall_secs: 0.0,
+        };
+        assert_eq!(check_no_failed_cells(&res, "target/x.ckpt"), Ok(()));
+
+        res.cells
+            .push(cell(1, Some("protocol error: LlcFs { way: 3 }")));
+        let msg = check_no_failed_cells(&res, "target/x.ckpt").unwrap_err();
+        for part in [
+            "full-matrix",
+            "1 failed cell",
+            "default/D2M-NS-R/tpc-c: protocol error: LlcFs { way: 3 }",
+            "delete target/x.ckpt",
+        ] {
+            assert!(msg.contains(part), "{part:?} missing from {msg}");
+        }
     }
 }

@@ -67,11 +67,6 @@ impl VersionOracle {
             ))
         }
     }
-
-    /// Number of lines ever written.
-    pub fn written_lines(&self) -> usize {
-        self.latest.len()
-    }
 }
 
 #[cfg(test)]

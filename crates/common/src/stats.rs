@@ -1,4 +1,4 @@
-//! Statistics plumbing: counter registries, running means and histograms.
+//! Statistics plumbing: counter registries and histograms.
 //!
 //! Systems expose their raw event counts through a [`Counters`] map so the
 //! experiment harness can diff arbitrary systems without each crate exporting
@@ -56,15 +56,6 @@ impl Counters {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn sum_prefix(&self, prefix: &str) -> u64 {
-        self.0
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| *v)
-            .sum()
-    }
 }
 
 impl fmt::Display for Counters {
@@ -87,53 +78,6 @@ impl Extend<(String, u64)> for Counters {
         for (k, v) in iter {
             self.add(k, v);
         }
-    }
-}
-
-/// Incremental mean without storing samples.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RunningMean {
-    sum: f64,
-    n: u64,
-}
-
-impl RunningMean {
-    /// Creates an empty mean.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&mut self, x: f64) {
-        self.sum += x;
-        self.n += 1;
-    }
-
-    /// Records a pre-aggregated batch (`sum` over `n` samples).
-    #[inline]
-    pub fn record_batch(&mut self, sum: f64, n: u64) {
-        self.sum += sum;
-        self.n += n;
-    }
-
-    /// The mean so far, or 0.0 when no samples were recorded.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sum of samples recorded.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 }
 
@@ -265,11 +209,10 @@ mod tests {
     fn counters_prefix_sum_and_merge() {
         let mut a = Counters::new();
         a.add("x.a", 1).add("x.b", 2).add("y.a", 10);
-        assert_eq!(a.sum_prefix("x."), 3);
         let mut top = Counters::new();
         top.merge_prefixed("n0.", &a);
         assert_eq!(top.get("n0.x.b"), 2);
-        assert_eq!(top.sum_prefix("n0."), 13);
+        assert_eq!(top.get("n0.y.a"), 10);
     }
 
     #[test]
@@ -278,18 +221,6 @@ mod tests {
         c.add("alpha", 1).add("beta", 2);
         let s = c.to_string();
         assert!(s.contains("alpha") && s.contains("beta"));
-    }
-
-    #[test]
-    fn running_mean_basic() {
-        let mut m = RunningMean::new();
-        assert_eq!(m.mean(), 0.0);
-        m.record(2.0);
-        m.record(4.0);
-        assert!((m.mean() - 3.0).abs() < 1e-12);
-        m.record_batch(6.0, 2);
-        assert!((m.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(m.count(), 4);
     }
 
     #[test]

@@ -152,9 +152,6 @@ pub struct D2mCounters {
     pub miss_count: u64,
     /// Value-coherence violations (must stay zero).
     pub coherence_errors: u64,
-    /// Deterministic-LI violations (an LI pointed at a wrong/stale slot;
-    /// must stay zero).
-    pub determinism_errors: u64,
 }
 
 impl D2mCounters {
@@ -214,8 +211,7 @@ impl D2mCounters {
             .set("md3.evictions", self.md3_evictions)
             .set("miss_latency_sum", self.miss_latency_sum)
             .set("miss_count", self.miss_count)
-            .set("coherence_errors", self.coherence_errors)
-            .set("determinism_errors", self.determinism_errors);
+            .set("coherence_errors", self.coherence_errors);
         c
     }
 }

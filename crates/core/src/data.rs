@@ -8,16 +8,16 @@
 //! A slot is either:
 //!
 //! * a **master** — the single coherent home of the line; always dirty when
-//!   in a node's L1/L2, possibly clean (w.r.t. memory) in an LLC slot;
+//!   in a node's L1, possibly clean (w.r.t. memory) in an LLC slot;
 //! * a **replica** — a valid copy; its RP names the master's location;
-//! * a **stale victim** — an allocated slot whose contents are outdated
+//! * a **stale victim** — an allocated LLC slot whose contents are outdated
 //!   because the master moved into a node on a write upgrade; its owner's RP
 //!   points back so evictions can land here (`stale == true`). No LI ever
 //!   points at a stale slot (checked by the invariant suite).
 
 use crate::li::Li;
 
-/// One tag-less data-array slot (L1, L2, or an LLC slice/bank).
+/// One tag-less data-array slot (L1, or an LLC slice/bank).
 #[derive(Clone, Copy, Debug)]
 pub struct DataLine {
     /// True if this copy is the line's master location.

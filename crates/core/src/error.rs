@@ -1,15 +1,14 @@
 //! Typed protocol errors.
 //!
-//! A corrupted location pointer (LI) used to abort the whole process via
-//! `panic!`; transactions now propagate a [`ProtocolError`] instead, so a
-//! single bad cell fails its sweep cell (reported in the sweep result) while
-//! the rest of a multi-hour sweep keeps running.
+//! A corrupted location pointer (LI) fails its transaction with a
+//! [`ProtocolError`], in debug and release builds alike: the error fails
+//! the run, a sweep records it against that one cell, and the rest of a
+//! multi-hour sweep keeps running. No path reroutes around a broken LI.
 
 use crate::li::Li;
 
 /// A protocol-level failure on the transaction path, caused by metadata
-/// state that violates the deterministic-LI invariants beyond what the
-/// soft-fallback paths (`determinism_errors`) can absorb.
+/// state that violates the deterministic-LI invariants.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProtocolError {
     /// An LI that should name an LLC slot named something else entirely.
@@ -34,6 +33,14 @@ pub enum ProtocolError {
         /// Where it was found.
         context: &'static str,
     },
+    /// A well-formed LI naming a slot that does not hold its line (paper
+    /// §II: "if an LI says a line is in L1 way 3, it is there").
+    Determinism {
+        /// The offending location pointer.
+        li: Li,
+        /// Where it was followed.
+        context: &'static str,
+    },
     /// Region metadata in a state the protocol cannot act on.
     CorruptMetadata {
         /// What was corrupt.
@@ -53,6 +60,9 @@ impl std::fmt::Display for ProtocolError {
             ),
             ProtocolError::UnexpectedLi { li, context } => {
                 write!(f, "unexpected LI {li:?}: {context}")
+            }
+            ProtocolError::Determinism { li, context } => {
+                write!(f, "{li:?} does not hold its line: {context}")
             }
             ProtocolError::CorruptMetadata { context } => {
                 write!(f, "corrupt metadata: {context}")
@@ -78,5 +88,10 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("1 slices") && s.contains("32 ways"), "{s}");
+        let e = ProtocolError::Determinism {
+            li: Li::L1 { way: 3 },
+            context: "L1 hit",
+        };
+        assert!(e.to_string().contains("L1 { way: 3 }"), "{e}");
     }
 }

@@ -219,21 +219,10 @@ impl D2mSystem {
                                 }
                             }
                         }
-                        Li::L2 { way } => {
-                            if !self.feats.private_l2 {
-                                return Err(format!(
-                                    "node {n} LI for {line:?} names an L2 in an L2-less system"
-                                ));
-                            }
-                            let set = self.l2_set(line);
-                            match self.arr(ArrKind::L2).at(n, set, way as usize) {
-                                Some((k, dl)) if k == line.raw() && dl.serveable() => {}
-                                _ => {
-                                    return Err(format!(
-                                    "node {n} LI for {line:?} names L2 way {way} without the line"
-                                ))
-                                }
-                            }
+                        Li::L2 { .. } => {
+                            return Err(format!(
+                                "node {n} LI for {line:?} names an L2, which D2M does not have"
+                            ));
                         }
                         Li::LlcFs { .. } | Li::LlcNs { .. } => {
                             let (slice, way) =
@@ -346,12 +335,7 @@ impl D2mSystem {
 
     fn check_data_inclusion(&self) -> Result<(), String> {
         for n in 0..self.nodes_count() {
-            let kinds: &[ArrKind] = if self.feats.private_l2 {
-                &[ArrKind::L1I, ArrKind::L1D, ArrKind::L2]
-            } else {
-                &[ArrKind::L1I, ArrKind::L1D]
-            };
-            for kind in kinds.iter().copied() {
+            for kind in [ArrKind::L1I, ArrKind::L1D] {
                 for (_, _, key, _) in self.arr(kind).iter_bank(n) {
                     let region = LineAddr::new(key).region();
                     if self
@@ -416,12 +400,7 @@ impl D2mSystem {
             }
         };
         for n in 0..self.nodes_count() {
-            let kinds: &[ArrKind] = if self.feats.private_l2 {
-                &[ArrKind::L1I, ArrKind::L1D, ArrKind::L2]
-            } else {
-                &[ArrKind::L1I, ArrKind::L1D]
-            };
-            for kind in kinds.iter().copied() {
+            for kind in [ArrKind::L1I, ArrKind::L1D] {
                 for (_, _, key, dl) in self.arr(kind).iter_bank(n) {
                     record(key, dl.master, format!("node {n} {kind:?}"));
                     if dl.serveable() {
@@ -468,12 +447,7 @@ impl D2mSystem {
         // Lines with no cached master: memory must hold the latest version.
         // (Only lines ever written matter; others are trivially version 0.)
         for n in 0..self.nodes_count() {
-            let kinds: &[ArrKind] = if self.feats.private_l2 {
-                &[ArrKind::L1I, ArrKind::L1D, ArrKind::L2]
-            } else {
-                &[ArrKind::L1I, ArrKind::L1D]
-            };
-            for kind in kinds.iter().copied() {
+            for kind in [ArrKind::L1I, ArrKind::L1D] {
                 for (_, _, key, _) in self.arr(kind).iter_bank(n) {
                     if masters.get(&key).map_or(0, |v| v.len()) == 0 {
                         let line = LineAddr::new(key);
@@ -495,12 +469,7 @@ impl D2mSystem {
     /// (or memory). Used by ad-hoc reproduction drivers; O(all lines).
     pub fn debug_validate_rps(&self) -> Result<(), String> {
         for n in 0..self.cfg.nodes {
-            let kinds: &[ArrKind] = if self.feats.private_l2 {
-                &[ArrKind::L1I, ArrKind::L1D, ArrKind::L2]
-            } else {
-                &[ArrKind::L1I, ArrKind::L1D]
-            };
-            for kind in kinds.iter().copied() {
+            for kind in [ArrKind::L1I, ArrKind::L1D] {
                 for (_, _, key, dl) in self.arr(kind).iter_bank(n) {
                     if !dl.master {
                         continue;

@@ -29,7 +29,10 @@ pub enum Li {
         /// Way within the L1 set.
         way: u8,
     },
-    /// In the local L2, at the given way.
+    /// In the local L2, at the given way. Table I defines the encoding,
+    /// but no D2M data array here is an L2 (the evaluated variants have
+    /// none, Figure 4), so the protocol rejects it as
+    /// [`crate::ProtocolError::UnexpectedLi`] wherever it meets one.
     L2 {
         /// Way within the L2 set.
         way: u8,

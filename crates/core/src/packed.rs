@@ -233,12 +233,6 @@ impl PackedLiArray {
         Self::gather(Self::lanes_node_local(self.words[0]))
             | (Self::gather(Self::lanes_node_local(self.words[1])) << 8)
     }
-
-    /// The two backing words (tests, size accounting).
-    #[inline]
-    pub fn raw_words(&self) -> [u64; 2] {
-        self.words
-    }
 }
 
 impl Default for PackedLiArray {

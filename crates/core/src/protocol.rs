@@ -17,7 +17,15 @@
 //! Key invariants maintained throughout (checked by [`crate::invariants`]):
 //! deterministic LIs, a single master per line, metadata inclusion, and
 //! PB ⇔ MD2-residency.
+//!
+//! An LI is followed, never second-guessed: a slot it names that does not
+//! hold its line fails the transaction with
+//! [`ProtocolError::Determinism`], and an LI of a class that cannot occur
+//! where it is found fails it with [`ProtocolError::UnexpectedLi`] (this
+//! includes `Li::L2`, an encoding no D2M data array here produces). Debug
+//! and release builds take the same path.
 
+use d2m_cache::Banked;
 use d2m_common::addr::{LineAddr, LineOffset, NodeId, RegionAddr, LINES_PER_REGION};
 use d2m_common::outcome::{AccessResult, ServicedBy};
 use d2m_common::probe::{LookupLevel, Probe, TxnEvent, TxnKind};
@@ -118,17 +126,13 @@ impl D2mSystem {
             let kind = if is_i { ArrKind::L1I } else { ArrKind::L1D };
             let set = self.l1_set(line);
             self.energy.record(EnergyEvent::L1Array, 1);
-            let slot = match self.arr(kind).at(node, set, way as usize) {
-                Some((k, dl)) if k == line.raw() => *dl,
-                _ => {
-                    // A deterministic-LI violation: fall back to memory.
-                    self.ctr.determinism_errors += 1;
-                    debug_assert!(false, "LI pointed at a wrong L1 slot");
-                    return self.miss_path(
-                        node, is_i, is_store, line, off, md, private, md_hit, latency, now,
-                    );
-                }
-            };
+            let slot = *Self::named_slot(
+                self.arr_mut(kind),
+                (node, set, way as usize),
+                line,
+                Li::L1 { way },
+                "L1 hit",
+            )?;
             let mut late = false;
             if now < slot.ready_at {
                 late = true;
@@ -146,11 +150,8 @@ impl D2mSystem {
             }
             if is_store {
                 latency += self.write_hit(node, line, off, md, private, set, way as usize)?;
-            } else if self.cfg.check_coherence {
-                if let Err(e) = self.oracle.check_load(line, slot.version) {
-                    self.ctr.coherence_errors += 1;
-                    debug_assert!(false, "{e}");
-                }
+            } else {
+                self.check_load(line, slot.version);
             }
             self.arr_mut(kind).touch(node, set, way as usize);
             return Ok(AccessResult {
@@ -223,11 +224,8 @@ impl D2mSystem {
         };
         latency += lat;
 
-        if !is_store && self.cfg.check_coherence {
-            if let Err(e) = self.oracle.check_load(line, dl.version) {
-                self.ctr.coherence_errors += 1;
-                debug_assert!(false, "{e}");
-            }
+        if !is_store {
+            self.check_load(line, dl.version);
         }
 
         let mut dl = dl;
@@ -244,6 +242,35 @@ impl D2mSystem {
             serviced_by: serviced,
             private_miss: Some(private),
         })
+    }
+
+    /// With the value oracle on, counts a load of `line` that observed a
+    /// version older than the latest store; the runner fails a run with
+    /// any, in every build.
+    fn check_load(&mut self, line: LineAddr, version: u64) {
+        if self.cfg.check_coherence && self.oracle.check_load(line, version).is_err() {
+            self.ctr.coherence_errors += 1;
+        }
+    }
+
+    /// `line`'s copy in slot `(bank, set, way)` of `arr`: the slot `li`
+    /// names as the line's location.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Determinism`] when the slot holds another line or
+    /// none; a deterministic LI (paper §II) never does.
+    fn named_slot<'a>(
+        arr: &'a mut Banked<DataLine>,
+        (bank, set, way): (usize, usize, usize),
+        line: LineAddr,
+        li: Li,
+        context: &'static str,
+    ) -> Result<&'a mut DataLine, ProtocolError> {
+        match arr.at_mut(bank, set, way) {
+            Some((k, dl)) if k == line.raw() => Ok(dl),
+            _ => Err(ProtocolError::Determinism { li, context }),
+        }
     }
 
     // ================= metadata resolution =================
@@ -615,52 +642,28 @@ impl D2mSystem {
                     let set = self.l1_set(line);
                     let is_i = self.region_is_icache(owner, region);
                     let kind = if is_i { ArrKind::L1I } else { ArrKind::L1D };
-                    match self.arr(kind).at(owner, set, way as usize) {
-                        Some((k, dl)) if k == line.raw() => {
-                            if dl.master {
-                                Li::Node(NodeId::new(owner as u8))
-                            } else {
-                                // Replica: follow its RP chain (which may
-                                // pass through the owner's local slice
-                                // replica) to the true master.
-                                match dl.rp {
-                                    Li::L1 { .. } | Li::L2 { .. } => {
-                                        Li::Node(NodeId::new(owner as u8))
-                                    }
-                                    global => self.resolve_replica_chain(line, global)?,
-                                }
-                            }
-                        }
-                        _ => {
-                            self.ctr.determinism_errors += 1;
-                            debug_assert!(false, "owner LI pointed at a wrong slot");
-                            Li::Mem
-                        }
+                    let dl = *Self::named_slot(
+                        self.arr_mut(kind),
+                        (owner, set, way as usize),
+                        line,
+                        li,
+                        "D2 owner LI conversion",
+                    )?;
+                    if dl.master {
+                        Li::Node(NodeId::new(owner as u8))
+                    } else {
+                        // Replica: follow its RP chain (which may pass
+                        // through the owner's local slice replica) to the
+                        // true master.
+                        self.resolve_replica_chain(line, dl.rp)?
                     }
                 }
-                Li::L2 { way } if self.feats.private_l2 => {
-                    let set = self.l2_set(line);
-                    match self.arr(ArrKind::L2).at(owner, set, way as usize) {
-                        Some((k, dl)) if k == line.raw() => {
-                            if dl.master {
-                                Li::Node(NodeId::new(owner as u8))
-                            } else {
-                                match dl.rp {
-                                    Li::L1 { .. } | Li::L2 { .. } => {
-                                        Li::Node(NodeId::new(owner as u8))
-                                    }
-                                    global => self.resolve_replica_chain(line, global)?,
-                                }
-                            }
-                        }
-                        _ => {
-                            self.ctr.determinism_errors += 1;
-                            debug_assert!(false, "owner LI pointed at a wrong L2 slot");
-                            Li::Mem
-                        }
-                    }
+                Li::L2 { .. } => {
+                    return Err(ProtocolError::UnexpectedLi {
+                        li,
+                        context: "D2 owner LI conversion: no D2M data array is an L2",
+                    })
                 }
-                Li::L2 { .. } => Li::Node(NodeId::new(owner as u8)),
                 // A direct pointer into an LLC slot may name the owner's
                 // local replica; resolve it to the true master.
                 other => self.resolve_replica_chain(line, other)?,
@@ -752,16 +755,11 @@ impl D2mSystem {
         li: Li,
     ) -> Result<(u64, ServicedBy, DataLine), ProtocolError> {
         match li {
-            Li::L2 { way } if self.feats.private_l2 => {
-                self.serve_l2_local(node, line, way as usize)
-            }
-            Li::L1 { .. } | Li::L2 { .. } => {
-                // L1 handled by the caller; an L2 LI is only valid when the
-                // optional private L2 is configured.
-                self.ctr.determinism_errors += 1;
-                debug_assert!(false, "unexpected node-local LI on the miss path");
-                self.serve_memory(node, line, is_i)
-            }
+            // An L1 LI is an L1 hit, taken before the miss path.
+            Li::L1 { .. } | Li::L2 { .. } => Err(ProtocolError::UnexpectedLi {
+                li,
+                context: "node-local LI on the miss path",
+            }),
             Li::LlcFs { .. } | Li::LlcNs { .. } => self.serve_llc(node, is_i, line, li),
             Li::Mem | Li::Invalid => self.serve_memory(node, line, is_i),
             Li::Node(m) => self.serve_remote_node(node, line, m),
@@ -779,14 +777,13 @@ impl D2mSystem {
     ) -> Result<(u64, ServicedBy, DataLine), ProtocolError> {
         let (slice, way) = self.llc_slice_way(li)?;
         let set = self.llc_set(line, slice);
-        let slot = match self.llc.at(slice, set, way) {
-            Some((k, dl)) if k == line.raw() && dl.serveable() => *dl,
-            _ => {
-                self.ctr.determinism_errors += 1;
-                debug_assert!(false, "LI pointed at a wrong/stale LLC slot");
-                return self.serve_memory(node, line, is_i);
-            }
-        };
+        let slot = *Self::named_slot(&mut self.llc, (slice, set, way), line, li, "LLC read")?;
+        if !slot.serveable() {
+            return Err(ProtocolError::Determinism {
+                li,
+                context: "LLC read: the slot is a stale victim",
+            });
+        }
         let was_mru = self.llc.is_mru(slice, set, way);
         self.llc.touch(slice, set, way);
         self.note_region_reuse(node, line.region());
@@ -834,45 +831,6 @@ impl D2mSystem {
             rp = self.replicate_local(node, line, slot.version, li)?;
         }
         Ok((lat, serviced, DataLine::replica(slot.version, 0, rp)))
-    }
-
-    /// Serves a read from the node's own private L2 (optional level): the
-    /// line moves up to L1. A master leaves its L2 slot behind as its victim
-    /// location (paper §II-B: "L1 cachelines may have victim locations
-    /// allocated for them in L2"); a replica's slot is freed.
-    fn serve_l2_local(
-        &mut self,
-        node: usize,
-        line: LineAddr,
-        way: usize,
-    ) -> Result<(u64, ServicedBy, DataLine), ProtocolError> {
-        let set = self.l2_set(line);
-        let slot = match self.arr(ArrKind::L2).at(node, set, way) {
-            Some((k, dl)) if k == line.raw() && dl.serveable() => *dl,
-            _ => {
-                self.ctr.determinism_errors += 1;
-                debug_assert!(false, "LI pointed at a wrong/stale L2 slot");
-                return self.serve_memory(node, line, false);
-            }
-        };
-        self.energy.record(EnergyEvent::L2Array, 1);
-        let lat = self.cfg.lat.l2;
-        let dl = if slot.master {
-            // Keep the slot as the (stale) victim location for the new L1
-            // master.
-            let arr = self.arr_mut(ArrKind::L2);
-            let (_, v) = arr.at_mut(node, set, way).expect("occupied");
-            v.master = false;
-            v.stale = true;
-            let mut dl = DataLine::master(slot.version, 0, slot.dirty, Li::L2 { way: way as u8 });
-            dl.excl = slot.excl;
-            dl.dirty = slot.dirty;
-            dl
-        } else {
-            self.arr_mut(ArrKind::L2).remove(node, set, way);
-            DataLine::replica(slot.version, 0, slot.rp)
-        };
-        Ok((lat, ServicedBy::L2, dl))
     }
 
     /// Serves a read from memory. The request travels to the far side where
@@ -1000,12 +958,10 @@ impl D2mSystem {
                     DataLine::replica(version, 0, Li::Node(m)),
                 ))
             }
-            None => {
-                self.ctr.determinism_errors += 1;
-                debug_assert!(false, "remote master node does not hold the line");
-                let (l2, s, dl) = self.serve_memory(node, line, false)?;
-                Ok((lat + l2, s, dl))
-            }
+            None => Err(ProtocolError::Determinism {
+                li: Li::Node(m),
+                context: "direct-to-master read: the node lacks the line",
+            }),
         }
     }
 
@@ -1041,7 +997,7 @@ impl D2mSystem {
         } else if private {
             // Case B at hit granularity: silent upgrade (paper §IV-A).
             self.ev.silent_upgrades += 1;
-            rp = self.collapse_chain(node, slot.rp, line)?;
+            rp = self.collapse_chain(slot.rp, line)?;
         } else {
             // Shared-region upgrade: full case C (data already local).
             self.ev.c_write_shared += 1;
@@ -1059,9 +1015,7 @@ impl D2mSystem {
                 Some(v) if !matches!(v, Li::Node(_)) => v,
                 _ => Li::Mem,
             };
-            if self.feats.private_l2 {
-                rp = self.alloc_l2_victim_slot(node, line, rp)?;
-            } else if rp == Li::Mem {
+            if rp == Li::Mem {
                 rp = self.alloc_llc_victim_slot(node, line)?;
             }
         }
@@ -1089,26 +1043,9 @@ impl D2mSystem {
         if private {
             // Case B: direct read from the master, silent promotion.
             let (lat, serviced, fetched) = self.read_miss(node, false, line, off, li)?;
-            if self.cfg.check_coherence {
-                if let Err(e) = self.oracle.check_load(line, fetched.version) {
-                    self.ctr.coherence_errors += 1;
-                    debug_assert!(false, "stale RFO data: {e}");
-                }
-            }
-            if fetched.master {
-                // Already promoted to a master (e.g. out of the local L2):
-                // its victim location is set; just mint the store version.
-                let version = self.oracle.on_store(line);
-                let mut dl = fetched;
-                dl.excl = true;
-                dl.dirty = true;
-                dl.version = version;
-                return Ok((lat, serviced, dl));
-            }
-            let downstream = self.collapse_chain(node, fetched.rp, line)?;
-            let victim = if self.feats.private_l2 {
-                self.alloc_l2_victim_slot(node, line, downstream)?
-            } else if downstream == Li::Mem {
+            self.check_load(line, fetched.version);
+            let downstream = self.collapse_chain(fetched.rp, line)?;
+            let victim = if downstream == Li::Mem {
                 self.alloc_llc_victim_slot(node, line)?
             } else {
                 downstream
@@ -1120,18 +1057,9 @@ impl D2mSystem {
             let (lat, victim, fetched_version, serviced) =
                 self.case_c_invalidate(node, line, off, true)?;
             self.purge_local_slice_replica(node, line);
-            if self.cfg.check_coherence {
-                if let Err(e) = self.oracle.check_load(line, fetched_version) {
-                    self.ctr.coherence_errors += 1;
-                    debug_assert!(false, "stale case-C data: {e}");
-                }
-            }
-            let victim = match (victim, self.feats.private_l2) {
-                (v, true) => {
-                    let downstream = v.unwrap_or(Li::Mem);
-                    self.alloc_l2_victim_slot(node, line, downstream)?
-                }
-                (Some(v), false) if v != Li::Mem => v,
+            self.check_load(line, fetched_version);
+            let victim = match victim {
+                Some(v) if v != Li::Mem => v,
                 _ => self.alloc_llc_victim_slot(node, line)?,
             };
             let version = self.oracle.on_store(line);
@@ -1175,31 +1103,30 @@ impl D2mSystem {
             Li::LlcFs { .. } | Li::LlcNs { .. } => {
                 let (slice, way) = self.llc_slice_way(old)?;
                 let set = self.llc_set(line, slice);
-                match self.llc.at_mut(slice, set, way) {
-                    Some((k, dl)) if k == line.raw() => {
-                        version = dl.version;
-                        dl.master = false;
-                        dl.stale = true;
-                        victim = Some(old);
-                        let ep = self.llc_endpoint(slice);
-                        if fetch_data {
-                            if ep != Endpoint::FarSide {
-                                lat += self.noc.send(MsgClass::Fwd, Endpoint::FarSide, ep);
-                            }
-                            lat += self.noc.send(MsgClass::DataReply, ep, me);
-                            serviced = if ep == me {
-                                ServicedBy::LocalNs
-                            } else if ep == Endpoint::FarSide {
-                                ServicedBy::Llc
-                            } else {
-                                ServicedBy::RemoteNs
-                            };
-                        }
+                let dl = Self::named_slot(
+                    &mut self.llc,
+                    (slice, set, way),
+                    line,
+                    old,
+                    "case C: demoting the LLC master",
+                )?;
+                version = dl.version;
+                dl.master = false;
+                dl.stale = true;
+                victim = Some(old);
+                let ep = self.llc_endpoint(slice);
+                if fetch_data {
+                    if ep != Endpoint::FarSide {
+                        lat += self.noc.send(MsgClass::Fwd, Endpoint::FarSide, ep);
                     }
-                    _ => {
-                        self.ctr.determinism_errors += 1;
-                        debug_assert!(false, "MD3 LI pointed at a wrong LLC slot");
-                    }
+                    lat += self.noc.send(MsgClass::DataReply, ep, me);
+                    serviced = if ep == me {
+                        ServicedBy::LocalNs
+                    } else if ep == Endpoint::FarSide {
+                        ServicedBy::Llc
+                    } else {
+                        ServicedBy::RemoteNs
+                    };
                 }
             }
             Li::Mem | Li::Invalid => {
@@ -1231,18 +1158,21 @@ impl D2mSystem {
                 self.ctr.md2_accesses += 1;
                 self.energy.record(EnergyEvent::Md2, 1);
                 lat += self.cfg.lat.md2 + self.cfg.lat.l1;
-                if let Some((kind, s, w)) = self.node_slot_of(m.index(), line) {
-                    let arr = self.arr(kind);
-                    let dl = *arr.at(m.index(), s, w).map(|(_, dl)| dl).expect("occupied");
-                    version = dl.version;
-                    // Inherit the old master's victim slot if it has one.
-                    if dl.rp.is_llc() {
-                        victim = Some(dl.rp);
-                    }
-                } else {
-                    self.ctr.determinism_errors += 1;
-                    debug_assert!(false, "old master node lacks the line");
-                    version = self.oracle.memory(line);
+                let Some((kind, s, w)) = self.node_slot_of(m.index(), line) else {
+                    return Err(ProtocolError::Determinism {
+                        li: old,
+                        context: "case C: the old master node lacks the line",
+                    });
+                };
+                let dl = *self
+                    .arr(kind)
+                    .at(m.index(), s, w)
+                    .map(|(_, dl)| dl)
+                    .expect("occupied");
+                version = dl.version;
+                // Inherit the old master's victim slot if it has one.
+                if dl.rp.is_llc() {
+                    victim = Some(dl.rp);
                 }
                 self.purge_node_line(m.index(), line);
                 if let Some(mdm) = self.find_active_md(m.index(), region) {
@@ -1376,73 +1306,41 @@ impl D2mSystem {
     /// replica slots along the chain are dropped, the final master slot is
     /// demoted to a stale victim, and its location is returned as the new
     /// master's RP (or `Mem`).
-    fn collapse_chain(
-        &mut self,
-        _node: usize,
-        start: Li,
-        line: LineAddr,
-    ) -> Result<Li, ProtocolError> {
+    fn collapse_chain(&mut self, start: Li, line: LineAddr) -> Result<Li, ProtocolError> {
         let mut cur = start;
         for _ in 0..4 {
             match cur {
                 Li::LlcFs { .. } | Li::LlcNs { .. } => {
                     let (slice, way) = self.llc_slice_way(cur)?;
                     let set = self.llc_set(line, slice);
-                    match self.llc.at(slice, set, way) {
-                        Some((k, dl)) if k == line.raw() => {
-                            if dl.master {
-                                let (_, dl) = self.llc.at_mut(slice, set, way).expect("occupied");
-                                dl.master = false;
-                                dl.stale = true;
-                                return Ok(cur);
-                            }
-                            if dl.stale {
-                                // Already a victim slot reserved for us.
-                                return Ok(cur);
-                            }
-                            let next = dl.rp;
-                            self.llc.remove(slice, set, way);
-                            cur = next;
-                        }
-                        _ => {
-                            self.ctr.determinism_errors += 1;
-                            debug_assert!(false, "RP chain pointed at a wrong slot");
-                            return Ok(Li::Mem);
-                        }
+                    let dl = Self::named_slot(
+                        &mut self.llc,
+                        (slice, set, way),
+                        line,
+                        cur,
+                        "silent upgrade: collapsing the RP chain",
+                    )?;
+                    if dl.master {
+                        dl.master = false;
+                        dl.stale = true;
+                        return Ok(cur);
                     }
-                }
-                Li::L2 { way } if self.feats.private_l2 => {
-                    let set = self.l2_set(line);
-                    match self.arr(ArrKind::L2).at(_node, set, way as usize) {
-                        Some((k, dl)) if k == line.raw() => {
-                            if dl.master {
-                                let arr = self.arr_mut(ArrKind::L2);
-                                let (_, dl) =
-                                    arr.at_mut(_node, set, way as usize).expect("occupied");
-                                dl.master = false;
-                                dl.stale = true;
-                                return Ok(cur);
-                            }
-                            if dl.stale {
-                                return Ok(cur);
-                            }
-                            let next = dl.rp;
-                            self.arr_mut(ArrKind::L2).remove(_node, set, way as usize);
-                            cur = next;
-                        }
-                        _ => {
-                            self.ctr.determinism_errors += 1;
-                            debug_assert!(false, "RP chain pointed at a wrong L2 slot");
-                            return Ok(Li::Mem);
-                        }
+                    if dl.stale {
+                        // Already a victim slot reserved for us.
+                        return Ok(cur);
                     }
+                    let next = dl.rp;
+                    self.llc.remove(slice, set, way);
+                    cur = next;
                 }
                 Li::Mem | Li::Invalid => return Ok(Li::Mem),
+                // Private regions cannot have remote masters, and RP chains
+                // hold only global locations.
                 Li::Node(_) | Li::L1 { .. } | Li::L2 { .. } => {
-                    // Private regions cannot have remote masters; node-local
-                    // RP chains do not occur without an L2.
-                    debug_assert!(false, "unexpected RP chain element {cur:?}");
-                    return Ok(Li::Mem);
+                    return Err(ProtocolError::UnexpectedLi {
+                        li: cur,
+                        context: "silent upgrade: RP chain element",
+                    })
                 }
             }
         }
@@ -1549,53 +1447,6 @@ impl D2mSystem {
         Ok(())
     }
 
-    /// Frees (evicting if needed) an L2 slot for `line` at `node`.
-    fn alloc_l2_slot(
-        &mut self,
-        node: usize,
-        line: LineAddr,
-    ) -> Result<(usize, usize), ProtocolError> {
-        let set = self.l2_set(line);
-        if let Some(existing) = self.arr(ArrKind::L2).way_of(node, set, line.raw()) {
-            self.evict_data_line(node, ArrKind::L2, set, existing, false)?;
-            return Ok((set, existing));
-        }
-        let way = self.arr(ArrKind::L2).victim_way(node, set);
-        if self.arr(ArrKind::L2).at(node, set, way).is_some() {
-            self.evict_data_line(node, ArrKind::L2, set, way, false)?;
-        }
-        Ok((set, way))
-    }
-
-    /// Allocates a stale L2 victim slot for a new L1-held master (the local
-    /// analogue of [`Self::alloc_llc_victim_slot`]). `downstream` is where a
-    /// master landing here will itself evict to (the Figure 2 chain:
-    /// L1 → L2 victim slot → LLC victim slot → memory).
-    fn alloc_l2_victim_slot(
-        &mut self,
-        node: usize,
-        line: LineAddr,
-        downstream: Li,
-    ) -> Result<Li, ProtocolError> {
-        let (set, way) = self.alloc_l2_slot(node, line)?;
-        self.l2.as_mut().expect("L2 enabled").insert_at(
-            node,
-            set,
-            way,
-            line.raw(),
-            DataLine {
-                master: false,
-                excl: false,
-                dirty: false,
-                stale: true,
-                version: 0,
-                ready_at: 0,
-                rp: downstream,
-            },
-        );
-        Ok(Li::L2 { way: way as u8 })
-    }
-
     fn pick_slice(&mut self, node: usize) -> usize {
         if self.feats.near_side {
             let s = self.choose_ns_slice(node);
@@ -1683,37 +1534,7 @@ impl D2mSystem {
         let md = self.find_active_md(node, region);
 
         if !slot.master {
-            let li_here = match kind {
-                ArrKind::L2 => Li::L2 { way: way as u8 },
-                _ => Li::L1 { way: way as u8 },
-            };
-            if slot.stale {
-                // A reclaimed victim slot: the local master whose RP names
-                // this slot falls back to the slot's own downstream victim.
-                if let Some((hk, hs, hw)) = self.node_slot_of(node, line) {
-                    let arr = self.arr_mut(hk);
-                    let (_, holder) = arr.at_mut(node, hs, hw).expect("occupied");
-                    if holder.rp == li_here {
-                        holder.rp = slot.rp;
-                    }
-                }
-                return Ok(());
-            }
-            // With the optional L2, clean L1 victims demote into the L2
-            // (victim caching) instead of being dropped.
-            if self.feats.private_l2 && kind != ArrKind::L2 && !quiet {
-                let (s2, w2) = self.alloc_l2_slot(node, line)?;
-                self.l2
-                    .as_mut()
-                    .expect("L2 enabled")
-                    .insert_at(node, s2, w2, line.raw(), slot);
-                if let Some(md) = md {
-                    if self.li_get(node, md, off) == li_here {
-                        self.li_set(node, md, off, Li::L2 { way: w2 as u8 });
-                    }
-                }
-                return Ok(());
-            }
+            let li_here = Li::L1 { way: way as u8 };
             // Silent replica drop: the LI falls back to the master location.
             if let Some(md) = md {
                 if self.li_get(node, md, off) == li_here {
@@ -1726,86 +1547,39 @@ impl D2mSystem {
         debug_assert!(slot.dirty, "node-held masters are always dirty");
         let me = Endpoint::Node(NodeId::new(node as u8));
         let private = md.map(|m| self.md_private(node, m)).unwrap_or(true);
-        // Shared-region evictions (case F) publish the victim location to
-        // other nodes and MD3, so it must be *global*: a node-local L2
-        // victim slot is collapsed to its downstream (LLC slot or memory).
-        let mut rp_target = slot.rp;
-        if !private && self.feats.private_l2 {
-            if let Li::L2 { way: vway } = rp_target {
-                let vset = self.l2_set(line);
-                rp_target = match self.arr(ArrKind::L2).at(node, vset, vway as usize) {
-                    Some((k, vdl)) if k == line.raw() && !vdl.rp.is_node_local() => {
-                        let downstream = vdl.rp;
-                        self.arr_mut(ArrKind::L2).remove(node, vset, vway as usize);
-                        downstream
-                    }
-                    _ => {
-                        self.arr_mut(ArrKind::L2).remove(node, vset, vway as usize);
-                        Li::Mem
-                    }
-                };
-            }
-        }
         // Copy the data to the victim location named by the RP.
-        let victim = match rp_target {
+        let victim = match slot.rp {
             Li::LlcFs { .. } | Li::LlcNs { .. } => {
-                let (slice, vway) = self.llc_slice_way(rp_target)?;
+                let (slice, vway) = self.llc_slice_way(slot.rp)?;
                 let vset = self.llc_set(line, slice);
-                match self.llc.at_mut(slice, vset, vway) {
-                    Some((k, vdl)) if k == line.raw() => {
-                        vdl.master = true;
-                        vdl.excl = false;
-                        vdl.dirty = true;
-                        vdl.stale = false;
-                        vdl.version = slot.version;
-                        let ep = self.llc_endpoint(slice);
-                        if !quiet {
-                            self.noc.send(MsgClass::WbData, me, ep);
-                        }
-                        rp_target
-                    }
-                    _ => {
-                        self.ctr.determinism_errors += 1;
-                        debug_assert!(false, "RP victim slot vanished: line {line:?} rp {rp_target:?} node {node} kind {kind:?} quiet {quiet}");
-                        self.noc.offchip(MsgClass::MemWrite);
-                        self.oracle.write_memory(line, slot.version);
-                        Li::Mem
-                    }
+                let vdl = Self::named_slot(
+                    &mut self.llc,
+                    (slice, vset, vway),
+                    line,
+                    slot.rp,
+                    "master eviction: the RP's victim slot",
+                )?;
+                vdl.master = true;
+                vdl.excl = false;
+                vdl.dirty = true;
+                vdl.stale = false;
+                vdl.version = slot.version;
+                let ep = self.llc_endpoint(slice);
+                if !quiet {
+                    self.noc.send(MsgClass::WbData, me, ep);
                 }
-            }
-            Li::L2 { way: vway } if self.feats.private_l2 && kind != ArrKind::L2 => {
-                // Victim location in the local L2 (no interconnect traffic).
-                let vset = self.l2_set(line);
-                let arr = self.l2.as_mut().expect("L2 enabled");
-                match arr.at_mut(node, vset, vway as usize) {
-                    Some((k, vdl)) if k == line.raw() => {
-                        vdl.master = true;
-                        vdl.excl = slot.excl;
-                        vdl.dirty = true;
-                        vdl.stale = false;
-                        vdl.version = slot.version;
-                        // vdl.rp keeps its downstream victim location.
-                        Li::L2 { way: vway }
-                    }
-                    _ => {
-                        self.ctr.determinism_errors += 1;
-                        debug_assert!(false, "L2 victim slot vanished");
-                        self.noc.offchip(MsgClass::MemWrite);
-                        self.oracle.write_memory(line, slot.version);
-                        Li::Mem
-                    }
-                }
+                slot.rp
             }
             Li::Mem | Li::Invalid => {
                 self.noc.offchip(MsgClass::MemWrite);
                 self.oracle.write_memory(line, slot.version);
                 Li::Mem
             }
-            other => {
-                debug_assert!(false, "master RP must be a victim location, got {other:?}");
-                self.noc.offchip(MsgClass::MemWrite);
-                self.oracle.write_memory(line, slot.version);
-                Li::Mem
+            other @ (Li::Node(_) | Li::L1 { .. } | Li::L2 { .. }) => {
+                return Err(ProtocolError::UnexpectedLi {
+                    li: other,
+                    context: "master eviction: an RP must name a victim location",
+                })
             }
         };
 
@@ -1940,9 +1714,11 @@ impl D2mSystem {
                         let lset = self.l1_set(line);
                         self.evict_data_line(node, kind, lset, lway as usize, !notify)?;
                     }
-                    Li::L2 { way: lway } if self.feats.private_l2 => {
-                        let lset = self.l2_set(line);
-                        self.evict_data_line(node, ArrKind::L2, lset, lway as usize, !notify)?;
+                    Li::L2 { .. } => {
+                        return Err(ProtocolError::UnexpectedLi {
+                            li,
+                            context: "MD2 eviction: no D2M data array is an L2",
+                        })
                     }
                     Li::LlcNs { node: n, way: lway }
                         if n.index() == node && self.feats.near_side =>

@@ -61,7 +61,6 @@ impl D2mVariant {
                 replication: false,
                 dynamic_indexing: false,
                 bypass: false,
-                private_l2: false,
                 traditional_l1: false,
             },
             D2mVariant::NearSide => D2mFeatures {
@@ -69,7 +68,6 @@ impl D2mVariant {
                 replication: false,
                 dynamic_indexing: false,
                 bypass: false,
-                private_l2: false,
                 traditional_l1: false,
             },
             D2mVariant::NearSideRepl => D2mFeatures {
@@ -77,7 +75,6 @@ impl D2mVariant {
                 replication: true,
                 dynamic_indexing: true,
                 bypass: false,
-                private_l2: false,
                 traditional_l1: false,
             },
         }
@@ -97,11 +94,6 @@ pub struct D2mFeatures {
     /// streaming regions skip LLC allocation on memory fills. Off in the
     /// paper's evaluated variants; exposed for the bypass ablation.
     pub bypass: bool,
-    /// Unified private L2 per node, used as a victim cache for L1 evictions
-    /// (Figure 2's generic architecture; the evaluated variants are L2-less
-    /// per Figure 4, and NS slices take the L2's place — so this is only
-    /// valid with the far-side LLC).
-    pub private_l2: bool,
     /// Traditional front end (paper §III-A): an unmodified core with a TLB
     /// and a *tagged* L1 sits in front of the D2M metadata hierarchy. The
     /// node pays TLB + tag energy on every access and consults MD2 directly
@@ -116,8 +108,6 @@ pub struct D2mFeatures {
 pub(crate) enum ArrKind {
     L1I,
     L1D,
-    /// Unified private L2 (optional; Figure 2's generic architecture).
-    L2,
 }
 
 /// A resolved reference to the active metadata entry for a region.
@@ -147,8 +137,6 @@ pub struct D2mSystem {
     pub(crate) l1i: Banked<DataLine>,
     /// L1 data arrays: one bank per node.
     pub(crate) l1d: Banked<DataLine>,
-    /// Optional unified private L2s: one bank per node.
-    pub(crate) l2: Option<Banked<DataLine>>,
     /// LLC data arrays: a single bank (index 0) for far-side, one bank per
     /// node for near-side.
     pub(crate) llc: Banked<DataLine>,
@@ -194,10 +182,6 @@ impl D2mSystem {
         seed: u64,
     ) -> Self {
         cfg.validate().expect("invalid machine config");
-        assert!(
-            !(feats.private_l2 && feats.near_side),
-            "the private L2 replaces the NS slice (Figure 4); enable only one"
-        );
         let n = cfg.nodes;
         let (llc, enc) = if feats.near_side {
             (
@@ -223,9 +207,6 @@ impl D2mSystem {
                 .collect(),
             l1i: Banked::new(n, cfg.l1i.sets, cfg.l1i.ways),
             l1d: Banked::new(n, cfg.l1d.sets, cfg.l1d.ways),
-            l2: feats
-                .private_l2
-                .then(|| Banked::new(n, cfg.l2.sets, cfg.l2.ways)),
             llc,
             md3: SetAssoc::with_hashed_index(cfg.md3.sets, cfg.md3.ways),
             lockbits: LockBits::new(cfg.md3_lock_bits, 8),
@@ -294,9 +275,11 @@ impl D2mSystem {
         self.ctr.coherence_errors
     }
 
-    /// Deterministic-LI violations observed (must stay zero).
+    /// Always 0. A deterministic-LI violation fails its transaction with
+    /// [`crate::ProtocolError::Determinism`] instead of being counted; the
+    /// accessor stays only until the benchmark stops reading it.
     pub fn determinism_errors(&self) -> u64 {
-        self.ctr.determinism_errors
+        0
     }
 
     /// Named counter snapshot (events + protocol cases + messages).
@@ -320,15 +303,10 @@ impl D2mSystem {
         let tlb2 = (self.cfg.tlb.entries() * 8) as f64;
         // Per-line TP/RP bits in the data arrays (~2 B per line).
         let line_meta = ((self.cfg.l1i.entries() + self.cfg.l1d.entries()) * 2) as f64;
-        let l2 = if self.feats.private_l2 {
-            (self.cfg.l2.capacity_bytes() + self.cfg.l2.entries() * 2) as f64
-        } else {
-            0.0
-        };
         let llc = self.cfg.llc.capacity_bytes() as f64;
         let llc_meta = (self.cfg.llc.entries() * 2) as f64;
         let md3 = (self.cfg.md3.entries() * 15) as f64;
-        (n * (l1 + md1 + md2 + tlb2 + line_meta + l2) + llc + llc_meta + md3) / 1024.0
+        (n * (l1 + md1 + md2 + tlb2 + line_meta) + llc + llc_meta + md3) / 1024.0
     }
 
     /// Simulator-resident metadata footprint (entry sizes × configured
@@ -356,12 +334,6 @@ impl D2mSystem {
         } else {
             0
         }
-    }
-
-    /// L2 set index for a line (plain indexing, like the L1).
-    #[inline]
-    pub(crate) fn l2_set(&self, line: LineAddr) -> usize {
-        (line.raw() as usize) & (self.cfg.l2.sets - 1)
     }
 
     /// L1 set index for a line.
@@ -536,7 +508,6 @@ impl D2mSystem {
         match kind {
             ArrKind::L1I => &self.l1i,
             ArrKind::L1D => &self.l1d,
-            ArrKind::L2 => self.l2.as_ref().expect("L2 feature enabled"),
         }
     }
 
@@ -545,7 +516,6 @@ impl D2mSystem {
         match kind {
             ArrKind::L1I => &mut self.l1i,
             ArrKind::L1D => &mut self.l1d,
-            ArrKind::L2 => self.l2.as_mut().expect("L2 feature enabled"),
         }
     }
 
@@ -560,12 +530,6 @@ impl D2mSystem {
         for kind in [ArrKind::L1D, ArrKind::L1I] {
             if let Some(way) = self.arr(kind).way_of(node, set, line.raw()) {
                 return Some((kind, set, way));
-            }
-        }
-        if self.feats.private_l2 {
-            let set2 = self.l2_set(line);
-            if let Some(way) = self.arr(ArrKind::L2).way_of(node, set2, line.raw()) {
-                return Some((ArrKind::L2, set2, way));
             }
         }
         None

@@ -409,7 +409,6 @@ fn tiny_config_survives_heavy_eviction_storms() {
         assert!(sys.raw_counters().md2_evictions > 0, "{v:?}");
         assert!(sys.raw_counters().md3_evictions > 0, "{v:?}");
         assert_eq!(sys.coherence_errors(), 0, "{v:?}");
-        assert_eq!(sys.determinism_errors(), 0, "{v:?}");
         sys.check_invariants()
             .unwrap_or_else(|e| panic!("{v:?}: {e}"));
     }
@@ -479,20 +478,8 @@ fn random_accesses_preserve_all_invariants() {
         let ops: Vec<(u8, u8, u64)> = (0..n_ops)
             .map(|_| (rng.below(8) as u8, rng.below(3) as u8, rng.below(48)))
             .collect();
-        let mut systems: Vec<D2mSystem> = all_variants()
-            .into_iter()
-            .map(|v| D2mSystem::new(&small_cfg(), v))
-            .collect();
-        // Also cover the optional private-L2 configuration.
-        let mut l2cfg = small_cfg();
-        l2cfg.l2 = d2m_common::config::CacheGeometry::new(8, 2);
-        systems.push(D2mSystem::with_features(
-            &l2cfg,
-            D2mVariant::FarSide,
-            l2_feats(),
-            1,
-        ));
-        for mut sys in systems {
+        for v in all_variants() {
+            let mut sys = D2mSystem::new(&small_cfg(), v);
             for (i, (node, kind, slot)) in ops.iter().enumerate() {
                 // A small pool of lines across 3 regions shared by all nodes
                 // maximizes coherence interaction.
@@ -511,15 +498,9 @@ fn random_accesses_preserve_all_invariants() {
                 };
                 sys.access(&acc(*node, kind, va), i as u64 * 7).unwrap();
             }
-            assert_eq!(sys.coherence_errors(), 0, "case {case} {:?}", sys.variant());
-            assert_eq!(
-                sys.determinism_errors(),
-                0,
-                "case {case} {:?}",
-                sys.variant()
-            );
+            assert_eq!(sys.coherence_errors(), 0, "case {case} {v:?}");
             if let Err(e) = sys.check_invariants() {
-                panic!("case {case} {:?}: {e}", sys.variant());
+                panic!("case {case} {v:?}: {e}");
             }
         }
     }
@@ -544,7 +525,6 @@ fn catalog_traces_stay_coherent() {
             }
         }
         assert_eq!(sys.coherence_errors(), 0, "{}", spec.name);
-        assert_eq!(sys.determinism_errors(), 0, "{}", spec.name);
         if let Err(e) = sys.check_invariants() {
             panic!("{}: {e}", spec.name);
         }
@@ -597,7 +577,6 @@ fn bypass_skips_llc_allocation_for_streaming_regions() {
         replication: false,
         dynamic_indexing: false,
         bypass: true,
-        private_l2: false,
         traditional_l1: false,
     };
     let mut sys = D2mSystem::with_features(&c, D2mVariant::NearSide, feats, 1);
@@ -631,7 +610,6 @@ fn bypass_spares_regions_with_reuse() {
         replication: false,
         dynamic_indexing: false,
         bypass: true,
-        private_l2: false,
         traditional_l1: false,
     };
     let mut sys = D2mSystem::with_features(&c, D2mVariant::FarSide, feats, 1);
@@ -722,7 +700,6 @@ fn llc_master_eviction_retargets_trackers_to_memory() {
     sys.access(&acc(0, AccessKind::Load, va), 1_000_000)
         .unwrap();
     assert_eq!(sys.coherence_errors(), 0);
-    assert_eq!(sys.determinism_errors(), 0);
     sys.check_invariants().unwrap();
 }
 
@@ -790,92 +767,6 @@ fn metadata_capacity_governs_readmm_rate() {
     );
 }
 
-fn l2_feats() -> crate::system::D2mFeatures {
-    crate::system::D2mFeatures {
-        near_side: false,
-        replication: false,
-        dynamic_indexing: false,
-        bypass: false,
-        private_l2: true,
-        traditional_l1: false,
-    }
-}
-
-#[test]
-fn private_l2_serves_as_a_victim_cache() {
-    let mut sys = D2mSystem::with_features(&cfg(), D2mVariant::FarSide, l2_feats(), 1);
-    let va = 0xc_0000_0000u64;
-    sys.access(&acc(0, AccessKind::Load, va), 0).unwrap();
-    // Conflict-evict from L1: the clean replica demotes into the L2.
-    for i in 1..=10u64 {
-        sys.access(&acc(0, AccessKind::Load, va + i * 64 * 64), 0)
-            .unwrap();
-    }
-    let r = sys
-        .access(&acc(0, AccessKind::Load, va), 1_000_000)
-        .unwrap();
-    assert!(!r.l1_hit);
-    assert_eq!(r.serviced_by, ServicedBy::L2, "victim cache must serve");
-    assert_eq!(sys.coherence_errors(), 0);
-    sys.check_invariants().unwrap();
-}
-
-#[test]
-fn private_l2_master_roundtrip() {
-    let mut sys = D2mSystem::with_features(&cfg(), D2mVariant::FarSide, l2_feats(), 1);
-    let va = 0xd_0000_0000u64;
-    // Make node 0 the master (case B via region fill + store).
-    sys.access(&acc(0, AccessKind::Load, va + 0x40), 0).unwrap();
-    sys.access(&acc(0, AccessKind::Store, va), 0).unwrap();
-    // Evict the dirty master from L1: it must land in its L2 victim slot.
-    for i in 1..=10u64 {
-        sys.access(&acc(0, AccessKind::Load, va + i * 64 * 64), 0)
-            .unwrap();
-    }
-    let r = sys
-        .access(&acc(0, AccessKind::Load, va), 1_000_000)
-        .unwrap();
-    assert_eq!(r.serviced_by, ServicedBy::L2, "master moved to the L2");
-    // Another node reads: direct-to-master must find it inside node 0.
-    let r2 = sys
-        .access(&acc(1, AccessKind::Load, va), 1_000_000)
-        .unwrap();
-    assert_eq!(r2.serviced_by, ServicedBy::RemoteNode);
-    assert_eq!(sys.coherence_errors(), 0);
-    sys.check_invariants().unwrap();
-}
-
-#[test]
-fn private_l2_survives_random_traces() {
-    let mut c = small_cfg();
-    c.l2 = d2m_common::config::CacheGeometry::new(16, 4);
-    for name in ["fluidanimate", "tpc-c", "mix2"] {
-        let spec = catalog::by_name(name).unwrap();
-        let mut sys = D2mSystem::with_features(&c, D2mVariant::FarSide, l2_feats(), 3);
-        let mut gen = TraceGen::new(&spec, 8, 3);
-        let mut batch = Vec::new();
-        for i in 0..600 {
-            batch.clear();
-            gen.next_batch(&mut batch);
-            for a in &batch {
-                sys.access(a, i * 10).unwrap();
-            }
-        }
-        assert_eq!(sys.coherence_errors(), 0, "{name}");
-        assert_eq!(sys.determinism_errors(), 0, "{name}");
-        sys.check_invariants()
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-    }
-}
-
-#[test]
-#[should_panic(expected = "private L2 replaces the NS slice")]
-fn private_l2_rejects_near_side() {
-    let mut f = l2_feats();
-    f.near_side = true;
-    let _ = D2mSystem::with_features(&cfg(), D2mVariant::NearSide, f, 1);
-}
-
 #[test]
 fn shared_write_hit_after_master_slot_eviction_keeps_rps_valid() {
     // Regression: node 0 holds an L1 replica whose RP names its *local
@@ -924,7 +815,6 @@ fn traditional_front_end_keeps_d2m_semantics() {
         replication: true,
         dynamic_indexing: false,
         bypass: false,
-        private_l2: false,
         traditional_l1: true,
     };
     let mut c = cfg();
@@ -941,7 +831,6 @@ fn traditional_front_end_keeps_d2m_semantics() {
         }
     }
     assert_eq!(sys.coherence_errors(), 0);
-    assert_eq!(sys.determinism_errors(), 0);
     sys.check_invariants().unwrap();
     // MD1 must be untouched; MD2 carries every resolution.
     assert_eq!(sys.raw_counters().md1_accesses, 0);
@@ -988,42 +877,138 @@ fn protocol_message_conservation_laws() {
     }
 }
 
+/// Overwrites node `node`'s LI for the line at `va` with `li`, as the raw
+/// 6-bit field a corrupted MD1 entry would hold. The region must be
+/// MD1-active at the node.
+fn plant_li(sys: &mut D2mSystem, node: usize, va: u64, li: crate::li::Li) {
+    let va = VAddr::new(va);
+    let bits = li.pack(sys.enc).expect("representable LI");
+    let key = D2mSystem::md1_key(va.vregion().raw(), 0);
+    let set = sys.md1d.set_index(key);
+    let way = sys.md1d.way_of(node, set, key).expect("MD1-active region");
+    let (_, e) = sys.md1d.at_mut(node, set, way).expect("occupied");
+    e.li.set_raw(usize::from(va.region_offset()), bits);
+}
+
+/// One planted bad LI per case fails the next load of its line with the
+/// named error, in debug and release builds alike: no path reroutes around
+/// a broken LI.
 #[test]
 fn corrupted_li_yields_protocol_error_not_abort() {
     use crate::error::ProtocolError;
-    use crate::li::{Li, LiEncoding};
+    use crate::li::Li;
 
-    let mut c = cfg();
-    c.check_coherence = false;
-    // Halve the LLC associativity (same capacity) so a way index can be out
-    // of geometry: the packed 6-bit LI field can encode ways 0..32, but this
-    // system only has 16.
-    c.llc = d2m_common::config::CacheGeometry::from_capacity(8 << 20, 16);
-    let mut sys = D2mSystem::new(&c, D2mVariant::FarSide);
-    let va = 0x900_0000u64;
-    sys.access(&acc(0, AccessKind::Load, va), 0).unwrap();
-
-    // Plant a raw out-of-geometry pattern (0b111111 = far-side way 31) in
-    // the now-active MD1 entry, at an offset the L1 does not yet hold. The
-    // packed array stores exactly what the 6-bit hardware field would.
-    let md1 = &mut sys.md1d;
-    let slots: Vec<(usize, usize)> = md1.iter_bank(0).map(|(s, w, _, _)| (s, w)).collect();
-    assert!(!slots.is_empty(), "first access must activate an MD1 entry");
-    for (s, w) in slots {
-        let (_, e) = md1.at_mut(0, s, w).expect("occupied");
-        e.li.set_raw(1, 0b11_1111);
-        assert_eq!(e.li.get(1, LiEncoding::FarSide), Li::LlcFs { way: 31 });
+    struct Case {
+        name: &'static str,
+        cfg: MachineConfig,
+        /// Line offset, within node 0's one region, of the corrupted LI.
+        off: u64,
+        /// The LI to plant, given the system after node 0 loaded offset 0.
+        li: fn(&D2mSystem) -> Li,
+        expect: fn(&ProtocolError) -> bool,
     }
-
-    let err = sys
-        .access(&acc(0, AccessKind::Load, va + 64), 0)
-        .expect_err("corrupt LI must fail the transaction, not abort");
-    assert!(
-        matches!(err, ProtocolError::LlcSlotOutOfRange { ways: 16, .. }),
-        "{err}"
-    );
-    // The error message names the offender for cell-failure reports.
-    assert!(err.to_string().contains("LlcFs"), "{err}");
+    // Four LLC sets: offsets 0 and 4 of a region share one.
+    let mut four_set_llc = cfg();
+    four_set_llc.llc = d2m_common::config::CacheGeometry::new(4, 16);
+    four_set_llc.ns_slice = d2m_common::config::CacheGeometry::new(1, 8);
+    // Half the LLC associativity at the same capacity: the 6-bit field can
+    // encode ways 0..32, this system has 16.
+    let mut sixteen_way_llc = cfg();
+    sixteen_way_llc.llc = d2m_common::config::CacheGeometry::from_capacity(8 << 20, 16);
+    let cases = [
+        Case {
+            name: "L1 LI naming a way without the line (hit path)",
+            cfg: cfg(),
+            off: 1,
+            li: |_| Li::L1 { way: 0 },
+            expect: |e| {
+                matches!(
+                    e,
+                    ProtocolError::Determinism {
+                        li: Li::L1 { way: 0 },
+                        ..
+                    }
+                )
+            },
+        },
+        Case {
+            name: "LLC LI naming a slot that holds another line (serve_llc)",
+            cfg: four_set_llc,
+            off: 4,
+            li: |sys| {
+                let (set, way, key, _) = sys.llc.iter_bank(0).next().expect("offset 0's master");
+                let target = d2m_common::addr::LineAddr::new(key + 4);
+                assert_eq!(sys.llc_set(target, 0), set, "offsets 0 and 4 share a set");
+                Li::LlcFs { way: way as u8 }
+            },
+            expect: |e| {
+                matches!(
+                    e,
+                    ProtocolError::Determinism {
+                        li: Li::LlcFs { .. },
+                        ..
+                    }
+                )
+            },
+        },
+        Case {
+            name: "Node(m) LI where node m lacks the line (serve_remote_node)",
+            cfg: cfg(),
+            off: 1,
+            li: |_| Li::Node(NodeId::new(3)),
+            expect: |e| {
+                matches!(
+                    e,
+                    ProtocolError::Determinism {
+                        li: Li::Node(_),
+                        ..
+                    }
+                )
+            },
+        },
+        Case {
+            name: "L2 LI on the miss path",
+            cfg: cfg(),
+            off: 1,
+            li: |_| Li::L2 { way: 2 },
+            expect: |e| {
+                matches!(
+                    e,
+                    ProtocolError::UnexpectedLi {
+                        li: Li::L2 { way: 2 },
+                        ..
+                    }
+                )
+            },
+        },
+        Case {
+            name: "LLC LI outside the geometry",
+            cfg: sixteen_way_llc,
+            off: 1,
+            li: |_| Li::LlcFs { way: 31 },
+            expect: |e| matches!(e, ProtocolError::LlcSlotOutOfRange { ways: 16, .. }),
+        },
+    ];
+    for case in cases {
+        let mut c = case.cfg;
+        c.check_coherence = false;
+        let mut sys = D2mSystem::new(&c, D2mVariant::FarSide);
+        let va = 0x900_0000u64;
+        sys.access(&acc(0, AccessKind::Load, va), 0).unwrap();
+        let target = va + case.off * 64;
+        let li = (case.li)(&sys);
+        plant_li(&mut sys, 0, target, li);
+        let err = sys
+            .access(&acc(0, AccessKind::Load, target), 0)
+            .expect_err(case.name);
+        assert!((case.expect)(&err), "{}: {err:?}", case.name);
+        // The message names the offender for cell-failure reports.
+        assert!(
+            err.to_string().contains(&format!("{li:?}")),
+            "{}: {err}",
+            case.name
+        );
+    }
 }
 
 #[test]

@@ -160,15 +160,6 @@ impl TraceGen {
         &self.spec
     }
 
-    /// ASID used by `node` under this spec.
-    pub fn asid_of(&self, node: usize) -> Asid {
-        if self.spec.multiprogrammed {
-            Asid(node as u16 + 1)
-        } else {
-            Asid(0)
-        }
-    }
-
     /// Current migratory epoch (advances every `migratory_epoch` batches).
     fn epoch(&self) -> u64 {
         self.batches / self.spec.migratory_epoch.max(1)

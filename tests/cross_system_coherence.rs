@@ -45,7 +45,6 @@ fn d2m_invariants_hold_after_real_workloads() {
                 }
             }
             assert_eq!(sys.coherence_errors(), 0, "{name}/{variant:?}");
-            assert_eq!(sys.determinism_errors(), 0, "{name}/{variant:?}");
             sys.check_invariants()
                 .unwrap_or_else(|e| panic!("{name}/{variant:?}: {e}"));
         }
