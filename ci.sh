@@ -52,6 +52,20 @@ done
 cmp "$fault_dir/share-1.json" "$fault_dir/share-3.json" \
     || { echo "sweep JSON differs between 1 and 3 workers"; exit 1; }
 
+echo "== full sweep byte identity (quick length, pinned digest) =="
+# All 225 cells of the `full` sweep (every catalog workload on all five
+# systems) at a short length; the JSON's sha256 must equal the digest
+# pinned in tests/golden/full_sweep_quick.sha256, so any change to
+# simulated output fails here. After a deliberate output change, re-bless
+# with:
+#   target/release/d2m-simulate --sweep full --instructions 40000 \
+#       --warmup 10000 --jobs 2 | sha256sum | cut -d' ' -f1 \
+#       > tests/golden/full_sweep_quick.sha256
+full_digest="$(target/release/d2m-simulate --sweep full --instructions 40000 \
+    --warmup 10000 --jobs 2 2>/dev/null | sha256sum | cut -d' ' -f1)"
+[ "$full_digest" = "$(cat tests/golden/full_sweep_quick.sha256)" ] \
+    || { echo "full sweep output digest $full_digest differs from the pinned one"; exit 1; }
+
 echo "== fault-tolerant sweep smoke (inject, kill, resume, diff) =="
 # End-to-end proof of the sweep engine's fault-tolerance contract, against
 # the real release binary and a real process death (not an in-process

@@ -20,7 +20,7 @@ use d2m_common::addr::{LineAddr, NodeId};
 use d2m_common::config::MachineConfig;
 use d2m_common::oracle::VersionOracle;
 use d2m_common::outcome::{AccessResult, ServicedBy};
-use d2m_common::probe::{LookupLevel, Probe, TxnEvent, TxnKind};
+use d2m_common::probe::{LookupLevel, NoopProbe, Probe, TxnEvent, TxnKind};
 use d2m_common::stats::Counters;
 use d2m_energy::{EnergyAccount, EnergyEvent, EnergyModel};
 use d2m_noc::{Endpoint, MsgClass, Noc};
@@ -196,23 +196,25 @@ impl Baseline {
         self.cfg.lat.tlb_walk
     }
 
-    /// [`Self::access`] with an optional observability probe.
-    ///
-    /// With `probe = None` this is exactly the unprobed path. With a probe,
-    /// each transaction is reported as a [`TxnEvent`]; the lookup level is
-    /// the deepest level that serviced the request (L1 hit → L1, L2 serve →
-    /// L2, everything beyond the private levels → L3).
-    pub fn access_probed(
+    /// Simulates one access issued at node-local cycle `now`.
+    pub fn access(&mut self, a: &Access, now: u64) -> AccessResult {
+        self.access_probed(a, now, &mut NoopProbe)
+    }
+
+    /// [`Self::access`], reporting the transaction to `probe` as a
+    /// [`TxnEvent`]; the lookup level is the deepest level that serviced the
+    /// request (L1 hit → L1, L2 serve → L2, everything beyond the private
+    /// levels → L3). Generic over the probe, so with [`NoopProbe`] the event
+    /// is never built and this is the plain access path.
+    #[inline]
+    pub fn access_probed<P: Probe + ?Sized>(
         &mut self,
         a: &Access,
         now: u64,
-        probe: Option<&mut dyn Probe>,
+        probe: &mut P,
     ) -> AccessResult {
-        let Some(p) = probe else {
-            return self.access(a, now);
-        };
         let msgs0 = self.noc.messages();
-        let r = self.access(a, now);
+        let r = self.access_inner(a, now);
         let level = if r.l1_hit {
             LookupLevel::L1
         } else if r.serviced_by == ServicedBy::L2 {
@@ -220,7 +222,7 @@ impl Baseline {
         } else {
             LookupLevel::L3
         };
-        p.txn(&TxnEvent {
+        probe.txn(&TxnEvent {
             node: a.node.index() as u8,
             kind: match a.kind {
                 AccessKind::IFetch => TxnKind::IFetch,
@@ -238,8 +240,7 @@ impl Baseline {
         r
     }
 
-    /// Simulates one access issued at node-local cycle `now`.
-    pub fn access(&mut self, a: &Access, now: u64) -> AccessResult {
+    fn access_inner(&mut self, a: &Access, now: u64) -> AccessResult {
         self.ctr.accesses += 1;
         match a.kind {
             AccessKind::IFetch => self.ctr.ifetches += 1,
@@ -315,11 +316,8 @@ impl Baseline {
                         v2.state = Mesi::Modified;
                     }
                 }
-            } else if self.cfg.check_coherence {
-                if let Err(e) = self.oracle.check_load(line, pl.version) {
-                    self.ctr.coherence_errors += 1;
-                    debug_assert!(false, "{} {e}", self.kind.name());
-                }
+            } else {
+                self.check_load(line, pl.version);
             }
             return AccessResult {
                 latency,
@@ -389,11 +387,8 @@ impl Baseline {
         if is_store {
             version = self.oracle.on_store(line);
             state = Mesi::Modified;
-        } else if self.cfg.check_coherence {
-            if let Err(e) = self.oracle.check_load(line, version) {
-                self.ctr.coherence_errors += 1;
-                debug_assert!(false, "{} {e}", self.kind.name());
-            }
+        } else {
+            self.check_load(line, version);
         }
         self.install_l1(n, is_i, line, state, version, now + latency);
         self.ctr.miss_latency_sum += latency;
@@ -405,6 +400,15 @@ impl Baseline {
             late: false,
             serviced_by: serviced,
             private_miss: None,
+        }
+    }
+
+    /// With the value oracle on, counts a load of `line` that observed a
+    /// version older than the latest store; the runner fails a run with
+    /// any, in every build.
+    fn check_load(&mut self, line: LineAddr, version: u64) {
+        if self.cfg.check_coherence && self.oracle.check_load(line, version).is_err() {
+            self.ctr.coherence_errors += 1;
         }
     }
 
@@ -520,6 +524,11 @@ impl Baseline {
 
     /// The freshest valid copy of `line` in node `t` without removing it;
     /// downgrades all copies to Shared (read-forward path).
+    ///
+    /// Every copy the node keeps takes the freshest version: an L1 store
+    /// hit advances only the L1 copy, and once that copy is a clean Shared
+    /// line its eviction is silent, so the inclusive L2 copy would
+    /// otherwise serve the node's next miss with a stale version.
     fn downgrade_node_copies(&mut self, t: usize, line: LineAddr) -> Option<(u64, bool)> {
         let key = line.raw();
         let mut best: Option<(u64, bool)> = None;
@@ -536,6 +545,19 @@ impl Baseline {
                         best = Some((pl.version, m));
                     }
                     pl.state = Mesi::Shared;
+                }
+            }
+        }
+        if let Some((version, _)) = best {
+            for arr in [&mut node.l1d, &mut node.l1i]
+                .into_iter()
+                .chain(node.l2.as_mut())
+            {
+                let s = arr.set_index(key);
+                if let Some(w) = arr.way_of(s, key) {
+                    if let Some((_, pl)) = arr.at_mut(s, w) {
+                        pl.version = version;
+                    }
                 }
             }
         }
@@ -1023,6 +1045,27 @@ mod tests {
         let r = sys.access(&acc(0, AccessKind::Load, 0x50_0000), 0);
         assert!(!r.l1_hit);
         assert_eq!(r.serviced_by, ServicedBy::L2);
+        sys.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn read_forward_leaves_no_stale_l2_copy_in_3l() {
+        // A store hit advances only the L1 copy. A remote read then
+        // downgrades it to a clean Shared line, whose eviction is silent;
+        // the node's next miss on the line hits its inclusive L2, which
+        // must hold the stored version, not the one it was filled with.
+        let mut sys = Baseline::new(&cfg(), BaselineKind::ThreeLevel);
+        let x = 0xF0_0000;
+        sys.access(&acc(0, AccessKind::Store, x), 0);
+        sys.access(&acc(1, AccessKind::Load, x), 0);
+        // Eight more lines in X's L1-D set (64 sets apart) evict it.
+        for k in 1..=8u64 {
+            sys.access(&acc(0, AccessKind::Load, x + k * 4096), 0);
+        }
+        let r = sys.access(&acc(0, AccessKind::Load, x), 0);
+        assert!(!r.l1_hit);
+        assert_eq!(r.serviced_by, ServicedBy::L2);
+        assert_eq!(sys.coherence_errors(), 0);
         sys.check_invariants().unwrap();
     }
 

@@ -1,15 +1,16 @@
 //! Zero-cost-when-off transaction observability.
 //!
-//! Systems expose an `access_probed(access, now, Option<&mut dyn Probe>)`
-//! entry point next to their plain `access`. With `None` the call compiles
-//! down to the unprobed path (one branch, no event construction); with a
-//! probe, every completed transaction is reported as a typed [`TxnEvent`] —
-//! which metadata level resolved the lookup, which endpoint serviced the
-//! data, how many interconnect messages the transaction generated — so a run
-//! can be dissected per level and per service endpoint without touching the
-//! aggregate counters the figures are built from.
+//! Systems expose an `access_probed<P: Probe + ?Sized>(access, now, &mut P)`
+//! entry point; their plain `access` is its [`NoopProbe`] instantiation,
+//! which compiles down to the unprobed path (no event construction, no
+//! branch). With a recording probe, every completed transaction is reported
+//! as a typed [`TxnEvent`] — which metadata level resolved the lookup, which
+//! endpoint serviced the data, how many interconnect messages the
+//! transaction generated — so a run can be dissected per level and per
+//! service endpoint without touching the aggregate counters the figures are
+//! built from.
 //!
-//! [`NoopProbe`] discards everything (useful as an explicit "off" value);
+//! [`NoopProbe`] discards everything (the "off" value);
 //! [`RecordingProbe`] accumulates deterministic, mergeable distributions and
 //! renders them as [`crate::json`] for the CLI's `--histograms`/`--trace-out`
 //! output.

@@ -343,10 +343,11 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Bernoulli draw: true with probability `p`.
+    /// Bernoulli draw: true with probability `p`. Hot loops keep a
+    /// [`Bernoulli`] instead.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
-        self.unit() < p.clamp(0.0, 1.0)
+        Bernoulli::new(p).sample(self)
     }
 
     /// Uniform `f64` in `[0, 1)`.
@@ -372,6 +373,38 @@ impl SimRng {
 #[inline]
 fn unit_of(bits: u64) -> f64 {
     bits as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A Bernoulli draw with its probability scaled once: `sample` is true
+/// exactly when `unit() < p.clamp(0.0, 1.0)` would be, from the same
+/// randomness.
+///
+/// `unit()` is `bits · 2^-53` for an integer `bits < 2^53`, and scaling by a
+/// power of two is exact, so `unit() < p` is `bits < p · 2^53`, which for an
+/// integer `bits` is `bits < ceil(p · 2^53)`. That ceiling is the stored
+/// threshold: 0 for `p ≤ 0` (and NaN, which no uniform is below), `2^53`
+/// for `p ≥ 1`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Bernoulli(u64);
+
+impl Bernoulli {
+    /// The draw that succeeds with probability `p`, clamped to `[0, 1]`.
+    pub fn new(p: f64) -> Self {
+        // `as` saturates and maps NaN to 0.
+        Self((p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    /// False when the draw can never succeed (`p ≤ 0` or NaN).
+    #[inline]
+    pub fn possible(self) -> bool {
+        self.0 > 0
+    }
+
+    /// One draw, consuming one `u64` of `rng`.
+    #[inline]
+    pub fn sample(self, rng: &mut SimRng) -> bool {
+        (rng.next_u64() >> 11) < self.0
+    }
 }
 
 /// Bits of the 53-bit uniform that index a [`Zipf`] table.
@@ -820,6 +853,52 @@ mod tests {
         let mut r = SimRng::from_label(1, "c");
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
+    }
+
+    /// `Bernoulli::new(p)` against the float draw it replaces, on a cloned
+    /// stream.
+    fn assert_bernoulli_matches_float(p: f64, draws: u32) {
+        let b = Bernoulli::new(p);
+        let mut rng = SimRng::from_label(p.to_bits(), "bernoulli");
+        let mut twin = rng.clone();
+        for draw in 0..draws {
+            let want = twin.unit() < p.clamp(0.0, 1.0);
+            assert_eq!(b.sample(&mut rng), want, "p = {p:e}, draw {draw}");
+        }
+        assert_eq!(b.possible(), p > 0.0, "p = {p:e}");
+    }
+
+    #[test]
+    fn bernoulli_edge_values_match_the_float_draw() {
+        let half_ulp = 1.0 / (1u64 << 53) as f64;
+        for p in [
+            0.0,
+            1.0,
+            -0.5,
+            1.5,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            1.0 - half_ulp,
+            // `p · 2^53` is an integer: the threshold is that integer.
+            3.0 * half_ulp,
+            0.25,
+        ] {
+            assert_bernoulli_matches_float(p, 1_000_000);
+        }
+        assert_eq!(Bernoulli::new(f64::NAN), Bernoulli::new(0.0));
+        assert_eq!(Bernoulli::new(1.5), Bernoulli::new(1.0));
+        assert_eq!(Bernoulli::new(3.0 * half_ulp), Bernoulli(3));
+        assert_eq!(Bernoulli::new(1.0 - half_ulp), Bernoulli((1 << 53) - 1));
+    }
+
+    #[test]
+    fn bernoulli_thresholds_decide_at_the_boundary() {
+        // A uniform exactly at the threshold fails and one just below it
+        // succeeds, as `unit() < p` does.
+        for p in [f64::MIN_POSITIVE, 0.1, 0.25, 1.0 / 3.0, 0.999] {
+            let t = Bernoulli::new(p).0;
+            assert!(unit_of(t - 1) < p && unit_of(t) >= p, "p = {p:e}");
+        }
     }
 
     #[test]

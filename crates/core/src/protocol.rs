@@ -28,7 +28,7 @@
 use d2m_cache::Banked;
 use d2m_common::addr::{LineAddr, LineOffset, NodeId, RegionAddr, LINES_PER_REGION};
 use d2m_common::outcome::{AccessResult, ServicedBy};
-use d2m_common::probe::{LookupLevel, Probe, TxnEvent, TxnKind};
+use d2m_common::probe::{LookupLevel, NoopProbe, Probe, TxnEvent, TxnKind};
 use d2m_energy::EnergyEvent;
 use d2m_noc::{Endpoint, MsgClass};
 use d2m_workloads::{Access, AccessKind};
@@ -40,6 +40,23 @@ use crate::meta::{Md1Entry, Md1Side, Md2Entry, Md3Entry, RegionClass, TrackingPt
 use crate::packed::PackedLiArray;
 use crate::system::{ArrKind, D2mSystem, MdRef};
 
+/// The active metadata entry an access resolved to, and what the access
+/// path reads from it.
+struct Resolved {
+    /// The active entry: MD1, or MD2 in the traditional front end.
+    md: MdRef,
+    /// The physical region.
+    region: RegionAddr,
+    /// The region's private bit.
+    private: bool,
+    /// The accessed line's LI.
+    li: Li,
+    /// The metadata was already resident (MD1 or MD2 hit).
+    md_hit: bool,
+    /// Latency the resolution added.
+    latency: u64,
+}
+
 impl D2mSystem {
     /// Simulates one access issued at node-local cycle `now`.
     ///
@@ -50,30 +67,29 @@ impl D2mSystem {
     /// system's state is no longer trustworthy after an error; callers
     /// should fail the run, not retry.
     pub fn access(&mut self, a: &Access, now: u64) -> Result<AccessResult, ProtocolError> {
-        self.access_probed(a, now, None)
+        self.access_probed(a, now, &mut NoopProbe)
     }
 
-    /// [`Self::access`] with an optional observability probe.
+    /// [`Self::access`], reporting the transaction to `probe`.
     ///
-    /// With `probe = None` this is exactly the unprobed path (one branch);
-    /// with a probe, each completed transaction is reported as a
-    /// [`TxnEvent`] carrying the deepest metadata level the lookup reached
-    /// (derived from the MD2/MD3 access counters), the servicing endpoint,
-    /// and the number of on-chip messages the transaction generated.
+    /// Each completed transaction is reported as a [`TxnEvent`] carrying
+    /// the deepest metadata level the lookup reached (derived from the
+    /// MD2/MD3 access counters), the servicing endpoint, and the number of
+    /// on-chip messages the transaction generated. Generic over the probe,
+    /// so with [`NoopProbe`] the event is never built and this is the plain
+    /// access path.
     ///
     /// # Errors
     ///
     /// Same as [`Self::access`]; no event is reported for a failed
     /// transaction.
-    pub fn access_probed(
+    #[inline]
+    pub fn access_probed<P: Probe + ?Sized>(
         &mut self,
         a: &Access,
         now: u64,
-        probe: Option<&mut dyn Probe>,
+        probe: &mut P,
     ) -> Result<AccessResult, ProtocolError> {
-        let Some(p) = probe else {
-            return self.access_inner(a, now);
-        };
         let msgs0 = self.noc.messages();
         let md2_0 = self.ctr.md2_accesses;
         let md3_0 = self.ctr.md3_accesses;
@@ -85,7 +101,7 @@ impl D2mSystem {
         } else {
             LookupLevel::L1
         };
-        p.txn(&TxnEvent {
+        probe.txn(&TxnEvent {
             node: a.node.index() as u8,
             kind: match a.kind {
                 AccessKind::IFetch => TxnKind::IFetch,
@@ -116,12 +132,11 @@ impl D2mSystem {
         let is_store = a.kind.is_store();
         let off = usize::from(a.vaddr.region_offset());
 
-        let (md, region, md_hit, mut latency) = self.resolve_metadata(node, is_i, a)?;
-        let private = self.md_private(node, md);
-        let line = region.line(crate::meta_line_offset(off));
-        latency += self.cfg.lat.l1;
+        let mut res = self.resolve_metadata(node, is_i, a, off)?;
+        let line = res.region.line(crate::meta_line_offset(off));
+        res.latency += self.cfg.lat.l1;
 
-        if let Li::L1 { way } = self.li_get(node, md, off) {
+        if let Li::L1 { way } = res.li {
             // ---- L1 hit (the MD1 lookup doubles as the "tag" check) ----
             let kind = if is_i { ArrKind::L1I } else { ArrKind::L1D };
             let set = self.l1_set(line);
@@ -133,6 +148,7 @@ impl D2mSystem {
                 Li::L1 { way },
                 "L1 hit",
             )?;
+            let mut latency = res.latency;
             let mut late = false;
             if now < slot.ready_at {
                 late = true;
@@ -149,7 +165,8 @@ impl D2mSystem {
                 self.ctr.l1d_hits += 1;
             }
             if is_store {
-                latency += self.write_hit(node, line, off, md, private, set, way as usize)?;
+                latency +=
+                    self.write_hit(node, line, off, res.md, res.private, set, way as usize)?;
             } else {
                 self.check_load(line, slot.version);
             }
@@ -163,11 +180,10 @@ impl D2mSystem {
             });
         }
 
-        self.miss_path(
-            node, is_i, is_store, line, off, md, private, md_hit, latency, now,
-        )
+        self.miss_path(node, is_i, is_store, line, off, res, now)
     }
 
+    /// An L1 miss on `line`, whose metadata `res` resolved.
     #[allow(clippy::too_many_arguments)]
     fn miss_path(
         &mut self,
@@ -176,12 +192,17 @@ impl D2mSystem {
         is_store: bool,
         line: LineAddr,
         off: usize,
-        md: MdRef,
-        private: bool,
-        md_hit: bool,
-        mut latency: u64,
+        res: Resolved,
         now: u64,
     ) -> Result<AccessResult, ProtocolError> {
+        let Resolved {
+            md,
+            private,
+            li,
+            md_hit,
+            mut latency,
+            ..
+        } = res;
         if is_i {
             self.ctr.l1i_misses += 1;
         } else {
@@ -196,7 +217,6 @@ impl D2mSystem {
             }
         }
 
-        let li = self.li_get(node, md, off);
         let (lat, serviced, dl) = if is_store {
             let r = self.write_miss(node, line, off, md, private, li)?;
             if md_hit {
@@ -275,43 +295,69 @@ impl D2mSystem {
 
     // ================= metadata resolution =================
 
-    /// MD1 → MD2 → (case D) resolution. Returns the active metadata
-    /// reference, the physical region, whether the metadata was already
-    /// resident (MD1 or MD2 hit), and the added latency.
+    /// MD1 → MD2 → (case D) resolution of the region holding offset `off`
+    /// (see [`Resolved`]).
     fn resolve_metadata(
         &mut self,
         node: usize,
         is_i: bool,
         a: &Access,
-    ) -> Result<(MdRef, RegionAddr, bool, u64), ProtocolError> {
-        if self.feats.traditional_l1 {
-            return self.resolve_metadata_traditional(node, is_i, a);
-        }
-        let key1 = Self::md1_key(a.vaddr.vregion().raw(), a.asid.0);
-        self.ctr.md1_accesses += 1;
-        self.energy.record(EnergyEvent::Md1, 1);
-        let md1 = if is_i { &mut self.md1i } else { &mut self.md1d };
-        let set1 = md1.set_index(key1);
-        if let Some(way1) = md1.way_of(node, set1, key1) {
-            self.ctr.md1_hits += 1;
-            md1.touch(node, set1, way1);
-            let region = md1
-                .at(node, set1, way1)
-                .map(|(_, e)| e.region)
-                .expect("occupied");
-            return Ok((
-                MdRef::Md1 {
-                    is_i,
-                    set: set1,
-                    way: way1,
-                },
-                region,
-                true,
-                0,
-            ));
-        }
+        off: usize,
+    ) -> Result<Resolved, ProtocolError> {
+        let (md, region, md_hit, latency) = if self.feats.traditional_l1 {
+            self.resolve_metadata_traditional(node, is_i, a)?
+        } else {
+            let key1 = Self::md1_key(a.vaddr.vregion().raw(), a.asid.0);
+            self.ctr.md1_accesses += 1;
+            self.energy.record(EnergyEvent::Md1, 1);
+            let enc = self.enc;
+            let md1 = if is_i { &mut self.md1i } else { &mut self.md1d };
+            let set1 = md1.set_index(key1);
+            if let Some(way1) = md1.way_of(node, set1, key1) {
+                // An MD1 hit: the one read of the entry gives the region,
+                // its private bit and this access's LI.
+                self.ctr.md1_hits += 1;
+                md1.touch(node, set1, way1);
+                let (region, private, li) = md1
+                    .at(node, set1, way1)
+                    .map(|(_, e)| (e.region, e.private, e.li.get(off, enc)))
+                    .expect("occupied");
+                return Ok(Resolved {
+                    md: MdRef::Md1 {
+                        is_i,
+                        set: set1,
+                        way: way1,
+                    },
+                    region,
+                    private,
+                    li,
+                    md_hit: true,
+                    latency: 0,
+                });
+            }
+            self.resolve_md1_miss(node, is_i, a, key1)?
+        };
+        Ok(Resolved {
+            md,
+            region,
+            private: self.md_private(node, md),
+            li: self.li_get(node, md, off),
+            md_hit,
+            latency,
+        })
+    }
 
-        // MD1 miss: TLB2 translation + MD2 lookup.
+    /// An MD1 miss: TLB2 translation, MD2 lookup (case D on an MD2 miss)
+    /// and activation of the region in the MD1. Returns the active
+    /// metadata reference, the physical region, whether the metadata was
+    /// resident in the MD2, and the added latency.
+    fn resolve_md1_miss(
+        &mut self,
+        node: usize,
+        is_i: bool,
+        a: &Access,
+        key1: u64,
+    ) -> Result<(MdRef, RegionAddr, bool, u64), ProtocolError> {
         let mut lat = self.cfg.lat.tlb2 + self.cfg.lat.md2;
         self.energy.record(EnergyEvent::Tlb, 1);
         let (paddr, tlb_hit) = self.tlb2[node].access(a.asid, a.vaddr);

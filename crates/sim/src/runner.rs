@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use d2m_common::config::MachineConfig;
 use d2m_common::json::{Json, ToJson};
-use d2m_common::outcome::ServicedBy;
-use d2m_common::probe::{Probe, RecordingProbe};
+use d2m_common::outcome::{AccessResult, ServicedBy};
+use d2m_common::probe::{NoopProbe, Probe, RecordingProbe};
 use d2m_common::stats::Counters;
 use d2m_core::ProtocolError;
 use d2m_energy::EnergyEvent;
@@ -291,7 +291,7 @@ pub(crate) fn checked(
     rc: &RunConfig,
     shared: SharedTrace<'_>,
 ) -> Result<RunMetrics, RunError> {
-    run_core(kind, cfg, spec, rc, shared, None, false).map(|(m, _, _)| m)
+    run_core(kind, cfg, spec, rc, shared, &mut NoopProbe, false).map(|(m, _, _)| m)
 }
 
 /// [`run_one_observed`], replaying `shared` when it is set.
@@ -303,8 +303,7 @@ pub(crate) fn observe(
     shared: SharedTrace<'_>,
 ) -> Result<RunObservation, RunError> {
     let mut probe = RecordingProbe::new();
-    let (metrics, warmup_counters, sys) =
-        run_core(kind, cfg, spec, rc, shared, Some(&mut probe), true)?;
+    let (metrics, warmup_counters, sys) = run_core(kind, cfg, spec, rc, shared, &mut probe, true)?;
     let traffic = sys
         .noc()
         .matrix()
@@ -363,20 +362,108 @@ impl Feed {
     }
 }
 
+/// The analytic core model's per-run constants (see the module docs).
+#[derive(Clone, Copy)]
+struct CoreTiming {
+    /// Cycles one fetch event's instructions take to commit.
+    fetch_cycles: f64,
+    /// The L1 hit latency, which the core model hides.
+    l1_lat: f64,
+    /// Share of an instruction miss's extra latency the core stalls for.
+    ifetch_blocking: f64,
+    /// Share of a data miss's extra latency the core stalls for.
+    data_blocking: f64,
+}
+
+impl CoreTiming {
+    /// The per-access loop: runs `access` (one hierarchy's `access_probed`)
+    /// on each of `accesses` at its node's clock and advances the clocks;
+    /// with `measure` set, tallies the misses.
+    #[inline]
+    fn replay(
+        self,
+        clocks: &mut [f64],
+        tally: &mut ServeTally,
+        measure: bool,
+        accesses: &[Access],
+        mut access: impl FnMut(&Access, u64) -> Result<AccessResult, ProtocolError>,
+    ) -> Result<(), ProtocolError> {
+        for a in accesses {
+            let n = a.node.index();
+            let r = access(a, clocks[n] as u64)?;
+            let is_i = a.kind.is_ifetch();
+            if is_i {
+                clocks[n] += self.fetch_cycles;
+            }
+            if !r.l1_hit || r.late {
+                let beyond = (r.latency as f64 - self.l1_lat).max(0.0);
+                let blocking = if is_i {
+                    self.ifetch_blocking
+                } else {
+                    self.data_blocking
+                };
+                clocks[n] += beyond * blocking;
+            }
+            if measure && !r.l1_hit {
+                tally.record(is_i, r.serviced_by, r.latency);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A run in progress: the system, the core clocks, the miss tally and the
+/// probe every access reports to.
+struct Run<'p, P: ?Sized> {
+    sys: AnySystem,
+    clocks: Vec<f64>,
+    tally: ServeTally,
+    probe: &'p mut P,
+    core: CoreTiming,
+}
+
+impl<P: Probe + ?Sized> Run<'_, P> {
+    /// Runs one batch: one `match` on the system, then the per-access loop
+    /// built for that hierarchy and probe.
+    fn batch(&mut self, accesses: &[Access], measure: bool) -> Result<(), ProtocolError> {
+        let Self {
+            sys,
+            clocks,
+            tally,
+            probe,
+            core,
+        } = self;
+        match sys {
+            AnySystem::Base(s) => core.replay(clocks, tally, measure, accesses, |a, now| {
+                Ok(s.access_probed(a, now, &mut **probe))
+            }),
+            AnySystem::D2m(s) => core.replay(clocks, tally, measure, accesses, |a, now| {
+                s.access_probed(a, now, &mut **probe)
+            }),
+        }
+    }
+
+    /// The latest core clock.
+    fn cycles(&self) -> f64 {
+        self.clocks.iter().cloned().fold(0f64, f64::max)
+    }
+}
+
 /// The simulation loop behind every run.
 ///
 /// With `shared` unset the accesses stream from a fresh [`TraceGen`]; with
 /// it set they come from that trace, which must have been recorded for
 /// `spec` on `cfg.nodes` nodes with `rc`'s seed and run length. The trace is
 /// fetched after the system is built, where a stream's generator is made, so
-/// a run that fails does so at the same step either way.
-fn run_core(
+/// a run that fails does so at the same step either way. Every access
+/// reports to `probe`; with [`NoopProbe`] the loop holds no probe code.
+fn run_core<P: Probe + ?Sized>(
     kind: SystemKind,
     cfg: &MachineConfig,
     spec: &WorkloadSpec,
     rc: &RunConfig,
     shared: SharedTrace<'_>,
-    mut probe: Option<&mut RecordingProbe>,
+    probe: &mut P,
     record_traffic: bool,
 ) -> Result<(RunMetrics, Counters, AnySystem), RunError> {
     let mut sys = AnySystem::build(kind, cfg, rc.seed);
@@ -390,41 +477,17 @@ fn run_core(
             batch: Vec::new(),
         },
     };
-    let mut clocks = vec![0f64; cfg.nodes];
-
-    let ipc = cfg.core.base_ipc;
-    let l1_lat = cfg.lat.l1 as f64;
-    let insts_per_fetch = spec.insts_per_fetch;
-    let mut tally = ServeTally::default();
-    let replay = |sys: &mut AnySystem,
-                  clocks: &mut [f64],
-                  tally: &mut ServeTally,
-                  mut probe: Option<&mut RecordingProbe>,
-                  measure: bool,
-                  accesses: &[Access]|
-     -> Result<(), ProtocolError> {
-        for a in accesses {
-            let n = a.node.index();
-            let now = clocks[n] as u64;
-            let r = sys.access_probed(a, now, probe.as_deref_mut().map(|p| p as &mut dyn Probe))?;
-            let is_i = a.kind.is_ifetch();
-            if is_i {
-                clocks[n] += insts_per_fetch / ipc;
-            }
-            if !r.l1_hit || r.late {
-                let beyond = (r.latency as f64 - l1_lat).max(0.0);
-                let blocking = if is_i {
-                    cfg.core.ifetch_blocking
-                } else {
-                    cfg.core.data_blocking
-                };
-                clocks[n] += beyond * blocking;
-            }
-            if measure && !r.l1_hit {
-                tally.record(is_i, r.serviced_by, r.latency);
-            }
-        }
-        Ok(())
+    let mut run = Run {
+        sys,
+        clocks: vec![0f64; cfg.nodes],
+        tally: ServeTally::default(),
+        probe,
+        core: CoreTiming {
+            fetch_cycles: spec.insts_per_fetch / cfg.core.base_ipc,
+            l1_lat: cfg.lat.l1 as f64,
+            ifetch_blocking: cfg.core.ifetch_blocking,
+            data_blocking: cfg.core.data_blocking,
+        },
     };
     let proto_err = |error: ProtocolError| RunError::Protocol {
         system: kind.name(),
@@ -433,48 +496,29 @@ fn run_core(
     };
 
     // Warmup, then snapshot.
-    if let Some(p) = probe.as_deref_mut() {
-        p.phase("warmup");
-    }
+    run.probe.phase("warmup");
     feed.phase(false, rc.warmup_instructions, |batch| {
-        replay(
-            &mut sys,
-            &mut clocks,
-            &mut tally,
-            probe.as_deref_mut(),
-            false,
-            batch,
-        )
+        run.batch(batch, false)
     })
     .map_err(proto_err)?;
-    let warm_counters = sys.counters();
-    let warm_cycles = clocks.iter().cloned().fold(0f64, f64::max);
-    let warm_dyn_std = sys.energy().dynamic_std_pj();
-    let warm_dyn_d2m = sys.energy().dynamic_d2m_pj();
+    let warm_counters = run.sys.counters();
+    let warm_cycles = run.cycles();
+    let warm_dyn_std = run.sys.energy().dynamic_std_pj();
+    let warm_dyn_d2m = run.sys.energy().dynamic_d2m_pj();
     // The warmup records nothing, so the counts do not need this reset. It
     // stays for its allocation: without it, glibc placed the run's small
     // blocks so that it trimmed and re-faulted the heap on every run (10 k
     // → 118 k minor page faults in a `simbench --workload deep-run`
     // process, and 25% slower short runs).
-    tally = ServeTally::default();
+    run.tally = ServeTally::default();
 
     // Measurement window.
-    if let Some(p) = probe.as_deref_mut() {
-        p.phase("measured");
-    }
+    run.probe.phase("measured");
     let instructions = feed
-        .phase(true, rc.instructions, |batch| {
-            replay(
-                &mut sys,
-                &mut clocks,
-                &mut tally,
-                probe.as_deref_mut(),
-                true,
-                batch,
-            )
-        })
+        .phase(true, rc.instructions, |batch| run.batch(batch, true))
         .map_err(proto_err)?;
-    let end_cycles = clocks.iter().cloned().fold(0f64, f64::max);
+    let end_cycles = run.cycles();
+    let Run { sys, tally, .. } = run;
     let cycles = (end_cycles - warm_cycles).max(1.0) as u64;
 
     if sys.coherence_errors() != 0 {

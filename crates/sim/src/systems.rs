@@ -3,7 +3,7 @@
 use d2m_baseline::{Baseline, BaselineKind};
 use d2m_common::config::MachineConfig;
 use d2m_common::outcome::AccessResult;
-use d2m_common::probe::Probe;
+use d2m_common::probe::{NoopProbe, Probe};
 use d2m_common::stats::Counters;
 use d2m_core::{D2mSystem, D2mVariant, MetadataFootprint, ProtocolError};
 use d2m_energy::EnergyAccount;
@@ -117,25 +117,22 @@ impl AnySystem {
     /// corrupted mid-transaction. The baseline systems are infallible.
     #[inline]
     pub fn access(&mut self, a: &Access, now: u64) -> Result<AccessResult, ProtocolError> {
-        match self {
-            AnySystem::Base(s) => Ok(s.access(a, now)),
-            AnySystem::D2m(s) => s.access(a, now),
-        }
+        self.access_probed(a, now, &mut NoopProbe)
     }
 
     /// Like [`AnySystem::access`], feeding a transaction event to `probe`.
     ///
-    /// With `probe == None` this is exactly [`AnySystem::access`].
+    /// With [`NoopProbe`] this is exactly [`AnySystem::access`].
     ///
     /// # Errors
     ///
     /// Same as [`AnySystem::access`].
     #[inline]
-    pub fn access_probed(
+    pub fn access_probed<P: Probe + ?Sized>(
         &mut self,
         a: &Access,
         now: u64,
-        probe: Option<&mut dyn Probe>,
+        probe: &mut P,
     ) -> Result<AccessResult, ProtocolError> {
         match self {
             AnySystem::Base(s) => Ok(s.access_probed(a, now, probe)),

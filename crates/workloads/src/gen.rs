@@ -10,7 +10,7 @@
 //! implements.
 
 use d2m_common::addr::{Asid, NodeId, VAddr, LINE_SHIFT};
-use d2m_common::rng::{SimRng, Zipf};
+use d2m_common::rng::{Bernoulli, SimRng, Zipf};
 
 use crate::spec::{Sharing, WorkloadSpec};
 
@@ -112,11 +112,67 @@ impl Samplers {
     }
 }
 
+/// A spec's Bernoulli draws and fetch/memory-op counts, scaled once per
+/// generator so a batch makes no float conversion or rounding
+/// (DESIGN.md §10). Each draw consumes the stream as the `chance(p)` call
+/// it replaces.
+#[derive(Clone, Debug)]
+struct Draws {
+    /// Whole instructions per fetch event, and the draw for one more.
+    insts: (u64, Bernoulli),
+    /// For a fetch of `insts.0` and of `insts.0 + 1` instructions: whole
+    /// memory operations, and the draw for one more.
+    mem_ops: [(u64, Bernoulli); 2],
+    /// A fetch jumps instead of falling through.
+    jump: Bernoulli,
+    /// A jump lands in hot code.
+    hot_code: Bernoulli,
+    /// A memory operation touches shared data.
+    shared: Bernoulli,
+    /// A private access continues the strided scan.
+    stride: Bernoulli,
+    /// A private access is hot.
+    hot: Bernoulli,
+    /// A private access that is not hot is warm.
+    warm: Bernoulli,
+    /// A cold access starts a burst in a new region.
+    cold_jump: Bernoulli,
+    /// A private, migratory or produced access is a store.
+    write: Bernoulli,
+    /// A read-shared access is a store (a tenth of `write`).
+    shared_write: Bernoulli,
+}
+
+impl Draws {
+    fn new(spec: &WorkloadSpec) -> Self {
+        let whole_and_rest = |x: f64| {
+            let whole = x.floor() as u64;
+            (whole, Bernoulli::new(x - whole as f64))
+        };
+        let insts = whole_and_rest(spec.insts_per_fetch);
+        let mem_ops = [insts.0, insts.0 + 1].map(|n| whole_and_rest(n as f64 * spec.mem_op_frac));
+        Self {
+            insts,
+            mem_ops,
+            jump: Bernoulli::new(spec.jump_prob),
+            hot_code: Bernoulli::new(spec.p_hot_code),
+            shared: Bernoulli::new(spec.shared_frac),
+            stride: Bernoulli::new(spec.stride_frac),
+            hot: Bernoulli::new(spec.p_hot),
+            warm: Bernoulli::new(spec.p_warm / (1.0 - spec.p_hot).max(1e-9)),
+            cold_jump: Bernoulli::new(0.25),
+            write: Bernoulli::new(spec.write_frac),
+            shared_write: Bernoulli::new(spec.write_frac * 0.1),
+        }
+    }
+}
+
 /// Deterministic interleaved trace generator (see module docs).
 #[derive(Clone, Debug)]
 pub struct TraceGen {
     spec: WorkloadSpec,
     zipf: Samplers,
+    draws: Draws,
     nodes: Vec<NodeGen>,
     batches: u64,
 }
@@ -150,6 +206,7 @@ impl TraceGen {
         Self {
             spec: spec.clone(),
             zipf: Samplers::new(spec, node_count),
+            draws: Draws::new(spec),
             nodes,
             batches: 0,
         }
@@ -172,6 +229,7 @@ impl TraceGen {
         let epoch = self.epoch();
         let spec = &self.spec;
         let zipf = &self.zipf;
+        let draws = &self.draws;
         let node_count = self.nodes.len();
         let mut insts_total = 0u64;
         for (n, st) in self.nodes.iter_mut().enumerate() {
@@ -183,12 +241,10 @@ impl TraceGen {
             };
 
             // --- instruction fetch ---
-            let base_insts = spec.insts_per_fetch.floor() as u64;
-            let frac = spec.insts_per_fetch - base_insts as f64;
-            let insts = base_insts + u64::from(st.rng.chance(frac));
-            insts_total += insts;
-            if st.rng.chance(spec.jump_prob) {
-                st.pc = if st.rng.chance(spec.p_hot_code) {
+            let extra = draws.insts.1.sample(&mut st.rng);
+            insts_total += draws.insts.0 + u64::from(extra);
+            if draws.jump.sample(&mut st.rng) {
+                st.pc = if draws.hot_code.sample(&mut st.rng) {
                     zipf.hot_code.sample(&mut st.rng)
                 } else {
                     // Cold code: region-granular pick keeps basic blocks
@@ -207,16 +263,13 @@ impl TraceGen {
             });
 
             // --- data accesses ---
-            let expect = insts as f64 * spec.mem_op_frac;
-            let mut n_mem = expect.floor() as u64;
-            if st.rng.chance(expect - n_mem as f64) {
-                n_mem += 1;
-            }
+            let (whole, more) = draws.mem_ops[usize::from(extra)];
+            let n_mem = whole + u64::from(more.sample(&mut st.rng));
             for _ in 0..n_mem {
-                let access = if spec.shared_frac > 0.0 && st.rng.chance(spec.shared_frac) {
-                    Self::shared_access(spec, zipf, st, node, asid, epoch, node_count)
+                let access = if draws.shared.possible() && draws.shared.sample(&mut st.rng) {
+                    Self::shared_access(spec, zipf, draws, st, node, asid, epoch, node_count)
                 } else {
-                    Self::private_access(spec, zipf, st, node, asid, n)
+                    Self::private_access(spec, zipf, draws, st, node, asid, n)
                 };
                 out.push(access);
             }
@@ -229,12 +282,13 @@ impl TraceGen {
     fn private_access(
         spec: &WorkloadSpec,
         zipf: &Samplers,
+        draws: &Draws,
         st: &mut NodeGen,
         node: NodeId,
         asid: Asid,
         n: usize,
     ) -> Access {
-        let line = if spec.stride_frac > 0.0 && st.rng.chance(spec.stride_frac) {
+        let line = if draws.stride.possible() && draws.stride.sample(&mut st.rng) {
             // Streaming kernels touch several elements per 64 B line before
             // the scan advances (dwell ≈ 6 accesses/line).
             if st.scan_dwell == 0 {
@@ -244,9 +298,9 @@ impl TraceGen {
                 st.scan_dwell -= 1;
             }
             st.scan_pos
-        } else if st.rng.chance(spec.p_hot) {
+        } else if draws.hot.sample(&mut st.rng) {
             zipf.hot_data.sample(&mut st.rng)
-        } else if st.rng.chance(spec.p_warm / (1.0 - spec.p_hot).max(1e-9)) {
+        } else if draws.warm.sample(&mut st.rng) {
             // Warm: region-granular (spatial locality inside 1 KB regions).
             let region = zipf.warm_regions.sample(&mut st.rng);
             let line = spec.hot_lines + region * REGION_LINES + st.rng.below(REGION_LINES);
@@ -254,13 +308,13 @@ impl TraceGen {
         } else {
             // Cold: uniform over the whole footprint, in short region bursts
             // (page-level spatial locality survives even in cold tails).
-            if st.rng.chance(0.25) {
+            if draws.cold_jump.sample(&mut st.rng) {
                 st.cold_region = st.rng.below((spec.private_lines / REGION_LINES).max(1));
             }
             (st.cold_region * REGION_LINES + st.rng.below(REGION_LINES)) % spec.private_lines
         };
         let base = PRIVATE_BASE + n as u64 * PRIVATE_STRIDE;
-        let kind = if st.rng.chance(spec.write_frac) {
+        let kind = if draws.write.sample(&mut st.rng) {
             AccessKind::Store
         } else {
             AccessKind::Load
@@ -273,9 +327,11 @@ impl TraceGen {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn shared_access(
         spec: &WorkloadSpec,
         zipf: &Samplers,
+        draws: &Draws,
         st: &mut NodeGen,
         node: NodeId,
         asid: Asid,
@@ -291,7 +347,7 @@ impl TraceGen {
                 let region = zipf.shared_rank.sample(&mut st.rng);
                 let line = (region * REGION_LINES + zipf.shared_line.sample(&mut st.rng))
                     % spec.shared_lines;
-                let kind = if st.rng.chance(spec.write_frac * 0.1) {
+                let kind = if draws.shared_write.sample(&mut st.rng) {
                     AccessKind::Store
                 } else {
                     AccessKind::Load
@@ -306,7 +362,7 @@ impl TraceGen {
                 let chunk = (rank * nodes + ((n + epoch) % nodes)) % chunks;
                 let line = (chunk * CHUNK_LINES + zipf.shared_line.sample(&mut st.rng))
                     % spec.shared_lines;
-                let kind = if st.rng.chance(spec.write_frac) {
+                let kind = if draws.write.sample(&mut st.rng) {
                     AccessKind::Store
                 } else {
                     AccessKind::Load
@@ -322,7 +378,7 @@ impl TraceGen {
                 let chunk = (rank * nodes + producer) % chunks;
                 let line = (chunk * CHUNK_LINES + zipf.shared_line.sample(&mut st.rng))
                     % spec.shared_lines;
-                let kind = if n.is_multiple_of(2) && st.rng.chance(spec.write_frac) {
+                let kind = if n.is_multiple_of(2) && draws.write.sample(&mut st.rng) {
                     AccessKind::Store
                 } else {
                     AccessKind::Load
@@ -596,6 +652,50 @@ mod tests {
             for draw in 0..1_000_000 {
                 let got = zipf.sample(&mut rng);
                 assert_eq!(got, twin.zipf(n, s), "(n={n}, s={s}) draw {draw}");
+            }
+        }
+    }
+
+    #[test]
+    fn catalog_draws_match_the_float_draws() {
+        // Every probability a catalog generator draws with, computed as the
+        // per-draw `chance(p)` calls did, must be the one its `Draws` holds,
+        // and a million threshold draws of it must equal `unit() < p` on a
+        // cloned stream.
+        let mut probs = std::collections::BTreeMap::new();
+        for spec in crate::catalog::all().expect("catalog") {
+            let d = Draws::new(&spec);
+            let base = spec.insts_per_fetch.floor() as u64;
+            let mut drawn = vec![
+                ("insts", spec.insts_per_fetch - base as f64, d.insts.1),
+                ("jump", spec.jump_prob, d.jump),
+                ("hot_code", spec.p_hot_code, d.hot_code),
+                ("shared", spec.shared_frac, d.shared),
+                ("stride", spec.stride_frac, d.stride),
+                ("hot", spec.p_hot, d.hot),
+                ("warm", spec.p_warm / (1.0 - spec.p_hot).max(1e-9), d.warm),
+                ("cold_jump", 0.25, d.cold_jump),
+                ("write", spec.write_frac, d.write),
+                ("shared_write", spec.write_frac * 0.1, d.shared_write),
+            ];
+            for (extra, &(whole, more)) in d.mem_ops.iter().enumerate() {
+                let expect = (base + extra as u64) as f64 * spec.mem_op_frac;
+                assert_eq!(whole, expect.floor() as u64, "{}: mem ops", spec.name);
+                drawn.push(("mem_ops", expect - whole as f64, more));
+            }
+            assert_eq!(d.insts.0, base, "{}: insts", spec.name);
+            for (field, p, b) in drawn {
+                assert_eq!(b, Bernoulli::new(p), "{}: {field} = {p}", spec.name);
+                probs.insert(p.to_bits(), p);
+            }
+        }
+        for (i, p) in probs.into_values().enumerate() {
+            let b = Bernoulli::new(p);
+            let mut rng = SimRng::from_label(i as u64, "catalog-bernoulli");
+            let mut twin = rng.clone();
+            for draw in 0..1_000_000 {
+                let want = twin.unit() < p.clamp(0.0, 1.0);
+                assert_eq!(b.sample(&mut rng), want, "p = {p}, draw {draw}");
             }
         }
     }

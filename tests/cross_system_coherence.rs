@@ -4,7 +4,7 @@
 
 use d2m_common::MachineConfig;
 use d2m_core::{D2mSystem, D2mVariant};
-use d2m_sim::{run_one, RunConfig, SystemKind};
+use d2m_sim::{run_one, run_one_checked, RunConfig, SystemKind};
 use d2m_workloads::{catalog, TraceGen};
 
 fn rc() -> RunConfig {
@@ -83,6 +83,58 @@ fn every_catalog_workload_runs_on_every_system_briefly() {
             assert!(m.energy_pj > 0.0, "{} {}", spec.name, kind.name());
         }
     }
+}
+
+/// Runs every catalog workload on `kind` with the value oracle on, long
+/// enough for L1 set pressure to evict lines that a read forward
+/// downgraded, and fails naming every workload that violated coherence.
+fn every_catalog_workload_stays_coherent(kind: SystemKind) {
+    let mut cfg = MachineConfig::default();
+    cfg.check_coherence = true;
+    let rc = RunConfig {
+        instructions: 40_000,
+        warmup_instructions: 10_000,
+        seed: 2,
+    };
+    let specs = catalog::all().unwrap();
+    let failed: Vec<String> = specs
+        .iter()
+        .filter_map(|spec| run_one_checked(kind, &cfg, spec, &rc).err())
+        .map(|e| e.to_string())
+        .collect();
+    assert!(
+        failed.is_empty(),
+        "{} of {} workloads failed on {}:\n{}",
+        failed.len(),
+        specs.len(),
+        kind.name(),
+        failed.join("\n")
+    );
+}
+
+#[test]
+fn every_catalog_workload_stays_coherent_on_base_2l() {
+    every_catalog_workload_stays_coherent(SystemKind::Base2L);
+}
+
+#[test]
+fn every_catalog_workload_stays_coherent_on_base_3l() {
+    every_catalog_workload_stays_coherent(SystemKind::Base3L);
+}
+
+#[test]
+fn every_catalog_workload_stays_coherent_on_d2m_fs() {
+    every_catalog_workload_stays_coherent(SystemKind::D2mFs);
+}
+
+#[test]
+fn every_catalog_workload_stays_coherent_on_d2m_ns() {
+    every_catalog_workload_stays_coherent(SystemKind::D2mNs);
+}
+
+#[test]
+fn every_catalog_workload_stays_coherent_on_d2m_ns_r() {
+    every_catalog_workload_stays_coherent(SystemKind::D2mNsR);
 }
 
 #[test]

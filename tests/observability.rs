@@ -33,7 +33,7 @@ fn drive(kind: SystemKind, accs: &[Access], mut probe: Option<&mut dyn Probe>) -
     let mut sys = AnySystem::build(kind, &cfg, 1);
     for a in accs {
         match probe.as_deref_mut() {
-            Some(p) => sys.access_probed(a, 0, Some(p)).unwrap(),
+            Some(p) => sys.access_probed(a, 0, p).unwrap(),
             None => sys.access(a, 0).unwrap(),
         };
     }
