@@ -66,6 +66,29 @@ full_digest="$(target/release/d2m-simulate --sweep full --instructions 40000 \
 [ "$full_digest" = "$(cat tests/golden/full_sweep_quick.sha256)" ] \
     || { echo "full sweep output digest $full_digest differs from the pinned one"; exit 1; }
 
+echo "== observation byte identity (tpc-c --trace-out on every system, pinned digest) =="
+# The sweep digest above covers the scalar metrics only. An observed run also
+# writes the probe histograms, the traffic matrix and the energy breakdown,
+# and the late-hit latencies in them come from the L1 slots' fill-completion
+# cycles. The sha256 of the five systems' --trace-out files, concatenated in
+# SystemKind::ALL order, must equal tests/golden/observation_quick.sha256.
+# After a deliberate output change, re-bless with:
+#   for s in base-2l base-3l d2m-fs d2m-ns d2m-ns-r; do
+#       target/release/d2m-simulate --system "$s" --workload tpc-c \
+#           --instructions 40000 --warmup 10000 --trace-out "/tmp/obs-$s.json" >/dev/null
+#   done
+#   cat /tmp/obs-{base-2l,base-3l,d2m-fs,d2m-ns,d2m-ns-r}.json | sha256sum \
+#       | cut -d' ' -f1 > tests/golden/observation_quick.sha256
+obs_files=()
+for system in base-2l base-3l d2m-fs d2m-ns d2m-ns-r; do
+    target/release/d2m-simulate --system "$system" --workload tpc-c --instructions 40000 \
+        --warmup 10000 --trace-out "$fault_dir/obs-$system.json" >/dev/null
+    obs_files+=("$fault_dir/obs-$system.json")
+done
+obs_digest="$(cat "${obs_files[@]}" | sha256sum | cut -d' ' -f1)"
+[ "$obs_digest" = "$(cat tests/golden/observation_quick.sha256)" ] \
+    || { echo "observation digest $obs_digest differs from the pinned one"; exit 1; }
+
 echo "== fault-tolerant sweep smoke (inject, kill, resume, diff) =="
 # End-to-end proof of the sweep engine's fault-tolerance contract, against
 # the real release binary and a real process death (not an in-process

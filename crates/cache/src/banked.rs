@@ -20,6 +20,17 @@
 //! so building an array writes only its keys; a payload is read only behind
 //! a key other than the empty key, which only [`Banked::insert_at`] stores,
 //! in the same call that writes the payload.
+//!
+//! Ticks and clocks are `u32`, half the bytes of a `u64` tick in every slot.
+//! A bank's clock could pass `u32::MAX` after four billion bumps, so the
+//! bump that would pass it first renumbers the bank: its nonzero ticks
+//! become `1..=k` in tick order, and its clock becomes `k`. This changes no
+//! decision. Each bump writes at most one slot, so the occupied ticks of a
+//! bank are distinct, and renumbering keeps their order. Every choice the
+//! array makes (the LRU victim, the MRU test, the `(cost, tick)` victim)
+//! compares ticks within one set of one bank, so it sees the same order
+//! before and after, and every later tick is larger than all renumbered
+//! ones, as it would have been.
 
 use std::mem::MaybeUninit;
 
@@ -39,14 +50,14 @@ pub struct Banked<V: Copy> {
     keys: Vec<u64>,
     /// Recency ticks, same indexing; 0 in an empty slot — ticks start at 1,
     /// so an occupied slot always has a nonzero tick.
-    ticks: Vec<u64>,
+    ticks: Vec<u32>,
     /// Value payloads, same indexing. Initialized exactly where `keys` is
     /// not [`EMPTY_KEY`]; read only through [`Self::slot`] and
     /// [`Self::slot_mut`].
     vals: Box<[MaybeUninit<V>]>,
     /// One LRU clock per bank — the tick sequence each bank would have on
     /// its own, which is what keeps replacement independent of banking.
-    clocks: Vec<u64>,
+    clocks: Vec<u32>,
     hashed: bool,
 }
 
@@ -125,9 +136,29 @@ impl<V: Copy> Banked<V> {
     }
 
     #[inline]
-    fn bump(&mut self, bank: usize) -> u64 {
+    fn bump(&mut self, bank: usize) -> u32 {
+        if self.clocks[bank] == u32::MAX {
+            self.renumber(bank);
+        }
         self.clocks[bank] += 1;
         self.clocks[bank]
+    }
+
+    /// Renumbers `bank`'s nonzero ticks `1..=k` in tick order and sets its
+    /// clock to `k`, so the clock can count on without passing `u32::MAX`.
+    /// The order of the ticks, the only thing any choice reads, is kept
+    /// (see the module docs).
+    #[cold]
+    #[inline(never)]
+    fn renumber(&mut self, bank: usize) {
+        let b = self.base(bank, 0);
+        let ticks = &mut self.ticks[b..b + self.sets * self.ways];
+        let mut order: Vec<usize> = (0..ticks.len()).filter(|&i| ticks[i] != 0).collect();
+        order.sort_unstable_by_key(|&i| ticks[i]);
+        for (rank, &i) in order.iter().enumerate() {
+            ticks[i] = rank as u32 + 1;
+        }
+        self.clocks[bank] = order.len() as u32;
     }
 
     /// `(key, value)` of flat slot `i` if it is occupied.
@@ -263,7 +294,7 @@ impl<V: Copy> Banked<V> {
     pub fn victim_way(&self, bank: usize, set: usize) -> usize {
         let b = self.base(bank, set);
         let mut victim = 0;
-        let mut best = u64::MAX;
+        let mut best = u32::MAX;
         for (w, &t) in self.ticks[b..b + self.ways].iter().enumerate() {
             if t < best {
                 best = t;
@@ -284,7 +315,7 @@ impl<V: Copy> Banked<V> {
     {
         let b = self.base(bank, set);
         let mut victim = 0;
-        let mut best = (u64::MAX, u64::MAX);
+        let mut best = (u64::MAX, u32::MAX);
         for w in 0..self.ways {
             let Some((key, v)) = self.slot(b + w) else {
                 return w;
@@ -365,6 +396,140 @@ mod tests {
                 .collect();
             let s: Vec<_> = sa.iter().map(|(s, w, k, v)| (s, w, k, *v)).collect();
             assert_eq!(a, s);
+        }
+    }
+
+    /// Replacement state with `u64` ticks that never need renumbering: the
+    /// order `Banked` must keep when its `u32` clock reaches the limit.
+    struct U64Lru {
+        ways: usize,
+        slots: Vec<Option<(u64, u64)>>,
+        ticks: Vec<u64>,
+        clock: u64,
+    }
+
+    impl U64Lru {
+        fn new(sets: usize, ways: usize) -> Self {
+            Self {
+                ways,
+                slots: vec![None; sets * ways],
+                ticks: vec![0; sets * ways],
+                clock: 0,
+            }
+        }
+
+        fn insert_at(&mut self, set: usize, way: usize, key: u64, v: u64) -> Option<(u64, u64)> {
+            self.clock += 1;
+            let i = set * self.ways + way;
+            self.ticks[i] = self.clock;
+            self.slots[i].replace((key, v))
+        }
+
+        fn touch(&mut self, set: usize, way: usize) {
+            self.clock += 1;
+            let i = set * self.ways + way;
+            if self.slots[i].is_some() {
+                self.ticks[i] = self.clock;
+            }
+        }
+
+        fn remove(&mut self, set: usize, way: usize) -> Option<(u64, u64)> {
+            let i = set * self.ways + way;
+            self.ticks[i] = 0;
+            self.slots[i].take()
+        }
+
+        fn victim_way(&self, set: usize) -> usize {
+            let ticks = &self.ticks[set * self.ways..][..self.ways];
+            let min = ticks.iter().min().unwrap();
+            ticks.iter().position(|t| t == min).unwrap()
+        }
+
+        fn victim_way_with_cost(&self, set: usize, cost: impl Fn(u64) -> u64) -> usize {
+            let b = set * self.ways;
+            if let Some(w) = self.slots[b..b + self.ways]
+                .iter()
+                .position(Option::is_none)
+            {
+                return w;
+            }
+            let key = |w: usize| (cost(self.slots[b + w].unwrap().1), self.ticks[b + w]);
+            (0..self.ways).min_by_key(|&w| key(w)).unwrap()
+        }
+
+        fn is_mru(&self, set: usize, way: usize) -> bool {
+            let ticks = &self.ticks[set * self.ways..][..self.ways];
+            ticks[way] != 0 && ticks.iter().all(|&t| t <= ticks[way])
+        }
+
+        fn occupied(&self) -> Vec<(usize, usize, u64, u64)> {
+            let w = self.ways;
+            let slots = self.slots.iter().enumerate();
+            slots
+                .filter_map(|(i, s)| s.map(|(k, v)| (i / w, i % w, k, v)))
+                .collect()
+        }
+    }
+
+    /// Bank 0's clock is pushed to within a few bumps of `u32::MAX` again and
+    /// again, so `bump` renumbers it hundreds of times; every victim, MRU and
+    /// cost-victim choice, and the bank's contents, must still match a
+    /// reference whose `u64` ticks never renumber. Bank 1 runs alongside
+    /// from a low clock and must not be disturbed by bank 0's renumbering.
+    #[test]
+    fn renumbering_near_u32_max_keeps_every_choice() {
+        let (sets, ways) = (4, 4);
+        let mut arena: Banked<u64> = Banked::new(2, sets, ways);
+        let mut refs = [U64Lru::new(sets, ways), U64Lru::new(sets, ways)];
+        let mut rng = SimRng::from_label(11, "banked-renumber");
+        let mut renumbers = 0;
+        for i in 0..20_000u64 {
+            if i % 40 == 0 {
+                arena.clocks[0] = arena.clocks[0].max(u32::MAX - 8);
+            }
+            let bank = (rng.below(4) == 0) as usize;
+            let r = &mut refs[bank];
+            let key = rng.below(48);
+            let set = arena.set_index(key);
+            let clock_before = arena.clocks[bank];
+            match rng.below(4) {
+                0 | 1 => {
+                    let way = arena.victim_way(bank, set);
+                    assert_eq!(way, r.victim_way(set), "victim at step {i}");
+                    let old = arena.insert_at(bank, set, way, key, i);
+                    assert_eq!(old, r.insert_at(set, way, key, i));
+                }
+                2 => {
+                    let way = rng.below(ways as u64) as usize;
+                    arena.touch(bank, set, way);
+                    r.touch(set, way);
+                }
+                _ => {
+                    let way = rng.below(ways as u64) as usize;
+                    assert_eq!(arena.remove(bank, set, way), r.remove(set, way));
+                }
+            }
+            if arena.clocks[bank] < clock_before {
+                assert_eq!(bank, 0, "only bank 0 nears the limit");
+                renumbers += 1;
+            }
+            let cost = |v: u64| v % 3;
+            assert_eq!(
+                arena.victim_way_with_cost(bank, set, |_, v| cost(*v)),
+                r.victim_way_with_cost(set, cost),
+                "cost victim at step {i}"
+            );
+            for w in 0..ways {
+                assert_eq!(arena.is_mru(bank, set, w), r.is_mru(set, w), "step {i}");
+            }
+        }
+        assert!(renumbers > 100, "only {renumbers} renumberings");
+        for (bank, r) in refs.iter().enumerate() {
+            let got: Vec<_> = arena
+                .iter_bank(bank)
+                .map(|(s, w, k, v)| (s, w, k, *v))
+                .collect();
+            assert_eq!(got, r.occupied());
         }
     }
 

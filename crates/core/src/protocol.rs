@@ -33,7 +33,7 @@ use d2m_energy::EnergyEvent;
 use d2m_noc::{Endpoint, MsgClass};
 use d2m_workloads::{Access, AccessKind};
 
-use crate::data::DataLine;
+use crate::data::{DataLine, L1Line};
 use crate::error::ProtocolError;
 use crate::li::Li;
 use crate::meta::{Md1Entry, Md1Side, Md2Entry, Md3Entry, RegionClass, TrackingPtr};
@@ -248,9 +248,7 @@ impl D2mSystem {
             self.check_load(line, dl.version);
         }
 
-        let mut dl = dl;
-        dl.ready_at = now + latency;
-        let way = self.install_l1(node, is_i, line, dl)?;
+        let way = self.install_l1(node, is_i, line, dl, now + latency)?;
         self.li_set(node, md, off, Li::L1 { way: way as u8 });
 
         self.ctr.miss_latency_sum += latency;
@@ -280,13 +278,13 @@ impl D2mSystem {
     ///
     /// [`ProtocolError::Determinism`] when the slot holds another line or
     /// none; a deterministic LI (paper §II) never does.
-    fn named_slot<'a>(
-        arr: &'a mut Banked<DataLine>,
+    fn named_slot<'a, V: Copy>(
+        arr: &'a mut Banked<V>,
         (bank, set, way): (usize, usize, usize),
         line: LineAddr,
         li: Li,
         context: &'static str,
-    ) -> Result<&'a mut DataLine, ProtocolError> {
+    ) -> Result<&'a mut V, ProtocolError> {
         match arr.at_mut(bank, set, way) {
             Some((k, dl)) if k == line.raw() => Ok(dl),
             _ => Err(ProtocolError::Determinism { li, context }),
@@ -876,7 +874,7 @@ impl D2mSystem {
         if self.feats.replication && slice != node && (is_i || was_mru) {
             rp = self.replicate_local(node, line, slot.version, li)?;
         }
-        Ok((lat, serviced, DataLine::replica(slot.version, 0, rp)))
+        Ok((lat, serviced, DataLine::replica(slot.version, rp)))
     }
 
     /// Serves a read from memory. The request travels to the far side where
@@ -929,7 +927,7 @@ impl D2mSystem {
                         } else {
                             ServicedBy::RemoteNs
                         };
-                        return Ok((lat, serviced, DataLine::replica(version, 0, tracked)));
+                        return Ok((lat, serviced, DataLine::replica(version, tracked)));
                     }
                 }
             }
@@ -946,7 +944,7 @@ impl D2mSystem {
             // and inclusion still holds for everything else.
             self.ctr.bypassed_fills += 1;
             lat += self.noc.send(MsgClass::DataReply, Endpoint::FarSide, me);
-            return Ok((lat, ServicedBy::Mem, DataLine::replica(version, 0, Li::Mem)));
+            return Ok((lat, ServicedBy::Mem, DataLine::replica(version, Li::Mem)));
         }
         let slot_li = self.alloc_llc_master(node, line, version)?;
         // Record the new master in MD3 unless the region is private there
@@ -969,7 +967,7 @@ impl D2mSystem {
         }
         lat += self.noc.send(MsgClass::DataReply, Endpoint::FarSide, me);
         let _ = is_i;
-        Ok((lat, ServicedBy::Mem, DataLine::replica(version, 0, slot_li)))
+        Ok((lat, ServicedBy::Mem, DataLine::replica(version, slot_li)))
     }
 
     /// Case A with a remote master node: the request goes directly to the
@@ -1001,7 +999,7 @@ impl D2mSystem {
                 Ok((
                     lat,
                     ServicedBy::RemoteNode,
-                    DataLine::replica(version, 0, Li::Node(m)),
+                    DataLine::replica(version, Li::Node(m)),
                 ))
             }
             None => Err(ProtocolError::Determinism {
@@ -1097,7 +1095,7 @@ impl D2mSystem {
                 downstream
             };
             let version = self.oracle.on_store(line);
-            Ok((lat, serviced, DataLine::master(version, 0, true, victim)))
+            Ok((lat, serviced, DataLine::master(version, true, victim)))
         } else {
             // Case C: blocking MD3 round with invalidations.
             let (lat, victim, fetched_version, serviced) =
@@ -1109,7 +1107,7 @@ impl D2mSystem {
                 _ => self.alloc_llc_victim_slot(node, line)?,
             };
             let version = self.oracle.on_store(line);
-            Ok((lat, serviced, DataLine::master(version, 0, true, victim)))
+            Ok((lat, serviced, DataLine::master(version, true, victim)))
         }
     }
 
@@ -1432,7 +1430,6 @@ impl D2mSystem {
                 dirty: false,
                 stale: false,
                 version,
-                ready_at: 0,
                 rp: Li::Mem,
             },
         )?;
@@ -1457,7 +1454,6 @@ impl D2mSystem {
                 dirty: false,
                 stale: true,
                 version: 0,
-                ready_at: 0,
                 rp: Li::Mem,
             },
         )?;
@@ -1525,13 +1521,7 @@ impl D2mSystem {
         if self.llc.at(node, set, way).is_some() {
             self.evict_llc_slot(node, set, way);
         }
-        self.llc_place(
-            node,
-            set,
-            way,
-            line,
-            DataLine::replica(version, 0, master_li),
-        )?;
+        self.llc_place(node, set, way, line, DataLine::replica(version, master_li))?;
         self.ctr.replications += 1;
         self.energy.record(EnergyEvent::NsSliceArray, 1);
         Ok(self.li_of_llc(node, way))
@@ -1539,14 +1529,16 @@ impl D2mSystem {
 
     // ================= evictions =================
 
-    /// Installs `dl` for `line` in `node`'s L1, evicting the victim first
-    /// (cases E/F or a silent replica drop). Returns the way used.
+    /// Installs `dl` for `line` in `node`'s L1, its fill completing at
+    /// node-local cycle `ready_at`, evicting the victim first (cases E/F or
+    /// a silent replica drop). Returns the way used.
     fn install_l1(
         &mut self,
         node: usize,
         is_i: bool,
         line: LineAddr,
         dl: DataLine,
+        ready_at: u64,
     ) -> Result<usize, ProtocolError> {
         let kind = if is_i { ArrKind::L1I } else { ArrKind::L1D };
         let set = self.l1_set(line);
@@ -1554,7 +1546,9 @@ impl D2mSystem {
         if self.arr(kind).at(node, set, way).is_some() {
             self.evict_data_line(node, kind, set, way, false)?;
         }
-        self.arr_mut(kind).insert_at(node, set, way, line.raw(), dl);
+        let slot = L1Line { data: dl, ready_at };
+        self.arr_mut(kind)
+            .insert_at(node, set, way, line.raw(), slot);
         Ok(way)
     }
 

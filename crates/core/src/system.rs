@@ -26,7 +26,7 @@ use d2m_energy::{EnergyAccount, EnergyModel};
 use d2m_noc::{Endpoint, Noc};
 
 use crate::counters::{D2mCounters, ProtocolEvents};
-use crate::data::DataLine;
+use crate::data::{DataLine, L1Line};
 use crate::error::ProtocolError;
 use crate::li::{Li, LiEncoding};
 use crate::lockbits::LockBits;
@@ -134,9 +134,9 @@ pub struct D2mSystem {
     pub(crate) md2: Banked<Md2Entry>,
     pub(crate) tlb2: Vec<Tlb>,
     /// L1 instruction data arrays: one bank per node.
-    pub(crate) l1i: Banked<DataLine>,
+    pub(crate) l1i: Banked<L1Line>,
     /// L1 data arrays: one bank per node.
-    pub(crate) l1d: Banked<DataLine>,
+    pub(crate) l1d: Banked<L1Line>,
     /// LLC data arrays: a single bank (index 0) for far-side, one bank per
     /// node for near-side.
     pub(crate) llc: Banked<DataLine>,
@@ -174,7 +174,9 @@ impl D2mSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails validation.
+    /// Panics if `cfg` fails validation, or if D2M cannot address its
+    /// geometry: more L1 ways (8) or near-side slice ways (4) than the LI
+    /// way fields hold, or L1-I and L1-D set counts that differ.
     pub fn with_features(
         cfg: &MachineConfig,
         variant: D2mVariant,
@@ -182,6 +184,9 @@ impl D2mSystem {
         seed: u64,
     ) -> Self {
         cfg.validate().expect("invalid machine config");
+        if let Err(e) = Self::check_geometry(cfg, feats) {
+            panic!("invalid machine config for {}: {e}", variant.name());
+        }
         let n = cfg.nodes;
         let (llc, enc) = if feats.near_side {
             (
@@ -222,6 +227,45 @@ impl D2mSystem {
             scratch_prune: Vec::with_capacity(n),
             scramble_salt: seed ^ 0x5c7a_3bbd,
         }
+    }
+
+    /// Checks the geometry a D2M system with `feats` would build from `cfg`
+    /// against what its LIs can name. [`MachineConfig::validate`] accepts
+    /// these configs, since the baselines can run them.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the field and its limit when:
+    /// * `l1i.ways` or `l1d.ways` is above 8, the ways the L1 LI `001WWW`
+    ///   encodes;
+    /// * with a near-side LLC, `ns_slice.ways` is above 4, the ways the LLC
+    ///   LI `1NNNWW` encodes;
+    /// * `l1i.sets` differs from `l1d.sets`: one L1 set index
+    ///   (`l1_set`) serves both arrays.
+    fn check_geometry(cfg: &MachineConfig, feats: D2mFeatures) -> Result<(), String> {
+        const L1_LI_WAYS: usize = 8;
+        const NS_LI_WAYS: usize = 4;
+        for (field, ways) in [("l1i.ways", cfg.l1i.ways), ("l1d.ways", cfg.l1d.ways)] {
+            if ways > L1_LI_WAYS {
+                return Err(format!(
+                    "{field} = {ways} is above {L1_LI_WAYS}, the ways the L1 LI `001WWW` encodes"
+                ));
+            }
+        }
+        if feats.near_side && cfg.ns_slice.ways > NS_LI_WAYS {
+            return Err(format!(
+                "ns_slice.ways = {} is above {NS_LI_WAYS}, the ways the near-side LLC LI \
+                 `1NNNWW` encodes",
+                cfg.ns_slice.ways
+            ));
+        }
+        if cfg.l1i.sets != cfg.l1d.sets {
+            return Err(format!(
+                "l1i.sets = {} must equal l1d.sets = {}: one L1 set index serves both arrays",
+                cfg.l1i.sets, cfg.l1d.sets
+            ));
+        }
+        Ok(())
     }
 
     /// The configured variant.
@@ -504,7 +548,7 @@ impl D2mSystem {
     }
 
     /// The data arena for `kind`; index it with the node as the bank.
-    pub(crate) fn arr(&self, kind: ArrKind) -> &Banked<DataLine> {
+    pub(crate) fn arr(&self, kind: ArrKind) -> &Banked<L1Line> {
         match kind {
             ArrKind::L1I => &self.l1i,
             ArrKind::L1D => &self.l1d,
@@ -512,7 +556,7 @@ impl D2mSystem {
     }
 
     /// Mutable data arena for `kind`; index it with the node as the bank.
-    pub(crate) fn arr_mut(&mut self, kind: ArrKind) -> &mut Banked<DataLine> {
+    pub(crate) fn arr_mut(&mut self, kind: ArrKind) -> &mut Banked<L1Line> {
         match kind {
             ArrKind::L1I => &mut self.l1i,
             ArrKind::L1D => &mut self.l1d,
@@ -639,6 +683,7 @@ impl D2mSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use d2m_common::config::CacheGeometry;
 
     #[test]
     fn construction_matches_variant() {
@@ -651,6 +696,65 @@ mod tests {
         assert!(!ns.features().replication);
         let nsr = D2mSystem::new(&cfg, D2mVariant::NearSideRepl);
         assert!(nsr.features().replication && nsr.features().dynamic_indexing);
+    }
+
+    const VARIANTS: [D2mVariant; 3] = [
+        D2mVariant::FarSide,
+        D2mVariant::NearSide,
+        D2mVariant::NearSideRepl,
+    ];
+
+    #[test]
+    fn l1_ways_beyond_the_li_way_field_are_rejected() {
+        let mut cfg = MachineConfig::default();
+        cfg.l1d = CacheGeometry::new(64, 16);
+        assert!(cfg.validate().is_ok(), "the baselines accept it");
+        for v in VARIANTS {
+            let err = D2mSystem::check_geometry(&cfg, v.features()).unwrap_err();
+            assert!(err.starts_with("l1d.ways = 16 is above 8"), "{err}");
+        }
+        cfg.l1d = MachineConfig::default().l1d;
+        cfg.l1i = CacheGeometry::new(64, 16);
+        let err = D2mSystem::check_geometry(&cfg, D2mVariant::FarSide.features()).unwrap_err();
+        assert!(err.starts_with("l1i.ways = 16 is above 8"), "{err}");
+    }
+
+    #[test]
+    fn ns_slice_ways_beyond_the_li_way_field_are_rejected() {
+        let mut cfg = MachineConfig::default();
+        cfg.ns_slice = CacheGeometry::new(2048, 8);
+        assert!(cfg.validate().is_ok(), "the baselines accept it");
+        for v in [D2mVariant::NearSide, D2mVariant::NearSideRepl] {
+            let err = D2mSystem::check_geometry(&cfg, v.features()).unwrap_err();
+            assert!(err.starts_with("ns_slice.ways = 8 is above 4"), "{err}");
+        }
+        // A far-side system has no slices; the field does not bind it.
+        assert_eq!(
+            D2mSystem::check_geometry(&cfg, D2mVariant::FarSide.features()),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn l1i_sets_other_than_l1d_sets_are_rejected() {
+        let mut cfg = MachineConfig::default();
+        cfg.l1i = CacheGeometry::new(32, 8);
+        assert!(cfg.validate().is_ok(), "the baselines accept it");
+        for v in VARIANTS {
+            let err = D2mSystem::check_geometry(&cfg, v.features()).unwrap_err();
+            assert!(
+                err.starts_with("l1i.sets = 32 must equal l1d.sets = 64"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid machine config for D2M-NS-R: l1d.ways = 16")]
+    fn building_checks_the_geometry() {
+        let mut cfg = MachineConfig::default();
+        cfg.l1d = CacheGeometry::new(64, 16);
+        let _ = D2mSystem::new(&cfg, D2mVariant::NearSideRepl);
     }
 
     #[test]

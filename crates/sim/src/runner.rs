@@ -647,6 +647,17 @@ mod tests {
     }
 
     #[test]
+    fn base_2l_runs_an_l1_too_wide_for_d2m() {
+        // 16 L1-D ways overflow D2M's 3-bit L1 LI way field, so the D2M
+        // systems refuse this config when built; the baseline has no LIs.
+        let mut cfg = MachineConfig::default();
+        cfg.l1d = d2m_common::config::CacheGeometry::new(64, 16);
+        let spec = catalog::by_name("tpc-c").unwrap();
+        let m = run_one_checked(SystemKind::Base2L, &cfg, &spec, &quick()).unwrap();
+        assert!(m.instructions >= 60_000 && m.ipc > 0.0);
+    }
+
+    #[test]
     fn d2m_reduces_traffic_on_a_private_workload() {
         let mut cfg = MachineConfig::default();
         cfg.check_coherence = true;
