@@ -123,6 +123,16 @@ D2M_FAULT="cell@ci-fault:1:panic" \
 cmp "$fault_dir/clean.json" "$fault_dir/resumed.json" \
     || { echo "resumed sweep JSON differs from the uninterrupted run"; exit 1; }
 
+echo "== examples (each runs once in release) =="
+# `cargo test` only compiles examples/. Running each one makes an example
+# that panics, or breaks an assert such as dynamic_coherence's
+# `coherence_errors() == 0`, fail the gate.
+for example in examples/*.rs; do
+    example="$(basename "$example" .rs)"
+    echo "-- example $example"
+    cargo run --release -q --example "$example" >/dev/null
+done
+
 echo "== paper artifacts (every report at --quick length) =="
 # Without an artifact, `report` prints its usage, including the line
 # `artifacts: <name>...`, and exits 2. Each listed artifact then runs once, so

@@ -13,7 +13,7 @@
 //! Directory state per LLC line: `owner` (node holding M/E) and a `sharers`
 //! superset (S-state evictions are silent, so invalidations can be "false" —
 //! counted, as Table V does). Every load is validated against the
-//! [`VersionOracle`] when `check_coherence` is on.
+//! [`VersionOracle`].
 
 use d2m_cache::{SetAssoc, Tlb};
 use d2m_common::addr::{LineAddr, NodeId};
@@ -403,11 +403,10 @@ impl Baseline {
         }
     }
 
-    /// With the value oracle on, counts a load of `line` that observed a
-    /// version older than the latest store; the runner fails a run with
-    /// any, in every build.
+    /// Counts a load of `line` that observed a version older than the
+    /// latest store; the runner fails a run with any, in every build.
     fn check_load(&mut self, line: LineAddr, version: u64) {
-        if self.cfg.check_coherence && self.oracle.check_load(line, version).is_err() {
+        if !self.oracle.check_load(line, version) {
             self.ctr.coherence_errors += 1;
         }
     }
@@ -968,14 +967,8 @@ impl Baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use d2m_common::addr::{Asid, VAddr};
+    use d2m_common::addr::{translate, Asid, VAddr};
     use d2m_workloads::{catalog, TraceGen};
-
-    fn cfg() -> MachineConfig {
-        let mut c = MachineConfig::default();
-        c.check_coherence = true;
-        c
-    }
 
     fn acc(node: u8, kind: AccessKind, va: u64) -> Access {
         Access {
@@ -988,7 +981,7 @@ mod tests {
 
     #[test]
     fn first_access_misses_then_hits() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         let r1 = sys.access(&acc(0, AccessKind::Load, 0x10_0000), 0);
         assert!(!r1.l1_hit);
         assert_eq!(r1.serviced_by, ServicedBy::Mem);
@@ -999,7 +992,7 @@ mod tests {
 
     #[test]
     fn second_node_read_is_sourced_from_owner_or_llc() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         sys.access(&acc(0, AccessKind::Load, 0x20_0000), 0);
         let r = sys.access(&acc(1, AccessKind::Load, 0x20_0000), 0);
         assert!(!r.l1_hit);
@@ -1010,7 +1003,7 @@ mod tests {
 
     #[test]
     fn store_invalidates_sharers() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         for n in 0..4 {
             sys.access(&acc(n, AccessKind::Load, 0x30_0000), 0);
         }
@@ -1026,7 +1019,7 @@ mod tests {
 
     #[test]
     fn store_then_remote_load_returns_latest_value() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         sys.access(&acc(0, AccessKind::Store, 0x40_0000), 0);
         sys.access(&acc(1, AccessKind::Load, 0x40_0000), 0);
         sys.access(&acc(1, AccessKind::Load, 0x40_0000), 10_000);
@@ -1035,7 +1028,7 @@ mod tests {
 
     #[test]
     fn three_level_uses_l2() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::ThreeLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::ThreeLevel);
         sys.access(&acc(0, AccessKind::Load, 0x50_0000), 0);
         // Evict from tiny L1 by touching many same-set lines; L1 has 64 sets,
         // so addresses 64 lines apart collide.
@@ -1054,7 +1047,7 @@ mod tests {
         // downgrades it to a clean Shared line, whose eviction is silent;
         // the node's next miss on the line hits its inclusive L2, which
         // must hold the stored version, not the one it was filled with.
-        let mut sys = Baseline::new(&cfg(), BaselineKind::ThreeLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::ThreeLevel);
         let x = 0xF0_0000;
         sys.access(&acc(0, AccessKind::Store, x), 0);
         sys.access(&acc(1, AccessKind::Load, x), 0);
@@ -1069,9 +1062,40 @@ mod tests {
         sys.check_invariants().unwrap();
     }
 
+    /// Overwrites the version of node `n`'s resident L1-D copy of the line
+    /// at `va` with `version`, as a copy that missed a later store holds.
+    fn plant_version(sys: &mut Baseline, n: usize, va: u64, version: u64) {
+        let key = translate(Asid(0), VAddr::new(va)).line().raw();
+        let l1 = &mut sys.nodes[n].l1d;
+        let set = l1.set_index(key);
+        let way = l1.way_of(set, key).expect("resident L1-D line");
+        l1.at_mut(set, way).expect("occupied").1.version = version;
+    }
+
+    /// On the default machine, with no flag set, a load that hits an L1
+    /// copy older than the latest store counts one coherence violation.
+    fn stale_l1_hit_is_counted(kind: BaselineKind) {
+        let mut sys = Baseline::new(&MachineConfig::default(), kind);
+        let va = 0x70_0000;
+        sys.access(&acc(0, AccessKind::Store, va), 0);
+        plant_version(&mut sys, 0, va, 0);
+        assert!(sys.access(&acc(0, AccessKind::Load, va), 1000).l1_hit);
+        assert_eq!(sys.coherence_errors(), 1, "{}", kind.name());
+    }
+
+    #[test]
+    fn stale_l1_hit_is_counted_in_2l() {
+        stale_l1_hit_is_counted(BaselineKind::TwoLevel);
+    }
+
+    #[test]
+    fn stale_l1_hit_is_counted_in_3l() {
+        stale_l1_hit_is_counted(BaselineKind::ThreeLevel);
+    }
+
     #[test]
     fn late_hit_detected_when_fill_in_flight() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         let r1 = sys.access(&acc(0, AccessKind::Load, 0x60_0000), 100);
         // Immediately re-access at the same node-local time: fill not done.
         let r2 = sys.access(&acc(0, AccessKind::Load, 0x60_0000), 101);
@@ -1082,7 +1106,7 @@ mod tests {
 
     #[test]
     fn late_hit_latency_survives_waits_beyond_u32() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         // Fill far past u32::MAX cycles, then re-access at cycle 0: the
         // in-flight window exceeds u32::MAX, which a u32 accumulator wraps.
         let far = u32::MAX as u64 * 4;
@@ -1098,7 +1122,7 @@ mod tests {
 
     #[test]
     fn random_workload_preserves_coherence_and_invariants() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         let spec = catalog::by_name("fluidanimate").unwrap();
         let mut gen = TraceGen::new(&spec, 8, 11);
         let mut batch = Vec::new();
@@ -1116,7 +1140,7 @@ mod tests {
 
     #[test]
     fn random_workload_3l_preserves_coherence() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::ThreeLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::ThreeLevel);
         let spec = catalog::by_name("ocean_cp").unwrap();
         let mut gen = TraceGen::new(&spec, 8, 13);
         let mut batch = Vec::new();
@@ -1134,7 +1158,7 @@ mod tests {
 
     #[test]
     fn upgrade_counts_and_messages_flow() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         // Two sharers, then one stores: upgrade, not a miss.
         sys.access(&acc(0, AccessKind::Load, 0x70_0000), 0);
         sys.access(&acc(1, AccessKind::Load, 0x70_0000), 0);
@@ -1147,14 +1171,14 @@ mod tests {
 
     #[test]
     fn sram_kb_is_larger_for_3l() {
-        let a = Baseline::new(&cfg(), BaselineKind::TwoLevel).sram_kb();
-        let b = Baseline::new(&cfg(), BaselineKind::ThreeLevel).sram_kb();
+        let a = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel).sram_kb();
+        let b = Baseline::new(&MachineConfig::default(), BaselineKind::ThreeLevel).sram_kb();
         assert!(b > a + 8.0 * 256.0, "3L adds 8×256 KB of L2");
     }
 
     #[test]
     fn ifetches_use_l1i() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         sys.access(&acc(0, AccessKind::IFetch, 0x80_0000), 0);
         let r = sys.access(&acc(0, AccessKind::IFetch, 0x80_0000), 10_000);
         assert!(r.l1_hit);
@@ -1169,7 +1193,7 @@ mod tests {
     fn llc_eviction_back_invalidates_private_copies() {
         // A tiny LLC forces evictions whose inclusive back-invalidations
         // must purge L1 copies and write dirty data to memory.
-        let mut c = cfg();
+        let mut c = MachineConfig::default();
         c.llc = d2m_common::config::CacheGeometry::from_capacity(64 << 10, 4);
         c.ns_slice = d2m_common::config::CacheGeometry::from_capacity(8 << 10, 4);
         let mut sys = Baseline::new(&c, BaselineKind::TwoLevel);
@@ -1189,7 +1213,7 @@ mod tests {
 
     #[test]
     fn l2_eviction_purges_l1_copy_in_3l() {
-        let mut c = cfg();
+        let mut c = MachineConfig::default();
         c.l2 = d2m_common::config::CacheGeometry::new(4, 2); // tiny L2
         let mut sys = Baseline::new(&c, BaselineKind::ThreeLevel);
         sys.access(&acc(0, AccessKind::Store, 0xB0_0000), 0);
@@ -1205,7 +1229,7 @@ mod tests {
 
     #[test]
     fn false_invalidations_from_stale_sharer_bits() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         // Node 1 reads then silently drops its S copy via L1 conflict
         // evictions; node 0's later store still sends node 1 an Inv.
         sys.access(&acc(0, AccessKind::Load, 0xC0_0000), 0);
@@ -1224,7 +1248,7 @@ mod tests {
 
     #[test]
     fn writeback_chain_reaches_memory_through_l2() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::ThreeLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::ThreeLevel);
         sys.access(&acc(0, AccessKind::Store, 0xD0_0000), 0);
         // Push it out of L1 (dirty → L2), then read from another node: the
         // freshest copy must be forwarded from node 0's L2.
@@ -1239,7 +1263,7 @@ mod tests {
 
     #[test]
     fn tlb_miss_adds_walk_latency() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         let r1 = sys.access(&acc(0, AccessKind::Load, 0xE0_0000), 0);
         // Same line ⇒ same page: the second access hits the TLB and the L1.
         let r2 = sys.access(&acc(0, AccessKind::Load, 0xE0_0000), 1_000_000);
@@ -1248,7 +1272,7 @@ mod tests {
 
     #[test]
     fn counters_snapshot_includes_noc() {
-        let mut sys = Baseline::new(&cfg(), BaselineKind::TwoLevel);
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::TwoLevel);
         sys.access(&acc(0, AccessKind::Load, 0x90_0000), 0);
         let c = sys.counters();
         assert!(c.get("noc.msg_total") > 0);

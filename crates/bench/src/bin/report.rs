@@ -126,6 +126,23 @@ fn replay(gen: &mut TraceGen, target: u64, mut access: impl FnMut(u64, &Access))
     insts
 }
 
+/// Fails artifact `artifact` when a system it drove itself, outside
+/// `run_one` and the sweep engine (which fail such a run on their own),
+/// observed value-coherence violations: its numbers must not reach a
+/// printed table. `system` names the system or feature set.
+///
+/// # Panics
+///
+/// When `violations > 0`, naming the artifact, the system, the workload and
+/// the count.
+fn require_coherent(artifact: &str, system: &str, workload: &str, violations: u64) {
+    assert!(
+        violations == 0,
+        "report {artifact}: {system} on {workload} observed {violations} \
+         value-coherence violation(s)"
+    );
+}
+
 /// A D2M `variant` system with `feats`, and a trace generator for workload
 /// `name`, both seeded from `rc`.
 fn ablation(
@@ -763,6 +780,12 @@ fn ablation_scramble(hc: &HarnessConfig, _: &[String]) {
         let insts = replay(&mut gen, hc.rc.instructions, |_, a| {
             sys.access(a, 0).unwrap();
         });
+        require_coherent(
+            "ablation_scramble",
+            &format!("D2M-NS (dynamic_indexing: {dynamic_indexing})"),
+            name,
+            sys.coherence_errors(),
+        );
         (sys.raw_counters().mem_fills - warm_fills) as f64 / (insts as f64 / 1000.0)
     };
     header("§IV-D — dynamic-indexing (scramble) ablation", hc);
@@ -810,6 +833,12 @@ fn ablation_bypass(hc: &HarnessConfig, _: &[String]) {
             replay(&mut gen, total, |_, a| {
                 sys.access(a, 0).unwrap();
             });
+            require_coherent(
+                "ablation_bypass",
+                &format!("D2M-NS-R (bypass: {bypass})"),
+                name,
+                sys.coherence_errors(),
+            );
             let c = sys.raw_counters();
             println!(
                 "{:<16} {:>8} {:>12} {:>12} {:>12} {:>12}",
@@ -858,6 +887,12 @@ fn ablation_traditional(hc: &HarnessConfig, _: &[String]) {
                     lat_n += 1;
                 }
             });
+            require_coherent(
+                "ablation_traditional",
+                &format!("D2M-NS-R (traditional_l1: {traditional})"),
+                name,
+                sys.coherence_errors(),
+            );
             let ki = insts as f64 / 1000.0;
             // The front-end energy the two designs differ in: TLB + L1 tags vs MD1.
             let frontend = sys.energy().event_pj_total(EnergyEvent::Tlb)
@@ -905,6 +940,12 @@ fn lockbits(hc: &HarnessConfig, _: &[String]) {
             replay(&mut gen, hc.rc.instructions, |_, a| {
                 sys.access(a, 0).unwrap();
             });
+            require_coherent(
+                "lockbits",
+                &format!("D2M-FS ({bits} lock bits)"),
+                name,
+                sys.coherence_errors(),
+            );
             let lb = sys.lockbits();
             println!(
                 "{:<12} {:>10} {:>14} {:>14} {:>11.3}%",
@@ -946,6 +987,12 @@ fn energy_breakdown(hc: &HarnessConfig, workloads: &[String]) {
         let insts = replay(&mut gen, hc.rc.instructions, |_, a| {
             sys.access(a, 0).unwrap();
         });
+        require_coherent(
+            "energy_breakdown",
+            kind.name(),
+            name,
+            sys.coherence_errors(),
+        );
         let ki = insts as f64 / 1000.0;
         let per_event: Vec<f64> = EnergyEvent::ALL
             .iter()
@@ -1228,5 +1275,17 @@ mod tests {
         let inv = parse(&args("--quick traffic_debug swaptions canneal")).unwrap();
         assert!(inv.hc.quick);
         assert_eq!(inv.workloads, ["swaptions", "canneal"]);
+    }
+
+    #[test]
+    fn a_coherent_run_passes_the_check() {
+        require_coherent("energy_breakdown", "Base-3L", "tpc-c", 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "report energy_breakdown: Base-3L on tpc-c observed 3 \
+                               value-coherence violation(s)")]
+    fn a_violation_fails_the_artifact_naming_it() {
+        require_coherent("energy_breakdown", "Base-3L", "tpc-c", 3);
     }
 }

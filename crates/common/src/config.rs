@@ -175,10 +175,6 @@ pub struct MachineConfig {
     pub core: CoreModel,
     /// NS-LLC placement policy parameters.
     pub ns_policy: NsPolicy,
-    /// Enable the MD2 pruning heuristic (paper §IV-A).
-    pub md2_pruning: bool,
-    /// Verify value coherence on every load (testing oracle; modest cost).
-    pub check_coherence: bool,
     /// Number of MD3 lock bits modelled for the blocking mechanism
     /// (1 K in the paper's appendix).
     pub md3_lock_bits: usize,
@@ -200,8 +196,6 @@ impl Default for MachineConfig {
             lat: Latencies::default(),
             core: CoreModel::default(),
             ns_policy: NsPolicy::default(),
-            md2_pruning: true,
-            check_coherence: false,
             md3_lock_bits: 1024,
         }
     }
@@ -295,8 +289,6 @@ impl_json_struct!(MachineConfig {
     lat,
     core,
     ns_policy,
-    md2_pruning,
-    check_coherence,
     md3_lock_bits,
 });
 

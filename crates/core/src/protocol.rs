@@ -262,11 +262,10 @@ impl D2mSystem {
         })
     }
 
-    /// With the value oracle on, counts a load of `line` that observed a
-    /// version older than the latest store; the runner fails a run with
-    /// any, in every build.
+    /// Counts a load of `line` that observed a version older than the
+    /// latest store; the runner fails a run with any, in every build.
     fn check_load(&mut self, line: LineAddr, version: u64) {
-        if self.cfg.check_coherence && self.oracle.check_load(line, version).is_err() {
+        if !self.oracle.check_load(line, version) {
             self.ctr.coherence_errors += 1;
         }
     }
@@ -1330,9 +1329,6 @@ impl D2mSystem {
     /// §IV-A pruning: drop `t`'s MD2 entry for `region` if it tracks nothing
     /// locally and is not MD1-active.
     fn md2_prune_check(&mut self, t: usize, region: RegionAddr) -> Result<(), ProtocolError> {
-        if !self.cfg.md2_pruning {
-            return Ok(());
-        }
         let md2 = &self.md2;
         let set = md2.set_index(region.raw());
         let Some(way) = md2.way_of(t, set, region.raw()) else {

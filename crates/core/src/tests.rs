@@ -11,12 +11,6 @@ use d2m_workloads::{catalog, Access, AccessKind, TraceGen};
 
 use crate::system::{D2mSystem, D2mVariant};
 
-fn cfg() -> MachineConfig {
-    let mut c = MachineConfig::default();
-    c.check_coherence = true;
-    c
-}
-
 fn small_cfg() -> MachineConfig {
     // Tiny structures force heavy eviction traffic, exercising the E/F and
     // MD2/MD3 spill paths quickly.
@@ -28,7 +22,6 @@ fn small_cfg() -> MachineConfig {
     c.md1 = d2m_common::config::CacheGeometry::new(2, 2);
     c.md2 = d2m_common::config::CacheGeometry::new(8, 2);
     c.md3 = d2m_common::config::CacheGeometry::new(16, 4);
-    c.check_coherence = true;
     c
 }
 
@@ -52,7 +45,7 @@ fn all_variants() -> [D2mVariant; 3] {
 #[test]
 fn cold_read_fills_from_memory_and_hits_after() {
     for v in all_variants() {
-        let mut sys = D2mSystem::new(&cfg(), v);
+        let mut sys = D2mSystem::new(&MachineConfig::default(), v);
         let r1 = sys
             .access(&acc(0, AccessKind::Load, 0x100_0000), 0)
             .unwrap();
@@ -72,7 +65,7 @@ fn cold_read_fills_from_memory_and_hits_after() {
 #[test]
 fn late_hit_latency_survives_waits_beyond_u32() {
     for v in all_variants() {
-        let mut sys = D2mSystem::new(&cfg(), v);
+        let mut sys = D2mSystem::new(&MachineConfig::default(), v);
         // Fill at a node-local time far past u32::MAX cycles, then re-access
         // at cycle 0: the in-flight window (`ready_at - now`) exceeds
         // u32::MAX, which the former `as u32` cast silently wrapped.
@@ -93,7 +86,7 @@ fn late_hit_latency_survives_waits_beyond_u32() {
 
 #[test]
 fn case_d4_then_d1_then_d2_transitions() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     // Node 0 touches a region: D4 (uncached → private).
     sys.access(&acc(0, AccessKind::Load, 0x200_0000), 0)
         .unwrap();
@@ -112,7 +105,7 @@ fn case_d4_then_d1_then_d2_transitions() {
 
 #[test]
 fn private_write_is_directory_free() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     sys.access(&acc(0, AccessKind::Load, 0x300_0000), 0)
         .unwrap();
     let md3_before = sys.raw_counters().md3_accesses;
@@ -134,7 +127,7 @@ fn private_write_is_directory_free() {
 
 #[test]
 fn shared_write_invalidates_and_repoints() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     let va = 0x400_0000;
     for n in 0..4 {
         sys.access(&acc(n, AccessKind::Load, va), 0).unwrap();
@@ -154,7 +147,7 @@ fn shared_write_invalidates_and_repoints() {
 
 #[test]
 fn region_grain_false_invalidations_occur() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     // Node 1 caches a *different* line of the region than node 0 writes:
     // the PB multicast still invalidates node 1 (a false invalidation).
     sys.access(&acc(1, AccessKind::Load, 0x500_0040), 0)
@@ -170,7 +163,7 @@ fn region_grain_false_invalidations_occur() {
 #[test]
 fn reads_after_remote_write_see_latest_value_everywhere() {
     for v in all_variants() {
-        let mut sys = D2mSystem::new(&cfg(), v);
+        let mut sys = D2mSystem::new(&MachineConfig::default(), v);
         let va = 0x600_0000;
         for n in 0..8 {
             sys.access(&acc(n, AccessKind::Load, va), 0).unwrap();
@@ -187,7 +180,7 @@ fn reads_after_remote_write_see_latest_value_everywhere() {
 
 #[test]
 fn ns_local_allocation_and_hits() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::NearSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::NearSide);
     // Fill a line, evict it from L1 by conflicting lines, then re-read:
     // it should hit in the node's own NS slice (pressure is equal → local).
     let base = 0x700_0000u64;
@@ -211,7 +204,7 @@ fn ns_local_allocation_and_hits() {
 
 #[test]
 fn replication_pulls_instructions_local() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::NearSideRepl);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::NearSideRepl);
     let code = 0x10_0000u64;
     // Node 0 faults the code in; the slice allocation lands somewhere.
     sys.access(&acc(0, AccessKind::IFetch, code), 0).unwrap();
@@ -240,7 +233,7 @@ fn replication_pulls_instructions_local() {
 
 #[test]
 fn master_eviction_private_updates_li_to_victim() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     let va = 0x800_0000u64;
     // Install the region first so the store is a case-B (MD-hit) write miss.
     sys.access(&acc(0, AccessKind::Load, va + 0x40), 0).unwrap();
@@ -264,7 +257,7 @@ fn master_eviction_private_updates_li_to_victim() {
 
 #[test]
 fn master_eviction_shared_runs_case_f() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     let va = 0x900_0000u64;
     sys.access(&acc(1, AccessKind::Load, va), 0).unwrap();
     sys.access(&acc(0, AccessKind::Store, va), 0).unwrap(); // node 0 becomes master (case C)
@@ -283,8 +276,8 @@ fn master_eviction_shared_runs_case_f() {
 }
 
 #[test]
-fn md2_pruning_reprivatizes_regions() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+fn md2_prune_reprivatizes_regions() {
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     let va = 0xa00_0000u64;
     // Node 1 reads one line of the region, then node 1's copy is evicted so
     // its MD2 entry tracks nothing locally.
@@ -308,7 +301,7 @@ fn md2_pruning_reprivatizes_regions() {
 
 #[test]
 fn server_style_disjoint_asids_stay_private() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     for n in 0..8u8 {
         for i in 0..64u64 {
             let a = Access {
@@ -341,9 +334,7 @@ fn dynamic_indexing_spreads_strided_conflicts() {
     // from memory; with scrambling (NS-R) they spread and become LLC hits.
     let stride = 4096 * 64u64; // 4096 lines
     let run = |variant| {
-        let mut c = cfg();
-        c.check_coherence = false;
-        let mut sys = D2mSystem::new(&c, variant);
+        let mut sys = D2mSystem::new(&MachineConfig::default(), variant);
         for rep in 0..12 {
             for i in 0..96u64 {
                 sys.access(
@@ -366,7 +357,7 @@ fn dynamic_indexing_spreads_strided_conflicts() {
 #[test]
 fn pkmo_cases_a_and_b_dominate() {
     // The paper's headline: ~90% of misses need no MD3 involvement.
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     let spec = catalog::by_name("mix2").unwrap();
     let mut gen = TraceGen::new(&spec, 8, 3);
     let mut batch = Vec::new();
@@ -417,7 +408,7 @@ fn tiny_config_survives_heavy_eviction_storms() {
 #[test]
 fn deterministic_simulation() {
     let run = || {
-        let mut sys = D2mSystem::new(&cfg(), D2mVariant::NearSideRepl);
+        let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::NearSideRepl);
         let spec = catalog::by_name("barnes").unwrap();
         let mut gen = TraceGen::new(&spec, 8, 9);
         let mut batch = Vec::new();
@@ -435,7 +426,7 @@ fn deterministic_simulation() {
 
 #[test]
 fn code_and_data_sides_are_separate() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     let va = 0xc00_0000u64;
     sys.access(&acc(0, AccessKind::IFetch, va), 0).unwrap();
     assert_eq!(sys.raw_counters().l1i_misses, 1);
@@ -449,7 +440,7 @@ fn code_and_data_sides_are_separate() {
 
 #[test]
 fn md1_miss_md2_hit_path() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     // Touch enough distinct regions to overflow the 128-entry MD1 but not
     // the 4K-entry MD2.
     for i in 0..400u64 {
@@ -533,7 +524,7 @@ fn catalog_traces_stay_coherent() {
 
 #[test]
 fn dbg_pkmo_breakdown() {
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     let spec = catalog::by_name("mix2").unwrap();
     let mut gen = TraceGen::new(&spec, 8, 3);
     let mut batch = Vec::new();
@@ -570,8 +561,7 @@ fn dbg_pkmo_breakdown() {
 #[test]
 fn bypass_skips_llc_allocation_for_streaming_regions() {
     use crate::system::D2mFeatures;
-    let mut c = cfg();
-    c.check_coherence = true;
+    let c = MachineConfig::default();
     let feats = D2mFeatures {
         near_side: true,
         replication: false,
@@ -603,8 +593,7 @@ fn bypass_skips_llc_allocation_for_streaming_regions() {
 #[test]
 fn bypass_spares_regions_with_reuse() {
     use crate::system::D2mFeatures;
-    let mut c = cfg();
-    c.check_coherence = true;
+    let c = MachineConfig::default();
     let feats = D2mFeatures {
         near_side: false,
         replication: false,
@@ -649,7 +638,7 @@ fn md2_spill_reseeds_md3_for_private_regions() {
     // A private region whose MD2 entry is evicted must upload its final LIs
     // so MD3 can track the region as untracked — and a later reader (D1)
     // must find the data without touching memory again.
-    let mut c = cfg();
+    let mut c = MachineConfig::default();
     c.md2 = d2m_common::config::CacheGeometry::new(2, 2); // tiny MD2
     let mut sys = D2mSystem::new(&c, D2mVariant::FarSide);
     let va = 0x3_0000_0000u64;
@@ -680,7 +669,7 @@ fn md2_spill_reseeds_md3_for_private_regions() {
 fn llc_master_eviction_retargets_trackers_to_memory() {
     // Force LLC slot churn with a tiny LLC: trackers' LIs must fall back to
     // MEM (NewMaster/RpFix), and re-reads must stay coherent.
-    let mut c = cfg();
+    let mut c = MachineConfig::default();
     c.llc = d2m_common::config::CacheGeometry::from_capacity(32 << 10, 4);
     c.ns_slice = d2m_common::config::CacheGeometry::from_capacity(4 << 10, 4);
     let mut sys = D2mSystem::new(&c, D2mVariant::FarSide);
@@ -705,7 +694,7 @@ fn llc_master_eviction_retargets_trackers_to_memory() {
 
 #[test]
 fn pressure_exchange_messages_are_counted() {
-    let mut c = cfg();
+    let mut c = MachineConfig::default();
     c.ns_policy.pressure_window = 100; // exchange often
     let mut sys = D2mSystem::new(&c, D2mVariant::NearSide);
     for i in 0..2000u64 {
@@ -722,7 +711,7 @@ fn pressure_exchange_messages_are_counted() {
 fn remote_master_read_drops_exclusivity() {
     // After node 0 writes (master, exclusive) and node 1 reads it directly,
     // node 0's next write to the same line needs a coherence round again.
-    let mut sys = D2mSystem::new(&cfg(), D2mVariant::FarSide);
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     let va = 0x8_0000_0000u64;
     sys.access(&acc(1, AccessKind::Load, va), 0).unwrap(); // make region shared later
     sys.access(&acc(0, AccessKind::Store, va), 0).unwrap(); // case C: node 0 master
@@ -743,7 +732,7 @@ fn metadata_capacity_governs_readmm_rate() {
     // Footnote 5 mechanism check at unit scale: a starved MD2/MD3 must
     // re-fetch region metadata (case D) far more often than the default.
     let run = |md2_sets: usize, md3_sets: usize| {
-        let mut c = cfg();
+        let mut c = MachineConfig::default();
         c.md2 = d2m_common::config::CacheGeometry::new(md2_sets, 8);
         c.md3 = d2m_common::config::CacheGeometry::new(md3_sets, 16);
         let mut sys = D2mSystem::new(&c, D2mVariant::FarSide);
@@ -774,7 +763,7 @@ fn shared_write_hit_after_master_slot_eviction_keeps_rps_valid() {
     // (master falls back to memory). A subsequent store at node 0 must not
     // adopt the chain slot as its victim location — the case-C round purges
     // that slot, which would leave the new master's RP dangling.
-    let mut c = cfg();
+    let mut c = MachineConfig::default();
     c.ns_slice = d2m_common::config::CacheGeometry::from_capacity(16 << 10, 4);
     c.llc = d2m_common::config::CacheGeometry::from_capacity(128 << 10, 32);
     let mut sys = D2mSystem::new(&c, D2mVariant::NearSideRepl);
@@ -817,8 +806,7 @@ fn traditional_front_end_keeps_d2m_semantics() {
         bypass: false,
         traditional_l1: true,
     };
-    let mut c = cfg();
-    c.check_coherence = true;
+    let c = MachineConfig::default();
     let mut sys = D2mSystem::with_features(&c, D2mVariant::NearSideRepl, feats, 1);
     let spec = catalog::by_name("fluidanimate").unwrap();
     let mut gen = TraceGen::new(&spec, 8, 21);
@@ -890,6 +878,32 @@ fn plant_li(sys: &mut D2mSystem, node: usize, va: u64, li: crate::li::Li) {
     e.li.set_raw(usize::from(va.region_offset()), bits);
 }
 
+/// Overwrites the version of node `node`'s resident L1-D copy of the line
+/// at `va` with `version`, as a copy that missed a later store holds.
+fn plant_version(sys: &mut D2mSystem, node: usize, va: u64, version: u64) {
+    let line = d2m_common::addr::translate(Asid(0), VAddr::new(va)).line();
+    let set = sys.l1_set(line);
+    let way = sys
+        .l1d
+        .way_of(node, set, line.raw())
+        .expect("resident L1-D line");
+    let (_, slot) = sys.l1d.at_mut(node, set, way).expect("occupied");
+    slot.version = version;
+}
+
+/// On the default machine, with no flag set, a load that hits an L1 copy
+/// older than the latest store counts one coherence violation.
+#[test]
+fn stale_l1_hit_is_counted() {
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
+    let va = 0x900_0000u64;
+    sys.access(&acc(0, AccessKind::Store, va), 0).unwrap();
+    plant_version(&mut sys, 0, va, 0);
+    let r = sys.access(&acc(0, AccessKind::Load, va), 1000).unwrap();
+    assert!(r.l1_hit);
+    assert_eq!(sys.coherence_errors(), 1);
+}
+
 /// One planted bad LI per case fails the next load of its line with the
 /// named error, in debug and release builds alike: no path reroutes around
 /// a broken LI.
@@ -908,17 +922,17 @@ fn corrupted_li_yields_protocol_error_not_abort() {
         expect: fn(&ProtocolError) -> bool,
     }
     // Four LLC sets: offsets 0 and 4 of a region share one.
-    let mut four_set_llc = cfg();
+    let mut four_set_llc = MachineConfig::default();
     four_set_llc.llc = d2m_common::config::CacheGeometry::new(4, 16);
     four_set_llc.ns_slice = d2m_common::config::CacheGeometry::new(1, 8);
     // Half the LLC associativity at the same capacity: the 6-bit field can
     // encode ways 0..32, this system has 16.
-    let mut sixteen_way_llc = cfg();
+    let mut sixteen_way_llc = MachineConfig::default();
     sixteen_way_llc.llc = d2m_common::config::CacheGeometry::from_capacity(8 << 20, 16);
     let cases = [
         Case {
             name: "L1 LI naming a way without the line (hit path)",
-            cfg: cfg(),
+            cfg: MachineConfig::default(),
             off: 1,
             li: |_| Li::L1 { way: 0 },
             expect: |e| {
@@ -953,7 +967,7 @@ fn corrupted_li_yields_protocol_error_not_abort() {
         },
         Case {
             name: "Node(m) LI where node m lacks the line (serve_remote_node)",
-            cfg: cfg(),
+            cfg: MachineConfig::default(),
             off: 1,
             li: |_| Li::Node(NodeId::new(3)),
             expect: |e| {
@@ -968,7 +982,7 @@ fn corrupted_li_yields_protocol_error_not_abort() {
         },
         Case {
             name: "L2 LI on the miss path",
-            cfg: cfg(),
+            cfg: MachineConfig::default(),
             off: 1,
             li: |_| Li::L2 { way: 2 },
             expect: |e| {
@@ -990,9 +1004,7 @@ fn corrupted_li_yields_protocol_error_not_abort() {
         },
     ];
     for case in cases {
-        let mut c = case.cfg;
-        c.check_coherence = false;
-        let mut sys = D2mSystem::new(&c, D2mVariant::FarSide);
+        let mut sys = D2mSystem::new(&case.cfg, D2mVariant::FarSide);
         let va = 0x900_0000u64;
         sys.access(&acc(0, AccessKind::Load, va), 0).unwrap();
         let target = va + case.off * 64;
@@ -1016,7 +1028,7 @@ fn llc_insert_outside_md3_yields_corrupt_metadata() {
     use crate::error::ProtocolError;
 
     for v in all_variants() {
-        let mut sys = D2mSystem::new(&cfg(), v);
+        let mut sys = D2mSystem::new(&MachineConfig::default(), v);
         let va = 0x980_0000u64;
         sys.access(&acc(0, AccessKind::Load, va), 0).unwrap();
         // Drop the region's MD3 entry behind the protocol's back: the next

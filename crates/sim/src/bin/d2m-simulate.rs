@@ -63,6 +63,20 @@ fn parse_system(s: &str) -> Option<SystemKind> {
     }
 }
 
+/// Parses one `--md-scale` or `--md-scales` value, a metadata capacity
+/// factor; anything but a power of two is a usage error naming the value.
+fn parse_md_scale(s: &str) -> usize {
+    match s.trim().parse::<usize>() {
+        Ok(scale) if scale.is_power_of_two() => scale,
+        _ => {
+            eprintln!(
+                "error: bad --md-scale(s) value {s:?} (expected a power of two: 1, 2, 4, ...)"
+            );
+            usage()
+        }
+    }
+}
+
 /// Parsed sweep-mode flags (`--sweep` and friends).
 struct SweepArgs {
     name: String,
@@ -117,10 +131,7 @@ fn sweep_spec(sa: &SweepArgs, rc: &RunConfig) -> SweepSpec {
         Some(list) => list
             .split(',')
             .map(|s| {
-                let scale: usize = s.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("error: bad --md-scales entry {s:?}");
-                    usage()
-                });
+                let scale = parse_md_scale(s);
                 ConfigPoint {
                     label: if scale == 1 {
                         "default".to_string()
@@ -259,12 +270,7 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--md-scale" => {
-                md_scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--md-scale" => md_scale = parse_md_scale(it.next().unwrap_or_else(|| usage())),
             "--sweep" => sweep_name = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--workloads" => sweep_workloads = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--systems" => sweep_systems = Some(it.next().cloned().unwrap_or_else(|| usage())),

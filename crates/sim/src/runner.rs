@@ -659,8 +659,7 @@ mod tests {
 
     #[test]
     fn d2m_reduces_traffic_on_a_private_workload() {
-        let mut cfg = MachineConfig::default();
-        cfg.check_coherence = true;
+        let cfg = MachineConfig::default();
         // A cache-warm multiprogrammed workload: private regions make D2M's
         // misses directory-free and NS hits local.
         let mut spec =

@@ -232,3 +232,32 @@ fn cli_sweep_rejects_unknown_system_in_list() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("warp-drive"), "{stderr}");
 }
+
+#[test]
+fn cli_rejects_md_scales_that_are_not_powers_of_two() {
+    let cases: [(&[&str], &str); 3] = [
+        (&["--md-scale", "3"], "3"),
+        (&["--md-scale", "0"], "0"),
+        (
+            &[
+                "--sweep",
+                "x",
+                "--md-scales",
+                "1,3",
+                "--workloads",
+                "swaptions",
+            ],
+            "3",
+        ),
+    ];
+    for (args, bad) in cases {
+        let out = bin().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let named = format!(
+            "error: bad --md-scale(s) value \"{bad}\" (expected a power of two: 1, 2, 4, ...)"
+        );
+        assert!(stderr.contains(&named), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: d2m-simulate"), "{args:?}: {stderr}");
+    }
+}

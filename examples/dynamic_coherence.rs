@@ -22,9 +22,8 @@ fn acc(node: u8, kind: AccessKind, va: u64) -> Access {
 }
 
 fn main() {
-    let mut cfg = MachineConfig::default();
-    cfg.check_coherence = true; // every load validated against the oracle
-    let mut sys = D2mSystem::new(&cfg, D2mVariant::FarSide);
+    // Every load is validated against the value-coherence oracle.
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     let region = 0x4200_0000u64; // one 1 KB region = 16 cachelines
 
     println!("1) Node 0 touches a brand-new region:");

@@ -17,8 +17,7 @@ fn rc() -> RunConfig {
 
 #[test]
 fn all_systems_stay_coherent_on_a_shared_workload() {
-    let mut cfg = MachineConfig::default();
-    cfg.check_coherence = true;
+    let cfg = MachineConfig::default();
     let spec = catalog::by_name("fluidanimate").unwrap();
     for kind in SystemKind::ALL {
         // run_one asserts coherence_errors == 0 internally.
@@ -29,8 +28,7 @@ fn all_systems_stay_coherent_on_a_shared_workload() {
 
 #[test]
 fn d2m_invariants_hold_after_real_workloads() {
-    let mut cfg = MachineConfig::default();
-    cfg.check_coherence = true;
+    let cfg = MachineConfig::default();
     for name in ["dedup", "radiosity", "tpc-c", "mix3", "cnn"] {
         let spec = catalog::by_name(name).unwrap();
         for variant in [D2mVariant::FarSide, D2mVariant::NearSideRepl] {
@@ -85,12 +83,11 @@ fn every_catalog_workload_runs_on_every_system_briefly() {
     }
 }
 
-/// Runs every catalog workload on `kind` with the value oracle on, long
+/// Runs every catalog workload on `kind` (every load oracle-checked), long
 /// enough for L1 set pressure to evict lines that a read forward
 /// downgraded, and fails naming every workload that violated coherence.
 fn every_catalog_workload_stays_coherent(kind: SystemKind) {
-    let mut cfg = MachineConfig::default();
-    cfg.check_coherence = true;
+    let cfg = MachineConfig::default();
     let rc = RunConfig {
         instructions: 40_000,
         warmup_instructions: 10_000,
@@ -144,7 +141,7 @@ fn interleaved_writers_leave_identical_final_state() {
     // touching private per-core regions. After the interleaving, every core
     // reads back every shared line and its own private lines.
     //
-    // Both systems run with the value-coherence oracle enabled: the oracle
+    // Both systems check every load against the value-coherence oracle: it
     // is a pure function of the (identical) access trace, and every readback
     // load is validated against it. `coherence_errors() == 0` on both
     // systems therefore proves the baseline's and D2M's final data states
@@ -196,8 +193,7 @@ fn interleaved_writers_leave_identical_final_state() {
         }
     }
 
-    let mut cfg = MachineConfig::default();
-    cfg.check_coherence = true;
+    let cfg = MachineConfig::default();
     for kind in SystemKind::ALL {
         let mut sys = AnySystem::build(kind, &cfg, 1);
         for a in &trace {
@@ -218,8 +214,7 @@ fn recorded_traces_replay_identically() {
     use d2m_workloads::trace_io::{read_trace, write_trace, ReplayGen};
     use d2m_workloads::TraceGen;
 
-    let mut cfg = MachineConfig::default();
-    cfg.check_coherence = true;
+    let cfg = MachineConfig::default();
     let spec = catalog::by_name("barnes").unwrap();
     let mut gen = TraceGen::new(&spec, cfg.nodes, 17);
     let mut trace = Vec::new();

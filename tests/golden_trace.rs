@@ -110,11 +110,10 @@ fn generate(workload: &str, seed: u64, batches: usize) -> Vec<Access> {
     trace
 }
 
-/// Drives `kind` over the trace with the value-coherence oracle on and
-/// returns the final counter state.
+/// Drives `kind` over the trace (every load checked by the value-coherence
+/// oracle) and returns the final counter state.
 fn drive(kind: SystemKind, trace: &[Access]) -> Counters {
-    let mut cfg = MachineConfig::default();
-    cfg.check_coherence = true;
+    let cfg = MachineConfig::default();
     let mut sys = AnySystem::build(kind, &cfg, 1);
     for a in trace {
         sys.access(a, 0).unwrap();
@@ -238,7 +237,7 @@ fn deep_length_traces_match_pinned_checksums() {
     check_pinned(&path, &got);
 }
 
-/// Replays the mix on `kind` with the oracle off, rounds 40 cycles apart
+/// Replays the mix on `kind`, rounds 40 cycles apart
 /// (the count restarts for the measured rounds), and summarizes the
 /// measured window: access count, counter checksum and metadata footprint.
 fn mix_replay(kind: SystemKind) -> Json {

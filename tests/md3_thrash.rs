@@ -4,8 +4,8 @@
 //! the LLC) runs thousands of times in a short trace. The goldens are too
 //! short to evict MD3 entries at volume.
 //!
-//! Each case drives the same canneal trace with the value-coherence oracle
-//! on, checks every invariant at the end, and compares the full counter
+//! Each case drives the same canneal trace (every load checked by the
+//! value-coherence oracle), checks every invariant at the end, and compares the full counter
 //! state with `tests/golden/md3_thrash.counters.json`. To regenerate the
 //! snapshot after an *intentional* behavioural change:
 //!
@@ -66,7 +66,6 @@ fn blessing() -> bool {
 fn machine() -> MachineConfig {
     let mut cfg = MachineConfig::default();
     cfg.md3 = CacheGeometry::new(64, 16);
-    cfg.check_coherence = true;
     cfg
 }
 
