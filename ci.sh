@@ -169,6 +169,22 @@ set -e
 grep -q "1 failed cell" <<<"$fault_err" \
     || { echo "report calibrate failed without naming its failed cell"; exit 1; }
 
+echo "== direct-drive artifact with a failed run (inject, expect nonzero exit, empty stdout) =="
+# The artifacts that drive systems themselves (energy_breakdown, the
+# ablations, lockbits) print only after every run has passed, so a run that
+# fails part-way leaves no partial table on stdout. energy_breakdown builds
+# its third system, D2M-FS, through AnySystem::build's `build` fault point.
+mkdir "$fault_dir/report-direct-fault"
+set +e
+direct_out="$(cd "$fault_dir/report-direct-fault" && D2M_FAULT="build@D2M-FS:*:panic" \
+    "$report" energy_breakdown --quick 2>/dev/null)"
+direct_status=$?
+set -e
+[ "$direct_status" -ne 0 ] \
+    || { echo "report energy_breakdown with a failed build exited 0"; exit 1; }
+[ -z "$direct_out" ] \
+    || { echo "report energy_breakdown printed a partial table before failing"; exit 1; }
+
 echo "== simbench (every workload once, untraced, 1 s) =="
 # Each run repeats its workload against the simulator's public API and exits
 # nonzero when a named correctness check fails (failed_cell, pass_mismatch,

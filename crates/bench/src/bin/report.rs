@@ -6,7 +6,7 @@ use std::fmt;
 use std::process::ExitCode;
 
 use d2m_bench::{cached_sweep, full_matrix, header, machine, parse_args, pct, rule, HarnessConfig};
-use d2m_core::{D2mFeatures, D2mSystem, D2mVariant};
+use d2m_core::{D2mFeatures, D2mSystem, D2mVariant, ProtocolError};
 use d2m_energy::EnergyEvent;
 use d2m_sim::{
     run_one, AnySystem, ConfigPoint, MatrixResult, RunConfig, RunMetrics, SweepSpec, SystemKind,
@@ -129,7 +129,9 @@ fn replay(gen: &mut TraceGen, target: u64, mut access: impl FnMut(u64, &Access))
 /// Fails artifact `artifact` when a system it drove itself, outside
 /// `run_one` and the sweep engine (which fail such a run on their own),
 /// observed value-coherence violations: its numbers must not reach a
-/// printed table. `system` names the system or feature set.
+/// printed table. `system` names the system or feature set. The artifacts
+/// that drive systems themselves print only after every run has passed, so
+/// a failed run leaves stdout empty.
 ///
 /// # Panics
 ///
@@ -141,6 +143,21 @@ fn require_coherent(artifact: &str, system: &str, workload: &str, violations: u6
         "report {artifact}: {system} on {workload} observed {violations} \
          value-coherence violation(s)"
     );
+}
+
+/// The result of one access by a system artifact `artifact` drove itself;
+/// a protocol error fails the artifact as [`require_coherent`] does.
+///
+/// # Panics
+///
+/// On `Err`, naming the artifact, the system, the workload and the error.
+fn require_access<T>(
+    artifact: &str,
+    system: &str,
+    workload: &str,
+    access: Result<T, ProtocolError>,
+) -> T {
+    access.unwrap_or_else(|e| panic!("report {artifact}: {system} on {workload} failed: {e}"))
 }
 
 /// A D2M `variant` system with `feats`, and a trace generator for workload
@@ -772,22 +789,20 @@ fn ablation_scramble(hc: &HarnessConfig, _: &[String]) {
             dynamic_indexing,
             ..D2mVariant::NearSide.features()
         };
+        let label = format!("D2M-NS (dynamic_indexing: {dynamic_indexing})");
         let (mut sys, mut gen) = ablation(name, D2mVariant::NearSide, feats, &hc.rc);
         replay(&mut gen, hc.rc.warmup_instructions, |_, a| {
-            sys.access(a, 0).unwrap();
+            require_access("ablation_scramble", &label, name, sys.access(a, 0));
         });
         let warm_fills = sys.raw_counters().mem_fills;
         let insts = replay(&mut gen, hc.rc.instructions, |_, a| {
-            sys.access(a, 0).unwrap();
+            require_access("ablation_scramble", &label, name, sys.access(a, 0));
         });
-        require_coherent(
-            "ablation_scramble",
-            &format!("D2M-NS (dynamic_indexing: {dynamic_indexing})"),
-            name,
-            sys.coherence_errors(),
-        );
+        require_coherent("ablation_scramble", &label, name, sys.coherence_errors());
         (sys.raw_counters().mem_fills - warm_fills) as f64 / (insts as f64 / 1000.0)
     };
+    let rows = ["lu_cb", "lu_ncb", "fft", "swaptions"]
+        .map(|name| (name, run(name, false), run(name, true)));
     header("§IV-D — dynamic-indexing (scramble) ablation", hc);
     println!(
         "\n{:<16} {:>14} {:>14} {:>10}",
@@ -795,9 +810,7 @@ fn ablation_scramble(hc: &HarnessConfig, _: &[String]) {
     );
     println!("{:<16} {:>14} {:>14}", "", "(no scramble)", "(scrambled)");
     rule(58);
-    for name in ["lu_cb", "lu_ncb", "fft", "swaptions"] {
-        let off = run(name, false);
-        let on = run(name, true);
+    for (name, off, on) in rows {
         println!(
             "{:<16} {:>14.2} {:>14.2} {:>9.0}%",
             name,
@@ -817,39 +830,46 @@ fn ablation_scramble(hc: &HarnessConfig, _: &[String]) {
 /// streaming-heavy and reuse-heavy workloads.
 fn ablation_bypass(hc: &HarnessConfig, _: &[String]) {
     let total = hc.rc.warmup_instructions + hc.rc.instructions;
-    header("Cache-bypass ablation (D2M-NS-R ± bypass)", hc);
-    println!(
-        "\n{:<16} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "workload", "bypass", "bypassed", "LLC allocs", "mem fills", "NS-local"
-    );
-    rule(78);
+    let mut rows = Vec::new();
     for name in ["streamcluster", "radix", "canneal", "facebook", "swaptions"] {
         for bypass in [false, true] {
             let feats = D2mFeatures {
                 bypass,
                 ..D2mVariant::NearSideRepl.features()
             };
+            let label = format!("D2M-NS-R (bypass: {bypass})");
             let (mut sys, mut gen) = ablation(name, D2mVariant::NearSideRepl, feats, &hc.rc);
             replay(&mut gen, total, |_, a| {
-                sys.access(a, 0).unwrap();
+                require_access("ablation_bypass", &label, name, sys.access(a, 0));
             });
-            require_coherent(
-                "ablation_bypass",
-                &format!("D2M-NS-R (bypass: {bypass})"),
-                name,
-                sys.coherence_errors(),
-            );
+            require_coherent("ablation_bypass", &label, name, sys.coherence_errors());
             let c = sys.raw_counters();
-            println!(
-                "{:<16} {:>8} {:>12} {:>12} {:>12} {:>12}",
+            rows.push((
                 name,
-                if bypass { "on" } else { "off" },
+                bypass,
                 c.bypassed_fills,
                 c.ns_alloc_local + c.ns_alloc_remote,
                 c.mem_fills,
-                c.ns_local_d + c.ns_local_i
-            );
+                c.ns_local_d + c.ns_local_i,
+            ));
         }
+    }
+    header("Cache-bypass ablation (D2M-NS-R ± bypass)", hc);
+    println!(
+        "\n{:<16} {:>8} {:>12} {:>12} {:>12} {:>12}",
+        "workload", "bypass", "bypassed", "LLC allocs", "mem fills", "NS-local"
+    );
+    rule(78);
+    for (name, bypass, bypassed, llc_allocs, mem_fills, ns_local) in rows {
+        println!(
+            "{:<16} {:>8} {:>12} {:>12} {:>12} {:>12}",
+            name,
+            if bypass { "on" } else { "off" },
+            bypassed,
+            llc_allocs,
+            mem_fills,
+            ns_local
+        );
     }
     rule(78);
     println!(
@@ -865,12 +885,7 @@ fn ablation_bypass(hc: &HarnessConfig, _: &[String]) {
 /// per-access TLB/tag energy the MD1 eliminates).
 fn ablation_traditional(hc: &HarnessConfig, _: &[String]) {
     let total = hc.rc.warmup_instructions + hc.rc.instructions;
-    header("§III-A ablation: traditional front end vs tag-less D2M", hc);
-    println!(
-        "\n{:<14} {:>12} {:>10} {:>14} {:>10}",
-        "workload", "front end", "msgs/KI", "frontend pJ/KI", "miss-lat"
-    );
-    rule(66);
+    let mut rows = Vec::new();
     for name in ["mix2", "facebook", "tpc-c"] {
         for traditional in [false, true] {
             let feats = D2mFeatures {
@@ -878,39 +893,50 @@ fn ablation_traditional(hc: &HarnessConfig, _: &[String]) {
                 traditional_l1: traditional,
                 ..D2mVariant::NearSideRepl.features()
             };
+            let label = format!("D2M-NS-R (traditional_l1: {traditional})");
             let (mut sys, mut gen) = ablation(name, D2mVariant::NearSideRepl, feats, &hc.rc);
             let (mut lat_sum, mut lat_n) = (0f64, 0u64);
             let insts = replay(&mut gen, total, |_, a| {
-                let r = sys.access(a, 0).unwrap();
+                let r = require_access("ablation_traditional", &label, name, sys.access(a, 0));
                 if !r.l1_hit {
                     lat_sum += r.latency as f64;
                     lat_n += 1;
                 }
             });
-            require_coherent(
-                "ablation_traditional",
-                &format!("D2M-NS-R (traditional_l1: {traditional})"),
-                name,
-                sys.coherence_errors(),
-            );
+            require_coherent("ablation_traditional", &label, name, sys.coherence_errors());
             let ki = insts as f64 / 1000.0;
             // The front-end energy the two designs differ in: TLB + L1 tags vs MD1.
             let frontend = sys.energy().event_pj_total(EnergyEvent::Tlb)
                 + sys.energy().event_pj_total(EnergyEvent::L1TagWay)
                 + sys.energy().event_pj_total(EnergyEvent::Md1);
-            println!(
-                "{:<14} {:>12} {:>10.1} {:>14.0} {:>10.1}",
+            rows.push((
                 name,
-                if traditional {
-                    "TLB+tags"
-                } else {
-                    "MD1 (tag-less)"
-                },
+                traditional,
                 sys.noc().messages() as f64 / ki,
                 frontend / ki,
-                lat_sum / lat_n.max(1) as f64
-            );
+                lat_sum / lat_n.max(1) as f64,
+            ));
         }
+    }
+    header("§III-A ablation: traditional front end vs tag-less D2M", hc);
+    println!(
+        "\n{:<14} {:>12} {:>10} {:>14} {:>10}",
+        "workload", "front end", "msgs/KI", "frontend pJ/KI", "miss-lat"
+    );
+    rule(66);
+    for (name, traditional, msgs, frontend, miss_lat) in rows {
+        println!(
+            "{:<14} {:>12} {:>10.1} {:>14.0} {:>10.1}",
+            name,
+            if traditional {
+                "TLB+tags"
+            } else {
+                "MD1 (tag-less)"
+            },
+            msgs,
+            frontend,
+            miss_lat
+        );
     }
     rule(66);
     println!(
@@ -924,38 +950,44 @@ fn ablation_traditional(hc: &HarnessConfig, _: &[String]) {
 /// for different lock-array sizes. Paper: 1 K lock bits give a negligible
 /// collision rate.
 fn lockbits(hc: &HarnessConfig, _: &[String]) {
+    let mut rows = Vec::new();
+    for bits in [64usize, 256, 1024, 4096] {
+        for name in ["barnes", "tpc-c"] {
+            let mut cfg = machine();
+            cfg.md3_lock_bits = bits;
+            let label = format!("D2M-FS ({bits} lock bits)");
+            let spec = catalog::by_name(name).expect("workload");
+            let mut sys = D2mSystem::new(&cfg, D2mVariant::FarSide);
+            let mut gen = TraceGen::new(&spec, cfg.nodes, hc.rc.seed);
+            replay(&mut gen, hc.rc.instructions, |_, a| {
+                require_access("lockbits", &label, name, sys.access(a, 0));
+            });
+            require_coherent("lockbits", &label, name, sys.coherence_errors());
+            let lb = sys.lockbits();
+            rows.push((
+                bits,
+                name,
+                lb.acquisitions(),
+                lb.collisions(),
+                lb.collision_rate(),
+            ));
+        }
+    }
     header("Appendix — MD3 lock-bit collision rates", hc);
     println!(
         "\n{:<12} {:>10} {:>14} {:>14} {:>12}",
         "lock bits", "workload", "transactions", "collisions", "rate"
     );
     rule(68);
-    for bits in [64usize, 256, 1024, 4096] {
-        for name in ["barnes", "tpc-c"] {
-            let mut cfg = machine();
-            cfg.md3_lock_bits = bits;
-            let spec = catalog::by_name(name).expect("workload");
-            let mut sys = D2mSystem::new(&cfg, D2mVariant::FarSide);
-            let mut gen = TraceGen::new(&spec, cfg.nodes, hc.rc.seed);
-            replay(&mut gen, hc.rc.instructions, |_, a| {
-                sys.access(a, 0).unwrap();
-            });
-            require_coherent(
-                "lockbits",
-                &format!("D2M-FS ({bits} lock bits)"),
-                name,
-                sys.coherence_errors(),
-            );
-            let lb = sys.lockbits();
-            println!(
-                "{:<12} {:>10} {:>14} {:>14} {:>11.3}%",
-                bits,
-                name,
-                lb.acquisitions(),
-                lb.collisions(),
-                lb.collision_rate() * 100.0
-            );
-        }
+    for (bits, name, acquisitions, collisions, rate) in rows {
+        println!(
+            "{:<12} {:>10} {:>14} {:>14} {:>11.3}%",
+            bits,
+            name,
+            acquisitions,
+            collisions,
+            rate * 100.0
+        );
     }
     rule(68);
     println!("paper: 1 K lock bits ⇒ negligible collision rate");
@@ -967,25 +999,15 @@ fn lockbits(hc: &HarnessConfig, _: &[String]) {
 /// "most energy is spent searching levels and moving data over the
 /// interconnect and between cache levels", which D2M eliminates.
 fn energy_breakdown(hc: &HarnessConfig, workloads: &[String]) {
-    header(
-        "Energy breakdown by structure (dynamic pJ per kilo-instruction)",
-        hc,
-    );
     let cfg = machine();
     let name = workloads.first().map_or("facebook", String::as_str);
     let spec = catalog::by_name(name).expect("workload");
-    println!("workload: {name}\n");
-    println!(
-        "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "structure", "Base-2L", "Base-3L", "D2M-FS", "D2M-NS", "D2M-NS-R"
-    );
-    rule(68);
     let mut columns = Vec::new();
     for kind in SystemKind::ALL {
         let mut sys = AnySystem::build(kind, &cfg, hc.rc.seed);
         let mut gen = TraceGen::new(&spec, cfg.nodes, hc.rc.seed);
         let insts = replay(&mut gen, hc.rc.instructions, |_, a| {
-            sys.access(a, 0).unwrap();
+            require_access("energy_breakdown", kind.name(), name, sys.access(a, 0));
         });
         require_coherent(
             "energy_breakdown",
@@ -1000,6 +1022,16 @@ fn energy_breakdown(hc: &HarnessConfig, workloads: &[String]) {
             .collect();
         columns.push(per_event);
     }
+    header(
+        "Energy breakdown by structure (dynamic pJ per kilo-instruction)",
+        hc,
+    );
+    println!("workload: {name}\n");
+    println!(
+        "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "structure", "Base-2L", "Base-3L", "D2M-FS", "D2M-NS", "D2M-NS-R"
+    );
+    rule(68);
     for (i, e) in EnergyEvent::ALL.iter().enumerate() {
         if columns.iter().all(|c| c[i] < 0.005) {
             continue;
@@ -1287,5 +1319,18 @@ mod tests {
                                value-coherence violation(s)")]
     fn a_violation_fails_the_artifact_naming_it() {
         require_coherent("energy_breakdown", "Base-3L", "tpc-c", 3);
+    }
+
+    #[test]
+    fn a_successful_access_passes_its_result_through() {
+        assert_eq!(require_access("lockbits", "D2M-FS", "barnes", Ok(7)), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "report lockbits: D2M-FS (64 lock bits) on barnes failed: \
+                               corrupt metadata: test")]
+    fn a_protocol_error_fails_the_artifact_naming_it() {
+        let e = ProtocolError::CorruptMetadata { context: "test" };
+        require_access::<()>("lockbits", "D2M-FS (64 lock bits)", "barnes", Err(e));
     }
 }

@@ -4,7 +4,7 @@
 //! `(bank, set, way)` arithmetic; [`crate::SetAssoc`] is the same core with
 //! one bank.
 //!
-//! Each bank has its own LRU use-tick and the same hashed/plain set
+//! Each set has its own LRU clock and every bank the same hashed/plain set
 //! indexing, so one [`Banked`] arena makes exactly the victim choices that
 //! independent per-bank arrays would, and simulation output does not depend
 //! on how a structure is banked. The hot path walks a single flat slice
@@ -21,18 +21,25 @@
 //! a key other than the empty key, which only [`Banked::insert_at`] stores,
 //! in the same call that writes the payload.
 //!
-//! Ticks and clocks are `u32`, half the bytes of a `u64` tick in every slot.
-//! A bank's clock could pass `u32::MAX` after four billion bumps, so the
-//! bump that would pass it first renumbers the bank: its nonzero ticks
-//! become `1..=k` in tick order, and its clock becomes `k`. This changes no
-//! decision. Each bump writes at most one slot, so the occupied ticks of a
-//! bank are distinct, and renumbering keeps their order. Every choice the
-//! array makes (the LRU victim, the MRU test, the `(cost, tick)` victim)
-//! compares ticks within one set of one bank, so it sees the same order
-//! before and after, and every later tick is larger than all renumbered
-//! ones, as it would have been.
+//! Replacement state is one byte per slot: a `u8` tick, bumped from a `u8`
+//! clock of the slot's own `(bank, set)`. Every choice the array makes (the
+//! LRU victim, the MRU test, the `(cost, tick)` victim) compares ticks
+//! within one set, so a clock per set orders them exactly as a clock per
+//! bank or per array would. The bump that would pass 255 first renumbers
+//! the set: its nonzero ticks become `1..=k` in tick order, and its clock
+//! becomes `k`. This changes no decision. Each bump of a set's clock writes
+//! at most one slot of that set, so its occupied ticks are distinct, and
+//! renumbering keeps their order; every later tick is larger than all
+//! renumbered ones, as it would have been. Renumbering ranks at most
+//! `ways` ticks in a stack buffer, so it allocates nothing. Arrays have at
+//! most [`CacheGeometry::MAX_WAYS`] ways (`MachineConfig::validate` checks
+//! every configured structure): a renumbered set then uses at most 64 of
+//! the 255 tick values, and at least 191 bumps pass before the set
+//! renumbers again.
 
 use std::mem::MaybeUninit;
+
+use d2m_common::config::CacheGeometry;
 
 /// Key of an empty slot. [`Banked::insert_at`] rejects it, so a key
 /// compare alone tells a hit from an empty way.
@@ -50,14 +57,15 @@ pub struct Banked<V: Copy> {
     keys: Vec<u64>,
     /// Recency ticks, same indexing; 0 in an empty slot — ticks start at 1,
     /// so an occupied slot always has a nonzero tick.
-    ticks: Vec<u32>,
+    ticks: Vec<u8>,
     /// Value payloads, same indexing. Initialized exactly where `keys` is
     /// not [`EMPTY_KEY`]; read only through [`Self::slot`] and
     /// [`Self::slot_mut`].
     vals: Box<[MaybeUninit<V>]>,
-    /// One LRU clock per bank — the tick sequence each bank would have on
-    /// its own, which is what keeps replacement independent of banking.
-    clocks: Vec<u32>,
+    /// One LRU clock per `(bank, set)`, `bank * sets + set` indexed: every
+    /// choice compares ticks within one set, so replacement is independent
+    /// of banking.
+    clocks: Vec<u8>,
     hashed: bool,
 }
 
@@ -66,7 +74,8 @@ impl<V: Copy> Banked<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two, or `banks`/`ways` is zero.
+    /// Panics if `sets` is not a power of two, `banks` or `ways` is zero, or
+    /// `ways` is above [`CacheGeometry::MAX_WAYS`].
     pub fn new(banks: usize, sets: usize, ways: usize) -> Self {
         Self::build(banks, sets, ways, false)
     }
@@ -77,7 +86,8 @@ impl<V: Copy> Banked<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two, or `banks`/`ways` is zero.
+    /// Panics if `sets` is not a power of two, `banks` or `ways` is zero, or
+    /// `ways` is above [`CacheGeometry::MAX_WAYS`].
     pub fn with_hashed_index(banks: usize, sets: usize, ways: usize) -> Self {
         Self::build(banks, sets, ways, true)
     }
@@ -86,6 +96,11 @@ impl<V: Copy> Banked<V> {
         assert!(banks > 0, "banks must be nonzero");
         assert!(sets.is_power_of_two(), "sets must be a power of two");
         assert!(ways > 0, "ways must be nonzero");
+        assert!(
+            ways <= CacheGeometry::MAX_WAYS,
+            "ways must be at most {} (one-byte LRU ticks), got {ways}",
+            CacheGeometry::MAX_WAYS
+        );
         let n = banks * sets * ways;
         Self {
             banks,
@@ -94,7 +109,7 @@ impl<V: Copy> Banked<V> {
             keys: vec![EMPTY_KEY; n],
             ticks: vec![0; n],
             vals: Box::new_uninit_slice(n),
-            clocks: vec![0; banks],
+            clocks: vec![0; banks * sets],
             hashed,
         }
     }
@@ -135,30 +150,40 @@ impl<V: Copy> Banked<V> {
         (bank * self.sets + set) * self.ways
     }
 
+    /// Next tick of `(bank, set)`'s clock.
     #[inline]
-    fn bump(&mut self, bank: usize) -> u32 {
-        if self.clocks[bank] == u32::MAX {
-            self.renumber(bank);
+    fn bump(&mut self, bank: usize, set: usize) -> u8 {
+        let c = bank * self.sets + set;
+        if self.clocks[c] == u8::MAX {
+            self.renumber(bank, set);
         }
-        self.clocks[bank] += 1;
-        self.clocks[bank]
+        self.clocks[c] += 1;
+        self.clocks[c]
     }
 
-    /// Renumbers `bank`'s nonzero ticks `1..=k` in tick order and sets its
-    /// clock to `k`, so the clock can count on without passing `u32::MAX`.
-    /// The order of the ticks, the only thing any choice reads, is kept
-    /// (see the module docs).
+    /// Renumbers `(bank, set)`'s nonzero ticks `1..=k` in tick order and
+    /// sets its clock to `k`, so the clock can count on without passing
+    /// `u8::MAX`. The order of the ticks, the only thing any choice reads,
+    /// is kept (see the module docs).
     #[cold]
     #[inline(never)]
-    fn renumber(&mut self, bank: usize) {
-        let b = self.base(bank, 0);
-        let ticks = &mut self.ticks[b..b + self.sets * self.ways];
-        let mut order: Vec<usize> = (0..ticks.len()).filter(|&i| ticks[i] != 0).collect();
-        order.sort_unstable_by_key(|&i| ticks[i]);
-        for (rank, &i) in order.iter().enumerate() {
-            ticks[i] = rank as u32 + 1;
+    fn renumber(&mut self, bank: usize, set: usize) {
+        let b = self.base(bank, set);
+        let ticks = &mut self.ticks[b..b + self.ways];
+        let mut buf = [0u8; CacheGeometry::MAX_WAYS];
+        let mut k = 0;
+        for (w, &t) in ticks.iter().enumerate() {
+            if t != 0 {
+                buf[k] = w as u8;
+                k += 1;
+            }
         }
-        self.clocks[bank] = order.len() as u32;
+        let order = &mut buf[..k];
+        order.sort_unstable_by_key(|&w| ticks[w as usize]);
+        for (rank, &w) in order.iter().enumerate() {
+            ticks[w as usize] = rank as u8 + 1;
+        }
+        self.clocks[bank * self.sets + set] = k as u8;
     }
 
     /// `(key, value)` of flat slot `i` if it is occupied.
@@ -234,7 +259,7 @@ impl<V: Copy> Banked<V> {
 
     /// Marks `(bank, set, way)` most-recently used.
     pub fn touch(&mut self, bank: usize, set: usize, way: usize) {
-        let t = self.bump(bank);
+        let t = self.bump(bank, set);
         let i = self.base(bank, set) + way;
         if self.ticks[i] != 0 {
             self.ticks[i] = t;
@@ -269,7 +294,7 @@ impl<V: Copy> Banked<V> {
     ) -> Option<(u64, V)> {
         assert!(way < self.ways, "way {way} out of range");
         assert_ne!(key, EMPTY_KEY, "u64::MAX is the empty-slot key");
-        let t = self.bump(bank);
+        let t = self.bump(bank, set);
         let i = self.base(bank, set) + way;
         let old = self.slot(i).map(|(k, &v)| (k, v));
         self.vals[i] = MaybeUninit::new(value);
@@ -294,7 +319,7 @@ impl<V: Copy> Banked<V> {
     pub fn victim_way(&self, bank: usize, set: usize) -> usize {
         let b = self.base(bank, set);
         let mut victim = 0;
-        let mut best = u32::MAX;
+        let mut best = u8::MAX;
         for (w, &t) in self.ticks[b..b + self.ways].iter().enumerate() {
             if t < best {
                 best = t;
@@ -315,7 +340,7 @@ impl<V: Copy> Banked<V> {
     {
         let b = self.base(bank, set);
         let mut victim = 0;
-        let mut best = (u64::MAX, u32::MAX);
+        let mut best = (u64::MAX, u8::MAX);
         for w in 0..self.ways {
             let Some((key, v)) = self.slot(b + w) else {
                 return w;
@@ -400,7 +425,7 @@ mod tests {
     }
 
     /// Replacement state with `u64` ticks that never need renumbering: the
-    /// order `Banked` must keep when its `u32` clock reaches the limit.
+    /// order `Banked` must keep when a set's `u8` clock reaches the limit.
     struct U64Lru {
         ways: usize,
         slots: Vec<Option<(u64, u64)>>,
@@ -471,66 +496,75 @@ mod tests {
         }
     }
 
-    /// Bank 0's clock is pushed to within a few bumps of `u32::MAX` again and
-    /// again, so `bump` renumbers it hundreds of times; every victim, MRU and
-    /// cost-victim choice, and the bank's contents, must still match a
-    /// reference whose `u64` ticks never renumber. Bank 1 runs alongside
-    /// from a low clock and must not be disturbed by bank 0's renumbering.
+    /// Sets of 4, 8 and 32 ways, in two banks, are driven past clock 255
+    /// thousands of times by ordinary operations, so `bump` renumbers them
+    /// again and again, full and part-empty. Every victim, cost-victim and
+    /// MRU answer of the touched set, and every bank's contents, must match
+    /// a reference whose `u64` ticks never renumber.
     #[test]
-    fn renumbering_near_u32_max_keeps_every_choice() {
-        let (sets, ways) = (4, 4);
-        let mut arena: Banked<u64> = Banked::new(2, sets, ways);
-        let mut refs = [U64Lru::new(sets, ways), U64Lru::new(sets, ways)];
-        let mut rng = SimRng::from_label(11, "banked-renumber");
+    fn per_set_renumbering_keeps_every_choice() {
         let mut renumbers = 0;
-        for i in 0..20_000u64 {
-            if i % 40 == 0 {
-                arena.clocks[0] = arena.clocks[0].max(u32::MAX - 8);
-            }
-            let bank = (rng.below(4) == 0) as usize;
-            let r = &mut refs[bank];
-            let key = rng.below(48);
-            let set = arena.set_index(key);
-            let clock_before = arena.clocks[bank];
-            match rng.below(4) {
-                0 | 1 => {
-                    let way = arena.victim_way(bank, set);
-                    assert_eq!(way, r.victim_way(set), "victim at step {i}");
-                    let old = arena.insert_at(bank, set, way, key, i);
-                    assert_eq!(old, r.insert_at(set, way, key, i));
+        for ways in [4, 8, 32] {
+            let sets = 4;
+            let mut arena: Banked<u64> = Banked::new(2, sets, ways);
+            let mut refs = [U64Lru::new(sets, ways), U64Lru::new(sets, ways)];
+            let mut rng = SimRng::from_label(ways as u64, "banked-renumber");
+            let keys = (sets * ways * 3 / 2) as u64;
+            for i in 0..200_000u64 {
+                let bank = (rng.below(4) == 0) as usize;
+                let r = &mut refs[bank];
+                let key = rng.below(keys);
+                let set = arena.set_index(key);
+                let clock_before = arena.clocks[bank * sets + set];
+                match rng.below(16) {
+                    0..=5 => {
+                        let way = arena.victim_way(bank, set);
+                        assert_eq!(way, r.victim_way(set), "{ways}-way victim, step {i}");
+                        let old = arena.insert_at(bank, set, way, key, i);
+                        assert_eq!(old, r.insert_at(set, way, key, i));
+                    }
+                    6..=14 => {
+                        let way = rng.below(ways as u64) as usize;
+                        arena.touch(bank, set, way);
+                        r.touch(set, way);
+                    }
+                    _ => {
+                        let way = rng.below(ways as u64) as usize;
+                        assert_eq!(arena.remove(bank, set, way), r.remove(set, way));
+                    }
                 }
-                2 => {
-                    let way = rng.below(ways as u64) as usize;
-                    arena.touch(bank, set, way);
-                    r.touch(set, way);
+                if arena.clocks[bank * sets + set] < clock_before {
+                    renumbers += 1;
                 }
-                _ => {
-                    let way = rng.below(ways as u64) as usize;
-                    assert_eq!(arena.remove(bank, set, way), r.remove(set, way));
+                let cost = |v: u64| v % 3;
+                assert_eq!(
+                    arena.victim_way_with_cost(bank, set, |_, v| cost(*v)),
+                    r.victim_way_with_cost(set, cost),
+                    "{ways}-way cost victim, step {i}"
+                );
+                let mru = (0..ways).find(|&w| r.is_mru(set, w));
+                for w in 0..ways {
+                    let want = mru == Some(w);
+                    assert_eq!(arena.is_mru(bank, set, w), want, "{ways}-way MRU, step {i}");
                 }
-            }
-            if arena.clocks[bank] < clock_before {
-                assert_eq!(bank, 0, "only bank 0 nears the limit");
-                renumbers += 1;
-            }
-            let cost = |v: u64| v % 3;
-            assert_eq!(
-                arena.victim_way_with_cost(bank, set, |_, v| cost(*v)),
-                r.victim_way_with_cost(set, cost),
-                "cost victim at step {i}"
-            );
-            for w in 0..ways {
-                assert_eq!(arena.is_mru(bank, set, w), r.is_mru(set, w), "step {i}");
+                if i % 4096 == 0 {
+                    for (bank, r) in refs.iter().enumerate() {
+                        let got: Vec<_> = arena
+                            .iter_bank(bank)
+                            .map(|(s, w, k, v)| (s, w, k, *v))
+                            .collect();
+                        assert_eq!(got, r.occupied(), "{ways}-way bank {bank}, step {i}");
+                    }
+                }
             }
         }
-        assert!(renumbers > 100, "only {renumbers} renumberings");
-        for (bank, r) in refs.iter().enumerate() {
-            let got: Vec<_> = arena
-                .iter_bank(bank)
-                .map(|(s, w, k, v)| (s, w, k, *v))
-                .collect();
-            assert_eq!(got, r.occupied());
-        }
+        assert!(renumbers > 2000, "only {renumbers} renumberings");
+    }
+
+    #[test]
+    #[should_panic(expected = "ways must be at most 64")]
+    fn build_rejects_more_ways_than_byte_ticks_can_order() {
+        let _: Banked<u64> = Banked::new(1, 1, CacheGeometry::MAX_WAYS + 1);
     }
 
     #[test]

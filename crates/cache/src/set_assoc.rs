@@ -28,7 +28,8 @@ impl<V: Copy> SetAssoc<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two or `ways` is zero.
+    /// Panics if `sets` is not a power of two, or `ways` is zero or above
+    /// [`d2m_common::config::CacheGeometry::MAX_WAYS`].
     pub fn new(sets: usize, ways: usize) -> Self {
         Self(Banked::new(1, sets, ways))
     }
@@ -38,7 +39,8 @@ impl<V: Copy> SetAssoc<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two or `ways` is zero.
+    /// Panics if `sets` is not a power of two, or `ways` is zero or above
+    /// [`d2m_common::config::CacheGeometry::MAX_WAYS`].
     pub fn with_hashed_index(sets: usize, ways: usize) -> Self {
         Self(Banked::with_hashed_index(1, sets, ways))
     }

@@ -18,6 +18,12 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
+    /// Most ways a cache array may have. `d2m_cache::Banked` keeps one-byte
+    /// LRU ticks per set and renumbers a set's ticks to `1..=k`, `k <= ways`,
+    /// when its clock would pass 255, so `ways` must leave most of the byte
+    /// free for the bumps that follow.
+    pub const MAX_WAYS: usize = 64;
+
     /// Creates a geometry.
     ///
     /// # Panics
@@ -227,6 +233,27 @@ impl MachineConfig {
         if self.nodes == 0 || self.nodes > crate::addr::NodeId::MAX_NODES {
             return Err(format!("nodes must be 1..=8, got {}", self.nodes));
         }
+        // Every set-associative structure but `llc`, whose ways the LI
+        // encoding limits further.
+        let arrays = [
+            ("l1i", self.l1i),
+            ("l1d", self.l1d),
+            ("l2", self.l2),
+            ("ns_slice", self.ns_slice),
+            ("md1", self.md1),
+            ("md2", self.md2),
+            ("md3", self.md3),
+            ("tlb", self.tlb),
+        ];
+        for (name, g) in arrays {
+            if g.ways > CacheGeometry::MAX_WAYS {
+                return Err(format!(
+                    "{name}.ways must be at most {} (one-byte LRU ticks), got {}",
+                    CacheGeometry::MAX_WAYS,
+                    g.ways
+                ));
+            }
+        }
         let ns_total = self.ns_slice.capacity_bytes() * self.nodes;
         if ns_total != self.llc.capacity_bytes() {
             return Err(format!(
@@ -337,6 +364,37 @@ mod tests {
         let mut cfg = MachineConfig::default();
         cfg.nodes = 9;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_names_every_array_above_the_way_limit() {
+        type Field = fn(&mut MachineConfig) -> &mut CacheGeometry;
+        let cases: [(&str, Field); 8] = [
+            ("l1i", |c| &mut c.l1i),
+            ("l1d", |c| &mut c.l1d),
+            ("l2", |c| &mut c.l2),
+            ("ns_slice", |c| &mut c.ns_slice),
+            ("md1", |c| &mut c.md1),
+            ("md2", |c| &mut c.md2),
+            ("md3", |c| &mut c.md3),
+            ("tlb", |c| &mut c.tlb),
+        ];
+        for (name, field) in cases {
+            let mut cfg = MachineConfig::default();
+            field(&mut cfg).ways = CacheGeometry::MAX_WAYS;
+            if name != "ns_slice" {
+                // More ways of the NS slice also change its capacity.
+                cfg.validate()
+                    .unwrap_or_else(|e| panic!("{name} at the limit: {e}"));
+            }
+            field(&mut cfg).ways = CacheGeometry::MAX_WAYS + 1;
+            assert_eq!(
+                cfg.validate(),
+                Err(format!(
+                    "{name}.ways must be at most 64 (one-byte LRU ticks), got 65"
+                )),
+            );
+        }
     }
 
     #[test]
