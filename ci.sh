@@ -133,11 +133,19 @@ for example in examples/*.rs; do
     cargo run --release -q --example "$example" >/dev/null
 done
 
-echo "== paper artifacts (every report at --quick length) =="
+echo "== paper artifacts (every report at --quick length, pinned digest) =="
 # Without an artifact, `report` prints its usage, including the line
 # `artifacts: <name>...`, and exits 2. Each listed artifact then runs once, so
 # a report that panics fails the gate. They run in a scratch directory: the
 # sweep journals they write under `target/` start fresh and are discarded.
+# The sha256 of their 16 stdouts, concatenated in usage order, must equal
+# tests/golden/report_quick.sha256, so a change to any printed number fails
+# here. After a deliberate output change, re-bless from an empty directory
+# with:
+#   r=/path/to/repo/target/release/report
+#   for a in $("$r" 2>&1 | sed -n 's/^artifacts: //p'); do
+#       D2M_JOBS=2 "$r" "$a" --quick 2>/dev/null
+#   done | sha256sum | cut -d' ' -f1 > /path/to/repo/tests/golden/report_quick.sha256
 report="$PWD/target/release/report"
 set +e
 usage="$("$report" 2>&1)"
@@ -148,10 +156,15 @@ set -e
 artifacts="$(sed -n 's/^artifacts: //p' <<<"$usage")"
 [ -n "$artifacts" ] || { echo "report usage lists no artifacts"; exit 1; }
 mkdir "$fault_dir/report"
+report_outs=()
 for artifact in $artifacts; do
     echo "-- report $artifact --quick"
-    (cd "$fault_dir/report" && D2M_JOBS=2 "$report" "$artifact" --quick >/dev/null)
+    (cd "$fault_dir/report" && D2M_JOBS=2 "$report" "$artifact" --quick >"$artifact.out")
+    report_outs+=("$fault_dir/report/$artifact.out")
 done
+report_digest="$(cat "${report_outs[@]}" | sha256sum | cut -d' ' -f1)"
+[ "$report_digest" = "$(cat tests/golden/report_quick.sha256)" ] \
+    || { echo "report --quick output digest $report_digest differs from the pinned one"; exit 1; }
 
 echo "== published artifact with a failed cell (inject, expect nonzero exit) =="
 # Unlike `d2m-simulate --sweep`, a report must not print tables built from a
@@ -169,11 +182,12 @@ set -e
 grep -q "1 failed cell" <<<"$fault_err" \
     || { echo "report calibrate failed without naming its failed cell"; exit 1; }
 
-echo "== direct-drive artifact with a failed run (inject, expect nonzero exit, empty stdout) =="
-# The artifacts that drive systems themselves (energy_breakdown, the
-# ablations, lockbits) print only after every run has passed, so a run that
-# fails part-way leaves no partial table on stdout. energy_breakdown builds
-# its third system, D2M-FS, through AnySystem::build's `build` fault point.
+echo "== single-run artifact with a failed run (inject, expect nonzero exit, empty stdout) =="
+# energy_breakdown, lockbits and the three D2M ablations run one system at
+# a time through the runner, not a sweep, and print only after every run has
+# passed, so a run that fails part-way leaves no partial table on stdout.
+# energy_breakdown's third run, on D2M-FS, fails inside run_one_observed when
+# AnySystem::build's `build` fault point fires.
 mkdir "$fault_dir/report-direct-fault"
 set +e
 direct_out="$(cd "$fault_dir/report-direct-fault" && D2M_FAULT="build@D2M-FS:*:panic" \

@@ -6,12 +6,14 @@ use std::fmt;
 use std::process::ExitCode;
 
 use d2m_bench::{cached_sweep, full_matrix, header, machine, parse_args, pct, rule, HarnessConfig};
-use d2m_core::{D2mFeatures, D2mSystem, D2mVariant, ProtocolError};
+use d2m_common::json::Json;
+use d2m_core::{D2mFeatures, D2mSystem, D2mVariant};
 use d2m_energy::EnergyEvent;
 use d2m_sim::{
-    run_one, AnySystem, ConfigPoint, MatrixResult, RunConfig, RunMetrics, SweepSpec, SystemKind,
+    run_one_checked, run_one_observed, run_system_observed, AnySystem, ConfigPoint, MatrixResult,
+    RunConfig, RunError, RunMetrics, RunObservation, SweepSpec, SystemKind,
 };
-use d2m_workloads::{catalog, Access, Category, TraceGen};
+use d2m_workloads::{catalog, Category};
 
 /// An artifact's printer: the harness run length and the positional
 /// workloads (only `energy_breakdown` and `traffic_debug` read them).
@@ -109,71 +111,53 @@ fn main() -> ExitCode {
     }
 }
 
-/// Feeds `gen`'s batches, whole, to `access` until at least `target`
-/// instructions have been generated, and returns how many were. `access`
-/// also gets the instruction total through the current batch, so a phase
-/// cut falls on a batch boundary.
-fn replay(gen: &mut TraceGen, target: u64, mut access: impl FnMut(u64, &Access)) -> u64 {
-    let mut batch = Vec::new();
-    let mut insts = 0;
-    while insts < target {
-        batch.clear();
-        insts += gen.next_batch(&mut batch);
-        for a in &batch {
-            access(insts, a);
-        }
-    }
-    insts
-}
-
-/// Fails artifact `artifact` when a system it drove itself, outside
-/// `run_one` and the sweep engine (which fail such a run on their own),
-/// observed value-coherence violations: its numbers must not reach a
-/// printed table. `system` names the system or feature set. The artifacts
-/// that drive systems themselves print only after every run has passed, so
-/// a failed run leaves stdout empty.
-///
-/// # Panics
-///
-/// When `violations > 0`, naming the artifact, the system, the workload and
-/// the count.
-fn require_coherent(artifact: &str, system: &str, workload: &str, violations: u64) {
-    assert!(
-        violations == 0,
-        "report {artifact}: {system} on {workload} observed {violations} \
-         value-coherence violation(s)"
-    );
-}
-
-/// The result of one access by a system artifact `artifact` drove itself;
-/// a protocol error fails the artifact as [`require_coherent`] does.
+/// The result of a run that artifact `artifact` makes outside a sweep (a
+/// sweep's failed cell fails the artifact in [`cached_sweep`]). An
+/// ablation's `artifact` also names its setting. `energy_breakdown`,
+/// `lockbits` and the ablations print only after every run has passed, so a
+/// failed run leaves their stdout empty.
 ///
 /// # Panics
 ///
 /// On `Err`, naming the artifact, the system, the workload and the error.
-fn require_access<T>(
-    artifact: &str,
-    system: &str,
-    workload: &str,
-    access: Result<T, ProtocolError>,
-) -> T {
-    access.unwrap_or_else(|e| panic!("report {artifact}: {system} on {workload} failed: {e}"))
+fn require<T>(artifact: &str, run: Result<T, RunError>) -> T {
+    run.unwrap_or_else(|e| panic!("report {artifact}: {e}"))
 }
 
-/// A D2M `variant` system with `feats`, and a trace generator for workload
-/// `name`, both seeded from `rc`.
+/// Runs workload `name` observed on a D2M `variant` system with `feats`,
+/// seeded from `rc`; a failed run fails `artifact` (see [`require`]).
 fn ablation(
+    artifact: &str,
     name: &str,
     variant: D2mVariant,
     feats: D2mFeatures,
     rc: &RunConfig,
-) -> (D2mSystem, TraceGen) {
+) -> RunObservation {
     let cfg = machine();
     let spec = catalog::by_name(name).expect("workload");
-    (
-        D2mSystem::with_features(&cfg, variant, feats, rc.seed),
-        TraceGen::new(&spec, cfg.nodes, rc.seed),
-    )
+    let sys = AnySystem::D2m(Box::new(D2mSystem::with_features(
+        &cfg, variant, feats, rc.seed,
+    )));
+    require(artifact, run_system_observed(sys, &cfg, &spec, rc))
+}
+
+/// One measured phase of `instructions` and no warmup, seeded from `rc`,
+/// for the artifacts that count over a whole run.
+fn one_phase(rc: &RunConfig, instructions: u64) -> RunConfig {
+    RunConfig {
+        instructions,
+        warmup_instructions: 0,
+        seed: rc.seed,
+    }
+}
+
+/// The dynamic energy `obs`'s system spent on `event` over the whole run, in
+/// pJ.
+fn event_pj(obs: &RunObservation, event: EnergyEvent) -> f64 {
+    obs.energy_breakdown
+        .get(event.name())
+        .and_then(Json::as_f64)
+        .unwrap_or(0.0)
 }
 
 /// Calls `row` with every catalog workload's name and a lookup of its run
@@ -625,7 +609,10 @@ fn pkmo(hc: &HarnessConfig, _: &[String]) {
     let mut free_n = 0f64;
     let mut free_d = 0f64;
     for spec in catalog::all().expect("catalog specs are valid") {
-        let m = run_one(SystemKind::D2mFs, &cfg, &spec, &hc.rc);
+        let m = require(
+            "pkmo",
+            run_one_checked(SystemKind::D2mFs, &cfg, &spec, &hc.rc),
+        );
         let ops = (m.counters.get("loads") + m.counters.get("stores")) as f64;
         memops += ops;
         for (i, (k, _, _)) in keys.iter().enumerate() {
@@ -789,17 +776,9 @@ fn ablation_scramble(hc: &HarnessConfig, _: &[String]) {
             dynamic_indexing,
             ..D2mVariant::NearSide.features()
         };
-        let label = format!("D2M-NS (dynamic_indexing: {dynamic_indexing})");
-        let (mut sys, mut gen) = ablation(name, D2mVariant::NearSide, feats, &hc.rc);
-        replay(&mut gen, hc.rc.warmup_instructions, |_, a| {
-            require_access("ablation_scramble", &label, name, sys.access(a, 0));
-        });
-        let warm_fills = sys.raw_counters().mem_fills;
-        let insts = replay(&mut gen, hc.rc.instructions, |_, a| {
-            require_access("ablation_scramble", &label, name, sys.access(a, 0));
-        });
-        require_coherent("ablation_scramble", &label, name, sys.coherence_errors());
-        (sys.raw_counters().mem_fills - warm_fills) as f64 / (insts as f64 / 1000.0)
+        let artifact = format!("ablation_scramble (dynamic_indexing: {dynamic_indexing})");
+        let m = ablation(&artifact, name, D2mVariant::NearSide, feats, &hc.rc).metrics;
+        m.counters.get("mem.fills") as f64 / (m.instructions as f64 / 1000.0)
     };
     let rows = ["lu_cb", "lu_ncb", "fft", "swaptions"]
         .map(|name| (name, run(name, false), run(name, true)));
@@ -829,7 +808,7 @@ fn ablation_scramble(hc: &HarnessConfig, _: &[String]) {
 /// fills with no LLC reuse. Compares D2M-NS-R with and without bypassing on
 /// streaming-heavy and reuse-heavy workloads.
 fn ablation_bypass(hc: &HarnessConfig, _: &[String]) {
-    let total = hc.rc.warmup_instructions + hc.rc.instructions;
+    let rc = one_phase(&hc.rc, hc.rc.warmup_instructions + hc.rc.instructions);
     let mut rows = Vec::new();
     for name in ["streamcluster", "radix", "canneal", "facebook", "swaptions"] {
         for bypass in [false, true] {
@@ -837,20 +816,16 @@ fn ablation_bypass(hc: &HarnessConfig, _: &[String]) {
                 bypass,
                 ..D2mVariant::NearSideRepl.features()
             };
-            let label = format!("D2M-NS-R (bypass: {bypass})");
-            let (mut sys, mut gen) = ablation(name, D2mVariant::NearSideRepl, feats, &hc.rc);
-            replay(&mut gen, total, |_, a| {
-                require_access("ablation_bypass", &label, name, sys.access(a, 0));
-            });
-            require_coherent("ablation_bypass", &label, name, sys.coherence_errors());
-            let c = sys.raw_counters();
+            let artifact = format!("ablation_bypass (bypass: {bypass})");
+            let obs = ablation(&artifact, name, D2mVariant::NearSideRepl, feats, &rc);
+            let c = &obs.metrics.counters;
             rows.push((
                 name,
                 bypass,
-                c.bypassed_fills,
-                c.ns_alloc_local + c.ns_alloc_remote,
-                c.mem_fills,
-                c.ns_local_d + c.ns_local_i,
+                c.get("bypassed_fills"),
+                c.get("ns_alloc.local") + c.get("ns_alloc.remote"),
+                c.get("mem.fills"),
+                c.get("ns.local_d") + c.get("ns.local_i"),
             ));
         }
     }
@@ -884,7 +859,7 @@ fn ablation_bypass(hc: &HarnessConfig, _: &[String]) {
 /// quantify what survives (traffic, miss latency) and what is lost (the
 /// per-access TLB/tag energy the MD1 eliminates).
 fn ablation_traditional(hc: &HarnessConfig, _: &[String]) {
-    let total = hc.rc.warmup_instructions + hc.rc.instructions;
+    let rc = one_phase(&hc.rc, hc.rc.warmup_instructions + hc.rc.instructions);
     let mut rows = Vec::new();
     for name in ["mix2", "facebook", "tpc-c"] {
         for traditional in [false, true] {
@@ -893,28 +868,20 @@ fn ablation_traditional(hc: &HarnessConfig, _: &[String]) {
                 traditional_l1: traditional,
                 ..D2mVariant::NearSideRepl.features()
             };
-            let label = format!("D2M-NS-R (traditional_l1: {traditional})");
-            let (mut sys, mut gen) = ablation(name, D2mVariant::NearSideRepl, feats, &hc.rc);
-            let (mut lat_sum, mut lat_n) = (0f64, 0u64);
-            let insts = replay(&mut gen, total, |_, a| {
-                let r = require_access("ablation_traditional", &label, name, sys.access(a, 0));
-                if !r.l1_hit {
-                    lat_sum += r.latency as f64;
-                    lat_n += 1;
-                }
-            });
-            require_coherent("ablation_traditional", &label, name, sys.coherence_errors());
-            let ki = insts as f64 / 1000.0;
+            let artifact = format!("ablation_traditional (traditional_l1: {traditional})");
+            let obs = ablation(&artifact, name, D2mVariant::NearSideRepl, feats, &rc);
+            let m = &obs.metrics;
+            let ki = m.instructions as f64 / 1000.0;
             // The front-end energy the two designs differ in: TLB + L1 tags vs MD1.
-            let frontend = sys.energy().event_pj_total(EnergyEvent::Tlb)
-                + sys.energy().event_pj_total(EnergyEvent::L1TagWay)
-                + sys.energy().event_pj_total(EnergyEvent::Md1);
+            let frontend = event_pj(&obs, EnergyEvent::Tlb)
+                + event_pj(&obs, EnergyEvent::L1TagWay)
+                + event_pj(&obs, EnergyEvent::Md1);
             rows.push((
                 name,
                 traditional,
-                sys.noc().messages() as f64 / ki,
+                m.msgs_per_kilo_inst,
                 frontend / ki,
-                lat_sum / lat_n.max(1) as f64,
+                m.avg_miss_latency,
             ));
         }
     }
@@ -950,27 +917,22 @@ fn ablation_traditional(hc: &HarnessConfig, _: &[String]) {
 /// for different lock-array sizes. Paper: 1 K lock bits give a negligible
 /// collision rate.
 fn lockbits(hc: &HarnessConfig, _: &[String]) {
+    let rc = one_phase(&hc.rc, hc.rc.instructions);
     let mut rows = Vec::new();
     for bits in [64usize, 256, 1024, 4096] {
         for name in ["barnes", "tpc-c"] {
             let mut cfg = machine();
             cfg.md3_lock_bits = bits;
-            let label = format!("D2M-FS ({bits} lock bits)");
             let spec = catalog::by_name(name).expect("workload");
-            let mut sys = D2mSystem::new(&cfg, D2mVariant::FarSide);
-            let mut gen = TraceGen::new(&spec, cfg.nodes, hc.rc.seed);
-            replay(&mut gen, hc.rc.instructions, |_, a| {
-                require_access("lockbits", &label, name, sys.access(a, 0));
-            });
-            require_coherent("lockbits", &label, name, sys.coherence_errors());
-            let lb = sys.lockbits();
-            rows.push((
-                bits,
-                name,
-                lb.acquisitions(),
-                lb.collisions(),
-                lb.collision_rate(),
-            ));
+            let artifact = format!("lockbits ({bits} lock bits)");
+            let m = require(
+                &artifact,
+                run_one_checked(SystemKind::D2mFs, &cfg, &spec, &rc),
+            );
+            let acquisitions = m.counters.get("lockbits.acquisitions");
+            let collisions = m.counters.get("lockbits.collisions");
+            let rate = collisions as f64 / acquisitions.max(1) as f64;
+            rows.push((bits, name, acquisitions, collisions, rate));
         }
     }
     header("Appendix — MD3 lock-bit collision rates", hc);
@@ -1002,23 +964,14 @@ fn energy_breakdown(hc: &HarnessConfig, workloads: &[String]) {
     let cfg = machine();
     let name = workloads.first().map_or("facebook", String::as_str);
     let spec = catalog::by_name(name).expect("workload");
+    let rc = one_phase(&hc.rc, hc.rc.instructions);
     let mut columns = Vec::new();
     for kind in SystemKind::ALL {
-        let mut sys = AnySystem::build(kind, &cfg, hc.rc.seed);
-        let mut gen = TraceGen::new(&spec, cfg.nodes, hc.rc.seed);
-        let insts = replay(&mut gen, hc.rc.instructions, |_, a| {
-            require_access("energy_breakdown", kind.name(), name, sys.access(a, 0));
-        });
-        require_coherent(
-            "energy_breakdown",
-            kind.name(),
-            name,
-            sys.coherence_errors(),
-        );
-        let ki = insts as f64 / 1000.0;
+        let obs = require("energy_breakdown", run_one_observed(kind, &cfg, &spec, &rc));
+        let ki = obs.metrics.instructions as f64 / 1000.0;
         let per_event: Vec<f64> = EnergyEvent::ALL
             .iter()
-            .map(|e| sys.energy().event_pj_total(*e) / ki)
+            .map(|e| event_pj(&obs, *e) / ki)
             .collect();
         columns.push(per_event);
     }
@@ -1197,7 +1150,7 @@ fn traffic_debug(hc: &HarnessConfig, workloads: &[String]) {
         let spec = catalog::by_name(name).expect("workload");
         println!("=== {name} ===");
         for kind in [SystemKind::Base2L, SystemKind::D2mFs, SystemKind::D2mNsR] {
-            let m = run_one(kind, &cfg, &spec, &hc.rc);
+            let m = require("traffic_debug", run_one_checked(kind, &cfg, &spec, &hc.rc));
             println!(
                 "\n{} — {:.1} msgs/KI, miss I {:.2} D {:.2} /100inst, inv {}, edp {:.3e}, mem_frac {:.2}, ns I/D {:.2}/{:.2}, late I/D {:.2}/{:.2}, misslat {:.0}",
                 m.system,
@@ -1310,27 +1263,14 @@ mod tests {
     }
 
     #[test]
-    fn a_coherent_run_passes_the_check() {
-        require_coherent("energy_breakdown", "Base-3L", "tpc-c", 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "report energy_breakdown: Base-3L on tpc-c observed 3 \
-                               value-coherence violation(s)")]
+    #[should_panic(expected = "report lockbits (64 lock bits): \
+                               D2M-FS violated value coherence on barnes (3 violations)")]
     fn a_violation_fails_the_artifact_naming_it() {
-        require_coherent("energy_breakdown", "Base-3L", "tpc-c", 3);
-    }
-
-    #[test]
-    fn a_successful_access_passes_its_result_through() {
-        assert_eq!(require_access("lockbits", "D2M-FS", "barnes", Ok(7)), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "report lockbits: D2M-FS (64 lock bits) on barnes failed: \
-                               corrupt metadata: test")]
-    fn a_protocol_error_fails_the_artifact_naming_it() {
-        let e = ProtocolError::CorruptMetadata { context: "test" };
-        require_access::<()>("lockbits", "D2M-FS (64 lock bits)", "barnes", Err(e));
+        let e = RunError::Coherence {
+            system: "D2M-FS",
+            workload: "barnes".into(),
+            violations: 3,
+        };
+        require::<()>("lockbits (64 lock bits)", Err(e));
     }
 }

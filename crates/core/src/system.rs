@@ -309,11 +309,6 @@ impl D2mSystem {
         &self.ev
     }
 
-    /// Lock-bit collision model.
-    pub fn lockbits(&self) -> &LockBits {
-        &self.lockbits
-    }
-
     /// Value-coherence violations observed (must stay zero).
     pub fn coherence_errors(&self) -> u64 {
         self.ctr.coherence_errors

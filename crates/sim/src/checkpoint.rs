@@ -1,11 +1,12 @@
 //! Per-cell checkpoint journal: kill/resume for long-running sweeps.
 //!
 //! A full paper grid (45 workloads × 5 systems × config points) is hours of
-//! wall-clock inside one [`run_sweep`](crate::run_sweep) call.
-//! [`run_sweep_checkpointed`] makes that call killable: it runs on the same
-//! driver as every other sweep, whose per-cell hook appends each completed
-//! cell to a journal file — one compact JSON line, fsync'd before the worker
-//! moves on — and a rerun with `resume = true` skips every journaled cell.
+//! wall-clock inside one [`run_sweep_with_jobs`](crate::run_sweep_with_jobs)
+//! call. [`run_sweep_checkpointed`] makes that call killable: it runs on the
+//! same driver as every other sweep, whose per-cell hook appends each
+//! completed cell to a journal file — one compact JSON line, fsync'd before
+//! the worker moves on — and a rerun with `resume = true` skips every
+//! journaled cell.
 //! The final [`SweepResult`] is assembled in cell-index order from journaled
 //! and freshly-run cells alike, so its JSON is **byte-identical** to an
 //! uninterrupted run — across any kill/resume point and any worker-thread

@@ -79,7 +79,7 @@ impl MatrixResult {
 mod tests {
     use super::*;
     use crate::runner::RunConfig;
-    use crate::sweep::{run_sweep, SweepSpec};
+    use crate::sweep::{run_sweep_with_jobs, SweepSpec};
     use d2m_common::config::MachineConfig;
     use d2m_workloads::catalog;
 
@@ -96,7 +96,7 @@ mod tests {
         };
         let systems = [SystemKind::Base2L, SystemKind::D2mFs];
         let spec = SweepSpec::single("matrix", &MachineConfig::default(), &systems, &specs, &rc);
-        let m = MatrixResult::from_runs(run_sweep(&spec).runs_for_config("default"));
+        let m = MatrixResult::from_runs(run_sweep_with_jobs(&spec, 2).runs_for_config("default"));
         assert_eq!(m.runs().len(), 4);
         assert_eq!(m.runs()[1].system, "D2M-FS");
         assert_eq!(m.runs()[1].workload, "swaptions");

@@ -15,14 +15,16 @@
 //! # Example
 //!
 //! ```no_run
-//! use d2m_sim::{run_one, RunConfig, SystemKind};
+//! use d2m_sim::{run_one_checked, RunConfig, SystemKind};
 //! use d2m_common::MachineConfig;
 //! use d2m_workloads::catalog;
 //!
 //! let cfg = MachineConfig::default();
 //! let spec = catalog::by_name("tpc-c").unwrap();
-//! let m = run_one(SystemKind::D2mNsR, &cfg, &spec, &RunConfig::quick());
-//! println!("{}: {:.1} msgs/KI", m.system, m.msgs_per_kilo_inst);
+//! match run_one_checked(SystemKind::D2mNsR, &cfg, &spec, &RunConfig::quick()) {
+//!     Ok(m) => println!("{}: {:.1} msgs/KI", m.system, m.msgs_per_kilo_inst),
+//!     Err(e) => eprintln!("run failed: {e}"),
+//! }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,9 +39,11 @@ pub mod systems;
 pub use checkpoint::{run_sweep_checkpointed, CheckpointError};
 pub use experiments::MatrixResult;
 pub use metrics::RunMetrics;
-pub use runner::{run_one, run_one_checked, run_one_observed, RunConfig, RunError, RunObservation};
+pub use runner::{
+    run_one_checked, run_one_observed, run_system_observed, RunConfig, RunError, RunObservation,
+};
 pub use sweep::{
-    default_jobs, run_sweep, run_sweep_observed_with_jobs, run_sweep_with_jobs, CellResult,
-    ConfigPoint, ObservedSweep, SweepResult, SweepSpec,
+    default_jobs, run_sweep_observed_with_jobs, run_sweep_with_jobs, CellResult, ConfigPoint,
+    ObservedSweep, SweepResult, SweepSpec,
 };
 pub use systems::{AnySystem, SystemKind};

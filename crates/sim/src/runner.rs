@@ -187,7 +187,7 @@ impl ServeTally {
 /// identical runs yield byte-identical [`RunObservation::to_json`] output.
 #[derive(Clone, Debug)]
 pub struct RunObservation {
-    /// The measurement-window metrics (identical to [`run_one`]'s).
+    /// The measurement-window metrics (identical to [`run_one_checked`]'s).
     pub metrics: RunMetrics,
     /// Absolute counter snapshot at the end of warmup.
     pub warmup_counters: Counters,
@@ -225,38 +225,22 @@ impl RunObservation {
 
 /// Runs one (system, workload) pair and extracts its metrics.
 ///
-/// # Panics
-///
-/// Panics if the machine config is invalid, if the system violates value
-/// coherence, or if the protocol aborts on corrupted metadata. Sweeps that
-/// must survive a failing cell use [`run_one_checked`] instead.
-pub fn run_one(
-    kind: SystemKind,
-    cfg: &MachineConfig,
-    spec: &WorkloadSpec,
-    rc: &RunConfig,
-) -> RunMetrics {
-    match run_one_checked(kind, cfg, spec, rc) {
-        Ok(m) => m,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Like [`run_one`], but failures become a typed [`RunError`] naming the
-/// failing (system, workload) pair instead of aborting the process.
-///
 /// # Errors
 ///
 /// [`RunError::Protocol`] when a transaction aborts on corrupted metadata;
 /// [`RunError::Coherence`] when the value-coherence oracle records
-/// violations.
+/// violations. Either names the failing (system, workload) pair.
+///
+/// # Panics
+///
+/// Panics if the machine config is invalid (see [`AnySystem::build`]).
 pub fn run_one_checked(
     kind: SystemKind,
     cfg: &MachineConfig,
     spec: &WorkloadSpec,
     rc: &RunConfig,
 ) -> Result<RunMetrics, RunError> {
-    checked(kind, cfg, spec, rc, None)
+    checked(AnySystem::build(kind, cfg, rc.seed), cfg, spec, rc, None)
 }
 
 /// Runs one pair with the full observability layer enabled: a
@@ -264,8 +248,8 @@ pub fn run_one_checked(
 /// markers), a per-message-class [`TrafficMatrix`], per-phase counter
 /// snapshots and the per-structure energy breakdown.
 ///
-/// The scalar metrics are identical to [`run_one`]'s for the same inputs —
-/// observation never perturbs the simulation.
+/// The scalar metrics are identical to [`run_one_checked`]'s for the same
+/// inputs — observation never perturbs the simulation.
 ///
 /// # Errors
 ///
@@ -276,34 +260,51 @@ pub fn run_one_observed(
     spec: &WorkloadSpec,
     rc: &RunConfig,
 ) -> Result<RunObservation, RunError> {
-    observe(kind, cfg, spec, rc, None)
+    run_system_observed(AnySystem::build(kind, cfg, rc.seed), cfg, spec, rc)
+}
+
+/// [`run_one_observed`] on a system the caller built from `cfg`, such as a
+/// D2M system with an ablation's feature set. `rc.seed` seeds the workload;
+/// the system keeps the seed it was built with. Errors name the system by
+/// [`AnySystem::kind`].
+///
+/// # Errors
+///
+/// Same as [`run_one_checked`].
+pub fn run_system_observed(
+    sys: AnySystem,
+    cfg: &MachineConfig,
+    spec: &WorkloadSpec,
+    rc: &RunConfig,
+) -> Result<RunObservation, RunError> {
+    observe(sys, cfg, spec, rc, None)
 }
 
 /// A sweep group's shared trace, fetched by the run that needs it (see
 /// [`run_core`]).
 pub(crate) type SharedTrace<'a> = Option<&'a dyn Fn() -> Arc<Trace>>;
 
-/// [`run_one_checked`], replaying `shared` when it is set.
+/// Runs `sys` unobserved, replaying `shared` when it is set.
 pub(crate) fn checked(
-    kind: SystemKind,
+    sys: AnySystem,
     cfg: &MachineConfig,
     spec: &WorkloadSpec,
     rc: &RunConfig,
     shared: SharedTrace<'_>,
 ) -> Result<RunMetrics, RunError> {
-    run_core(kind, cfg, spec, rc, shared, &mut NoopProbe, false).map(|(m, _, _)| m)
+    run_core(sys, cfg, spec, rc, shared, &mut NoopProbe, false).map(|(m, _, _)| m)
 }
 
-/// [`run_one_observed`], replaying `shared` when it is set.
+/// Runs `sys` observed, replaying `shared` when it is set.
 pub(crate) fn observe(
-    kind: SystemKind,
+    sys: AnySystem,
     cfg: &MachineConfig,
     spec: &WorkloadSpec,
     rc: &RunConfig,
     shared: SharedTrace<'_>,
 ) -> Result<RunObservation, RunError> {
     let mut probe = RecordingProbe::new();
-    let (metrics, warmup_counters, sys) = run_core(kind, cfg, spec, rc, shared, &mut probe, true)?;
+    let (metrics, warmup_counters, sys) = run_core(sys, cfg, spec, rc, shared, &mut probe, true)?;
     let traffic = sys
         .noc()
         .matrix()
@@ -449,7 +450,8 @@ impl<P: Probe + ?Sized> Run<'_, P> {
     }
 }
 
-/// The simulation loop behind every run.
+/// The simulation loop behind every run, on `sys`, a system built from
+/// `cfg` (by [`AnySystem::build`] unless an ablation built its own).
 ///
 /// With `shared` unset the accesses stream from a fresh [`TraceGen`]; with
 /// it set they come from that trace, which must have been recorded for
@@ -458,7 +460,7 @@ impl<P: Probe + ?Sized> Run<'_, P> {
 /// a run that fails does so at the same step either way. Every access
 /// reports to `probe`; with [`NoopProbe`] the loop holds no probe code.
 fn run_core<P: Probe + ?Sized>(
-    kind: SystemKind,
+    mut sys: AnySystem,
     cfg: &MachineConfig,
     spec: &WorkloadSpec,
     rc: &RunConfig,
@@ -466,7 +468,7 @@ fn run_core<P: Probe + ?Sized>(
     probe: &mut P,
     record_traffic: bool,
 ) -> Result<(RunMetrics, Counters, AnySystem), RunError> {
-    let mut sys = AnySystem::build(kind, cfg, rc.seed);
+    let kind = sys.kind();
     if record_traffic {
         sys.noc_mut().enable_matrix(cfg.nodes);
     }
@@ -639,7 +641,7 @@ mod tests {
     fn run_produces_sane_metrics() {
         let cfg = MachineConfig::default();
         let spec = catalog::by_name("swaptions").unwrap();
-        let m = run_one(SystemKind::Base2L, &cfg, &spec, &quick());
+        let m = run_one_checked(SystemKind::Base2L, &cfg, &spec, &quick()).unwrap();
         assert!(m.instructions >= 60_000);
         assert!(m.cycles > 0 && m.ipc > 0.1 && m.ipc <= cfg.core.base_ipc * cfg.nodes as f64);
         assert!(m.energy_pj > 0.0 && m.edp > 0.0);
@@ -671,8 +673,8 @@ mod tests {
             warmup_instructions: 400_000,
             seed: 7,
         };
-        let base = run_one(SystemKind::Base2L, &cfg, &spec, &rc);
-        let d2m = run_one(SystemKind::D2mNsR, &cfg, &spec, &rc);
+        let base = run_one_checked(SystemKind::Base2L, &cfg, &spec, &rc).unwrap();
+        let d2m = run_one_checked(SystemKind::D2mNsR, &cfg, &spec, &rc).unwrap();
         assert!(
             d2m.msgs_per_kilo_inst < base.msgs_per_kilo_inst,
             "D2M {} vs base {}",
@@ -687,8 +689,8 @@ mod tests {
     fn runs_are_deterministic() {
         let cfg = MachineConfig::default();
         let spec = catalog::by_name("google").unwrap();
-        let a = run_one(SystemKind::D2mNs, &cfg, &spec, &quick());
-        let b = run_one(SystemKind::D2mNs, &cfg, &spec, &quick());
+        let a = run_one_checked(SystemKind::D2mNs, &cfg, &spec, &quick()).unwrap();
+        let b = run_one_checked(SystemKind::D2mNs, &cfg, &spec, &quick()).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.invalidations, b.invalidations);
         assert_eq!(a.counters, b.counters);
@@ -698,18 +700,35 @@ mod tests {
     fn warmup_is_excluded() {
         let cfg = MachineConfig::default();
         let spec = catalog::by_name("swaptions").unwrap();
-        let long_warm = run_one(
-            SystemKind::Base2L,
-            &cfg,
-            &spec,
-            &RunConfig {
-                instructions: 50_000,
-                warmup_instructions: 100_000,
-                seed: 1,
-            },
-        );
+        let rc = RunConfig {
+            instructions: 50_000,
+            warmup_instructions: 100_000,
+            seed: 1,
+        };
+        let long_warm = run_one_checked(SystemKind::Base2L, &cfg, &spec, &rc).unwrap();
         // After a long warmup the small code footprint is resident: the
         // measured L1-I miss ratio must be far below the cold one.
         assert!(long_warm.l1i_miss_pct < 1.0, "{}", long_warm.l1i_miss_pct);
+    }
+
+    #[test]
+    fn a_caller_built_system_runs_the_same_loop() {
+        // report's ablations read their numbers from caller-built systems,
+        // so that path must give what the kind-built one gives, byte for
+        // byte.
+        let cfg = MachineConfig::default();
+        let spec = catalog::by_name("tpc-c").unwrap();
+        let rc = quick();
+        for kind in SystemKind::ALL.into_iter().filter(|k| k.is_d2m()) {
+            let built = AnySystem::build(kind, &cfg, rc.seed);
+            let a = run_system_observed(built, &cfg, &spec, &rc).unwrap();
+            let b = run_one_observed(kind, &cfg, &spec, &rc).unwrap();
+            assert_eq!(
+                a.to_json().to_string_compact(),
+                b.to_json().to_string_compact(),
+                "{}",
+                kind.name()
+            );
+        }
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! A [`SweepSpec`] declares a grid of *cells* — the cartesian product of
 //! machine configurations, systems and workloads — plus the run length and a
-//! single master seed. [`run_sweep`] fans the cells over a work-stealing
-//! worker pool (one `std::thread` per job slot; the pool size defaults to the
-//! machine's parallelism and can be overridden with the `D2M_JOBS`
-//! environment variable) and aggregates the per-cell [`RunMetrics`] into a
+//! single master seed. [`run_sweep_with_jobs`] fans the cells over a
+//! work-stealing worker pool (one `std::thread` per job slot; [`default_jobs`]
+//! gives the machine's parallelism, which the `D2M_JOBS` environment
+//! variable overrides) and aggregates the per-cell [`RunMetrics`] into a
 //! [`SweepResult`] whose cells appear in **cell-index order**, independent of
 //! which worker finished first.
 //!
@@ -23,9 +23,10 @@
 //! * Each cell builds its own system from the cell seed. The access stream
 //!   is shared: the first cell of a `(config, workload)` group to run
 //!   records the group's trace once ([`Trace::record`], the same batch loop
-//!   a streaming [`run_one`](crate::run_one) drives) and every system cell
-//!   of the group replays it. A trace is a pure function of the spec and
-//!   the group, so which worker records it cannot change a result.
+//!   a streaming [`run_one_checked`](crate::run_one_checked) drives) and
+//!   every system cell of the group replays it. A trace is a pure function
+//!   of the spec and the group, so which worker records it cannot change a
+//!   result.
 //! * [`SweepResult::to_json`] is rendered with the workspace's deterministic
 //!   JSON ([`d2m_common::json`]) and deliberately **excludes** wall-clock
 //!   time and the job count, so a 1-thread run and an N-thread run of the
@@ -73,7 +74,7 @@ use d2m_workloads::{Trace, WorkloadSpec};
 
 use crate::metrics::RunMetrics;
 use crate::runner::{checked, observe, RunConfig, RunObservation};
-use crate::systems::SystemKind;
+use crate::systems::{AnySystem, SystemKind};
 
 /// One named machine configuration in a sweep grid.
 #[derive(Clone, Debug, PartialEq)]
@@ -168,7 +169,8 @@ impl SweepSpec {
     }
 
     /// The [`RunConfig`] that reproduces cell `index` through
-    /// [`run_one`](crate::run_one) on its own, outside the pool.
+    /// [`run_one_checked`](crate::run_one_checked) on its own, outside the
+    /// pool.
     pub fn cell_run_config(&self, index: usize) -> RunConfig {
         RunConfig {
             instructions: self.instructions,
@@ -345,14 +347,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(4)
 }
 
-/// Runs a sweep on the default pool size (see [`default_jobs`]).
-///
-/// Cell panics and run failures never abort the sweep; see
-/// [`run_sweep_with_jobs`] for the per-cell failure semantics.
-pub fn run_sweep(spec: &SweepSpec) -> SweepResult {
-    run_sweep_with_jobs(spec, default_jobs())
-}
-
 /// The per-`(config, workload)` trace slots of one sweep.
 ///
 /// Cell seeds leave out the system axis, so every system cell of a group
@@ -521,11 +515,12 @@ fn run_cell(
     let rc = spec.cell_run_config(index);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         d2m_common::faultpoint::fire("cell", &spec.name, index as u64);
+        let sys = AnySystem::build(system, &point.config, rc.seed);
         if observed {
-            observe(system, &point.config, workload, &rc, Some(trace))
+            observe(sys, &point.config, workload, &rc, Some(trace))
                 .map(|o| (o.metrics.clone(), Some(Box::new(o))))
         } else {
-            checked(system, &point.config, workload, &rc, Some(trace)).map(|m| (m, None))
+            checked(sys, &point.config, workload, &rc, Some(trace)).map(|m| (m, None))
         }
     }));
     let failed = |error: String| {

@@ -109,6 +109,22 @@ impl AnySystem {
         }
     }
 
+    /// The kind this system models. A D2M system built with an ablation's
+    /// feature set reports its variant's kind.
+    pub fn kind(&self) -> SystemKind {
+        match self {
+            AnySystem::Base(s) => match s.kind() {
+                BaselineKind::TwoLevel => SystemKind::Base2L,
+                BaselineKind::ThreeLevel => SystemKind::Base3L,
+            },
+            AnySystem::D2m(s) => match s.variant() {
+                D2mVariant::FarSide => SystemKind::D2mFs,
+                D2mVariant::NearSide => SystemKind::D2mNs,
+                D2mVariant::NearSideRepl => SystemKind::D2mNsR,
+            },
+        }
+    }
+
     /// Simulates one access at node-local cycle `now`.
     ///
     /// # Errors
@@ -232,6 +248,7 @@ mod tests {
                 kind: AccessKind::Load,
                 vaddr: VAddr::new(0x12345),
             };
+            assert_eq!(sys.kind(), kind);
             let r = sys.access(&a, 0).unwrap();
             assert!(r.latency > 0, "{}", kind.name());
             assert!(sys.sram_kb() > 1000.0);

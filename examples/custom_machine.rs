@@ -6,10 +6,10 @@
 //! Run with: `cargo run --release --example custom_machine`
 
 use d2m_common::MachineConfig;
-use d2m_sim::{run_one, RunConfig, SystemKind};
+use d2m_sim::{run_one_checked, RunConfig, RunError, SystemKind};
 use d2m_workloads::catalog;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let spec = catalog::by_name("canneal").expect("catalog workload");
     let rc = RunConfig {
         instructions: 800_000,
@@ -33,7 +33,7 @@ fn main() {
             }
             f => MachineConfig::default().scale_metadata(1 << (f - 1)),
         };
-        let m = run_one(SystemKind::D2mNsR, &cfg, &spec, &rc);
+        let m = run_one_checked(SystemKind::D2mNsR, &cfg, &spec, &rc)?;
         let ki = m.instructions as f64 / 1000.0;
         println!(
             "{:<18} {:>10.1} {:>12.2} {:>12.2} {:>10.1}",
@@ -50,4 +50,5 @@ fn main() {
          forced region evictions — the mechanism behind the paper's footnote-5\n\
          scaling study."
     );
+    Ok(())
 }

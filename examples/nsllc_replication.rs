@@ -8,10 +8,10 @@
 //! Run with: `cargo run --release --example nsllc_replication`
 
 use d2m_common::MachineConfig;
-use d2m_sim::{run_one, RunConfig, SystemKind};
+use d2m_sim::{run_one_checked, RunConfig, RunError, SystemKind};
 use d2m_workloads::catalog;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let cfg = MachineConfig::default();
     let spec = catalog::by_name("tpc-c").expect("catalog workload");
     let rc = RunConfig {
@@ -21,13 +21,13 @@ fn main() {
     };
 
     println!("workload: tpc-c (8.8% L1-I miss ratio — instructions dominate)\n");
-    let base = run_one(SystemKind::Base2L, &cfg, &spec, &rc);
+    let base = run_one_checked(SystemKind::Base2L, &cfg, &spec, &rc)?;
     println!(
         "{:<9}  local-NS hits: I {:>4.0}%  D {:>4.0}%   miss-lat {:5.1}   speedup {:+5.1}%",
         base.system, 0.0, 0.0, base.avg_miss_latency, 0.0
     );
     for kind in [SystemKind::D2mFs, SystemKind::D2mNs, SystemKind::D2mNsR] {
-        let m = run_one(kind, &cfg, &spec, &rc);
+        let m = run_one_checked(kind, &cfg, &spec, &rc)?;
         println!(
             "{:<9}  local-NS hits: I {:>4.0}%  D {:>4.0}%   miss-lat {:5.1}   speedup {:+5.1}%",
             m.system,
@@ -44,4 +44,5 @@ fn main() {
          as a de-facto private L2 for shared instructions — the paper's\n\
          'automatic private L2' effect."
     );
+    Ok(())
 }

@@ -4,10 +4,10 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use d2m_common::MachineConfig;
-use d2m_sim::{run_one, RunConfig, SystemKind};
+use d2m_sim::{run_one_checked, RunConfig, RunError, SystemKind};
 use d2m_workloads::catalog;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     // The evaluation machine: 8 nodes, 32 KB L1s, 8 MB LLC, MD1/MD2/MD3
     // metadata stores (see MachineConfig for every knob).
     let cfg = MachineConfig::default();
@@ -22,9 +22,9 @@ fn main() {
     };
 
     println!("workload: {} ({})\n", spec.name, spec.category.name());
-    let base = run_one(SystemKind::Base2L, &cfg, &spec, &rc);
+    let base = run_one_checked(SystemKind::Base2L, &cfg, &spec, &rc)?;
     for kind in [SystemKind::Base2L, SystemKind::D2mFs, SystemKind::D2mNsR] {
-        let m = run_one(kind, &cfg, &spec, &rc);
+        let m = run_one_checked(kind, &cfg, &spec, &rc)?;
         println!(
             "{:<9}  ipc {:.2}   {:6.1} msgs/KI   miss-lat {:5.1} cyc   EDP {:.2}x   speedup {:+.1}%",
             m.system,
@@ -40,4 +40,5 @@ fn main() {
          metadata-guided accesses; the near-side LLC keeps data local to the\n\
          node, which is where the traffic and latency reductions come from."
     );
+    Ok(())
 }

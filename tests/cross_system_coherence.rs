@@ -4,7 +4,7 @@
 
 use d2m_common::MachineConfig;
 use d2m_core::{D2mSystem, D2mVariant};
-use d2m_sim::{run_one, run_one_checked, RunConfig, SystemKind};
+use d2m_sim::{run_one_checked, RunConfig, SystemKind};
 use d2m_workloads::{catalog, TraceGen};
 
 fn rc() -> RunConfig {
@@ -20,8 +20,8 @@ fn all_systems_stay_coherent_on_a_shared_workload() {
     let cfg = MachineConfig::default();
     let spec = catalog::by_name("fluidanimate").unwrap();
     for kind in SystemKind::ALL {
-        // run_one asserts coherence_errors == 0 internally.
-        let m = run_one(kind, &cfg, &spec, &rc());
+        // run_one_checked fails the run on a coherence violation.
+        let m = run_one_checked(kind, &cfg, &spec, &rc()).unwrap();
         assert!(m.cycles > 0, "{}", kind.name());
     }
 }
@@ -54,8 +54,8 @@ fn simulations_are_bit_reproducible() {
     let cfg = MachineConfig::default();
     let spec = catalog::by_name("x264").unwrap();
     for kind in [SystemKind::Base3L, SystemKind::D2mNsR] {
-        let a = run_one(kind, &cfg, &spec, &rc());
-        let b = run_one(kind, &cfg, &spec, &rc());
+        let a = run_one_checked(kind, &cfg, &spec, &rc()).unwrap();
+        let b = run_one_checked(kind, &cfg, &spec, &rc()).unwrap();
         assert_eq!(a.cycles, b.cycles, "{}", kind.name());
         assert_eq!(a.counters, b.counters, "{}", kind.name());
     }
@@ -71,7 +71,7 @@ fn every_catalog_workload_runs_on_every_system_briefly() {
     };
     for spec in catalog::all().unwrap() {
         for kind in SystemKind::ALL {
-            let m = run_one(kind, &cfg, &spec, &quick);
+            let m = run_one_checked(kind, &cfg, &spec, &quick).unwrap();
             assert!(
                 m.ipc > 0.0 && m.ipc <= cfg.core.base_ipc * cfg.nodes as f64,
                 "{} {}",

@@ -13,8 +13,8 @@ use d2m_common::probe::{NoopProbe, Probe, RecordingProbe};
 use d2m_common::stats::Counters;
 use d2m_common::MachineConfig;
 use d2m_sim::{
-    run_one, run_one_observed, run_sweep_observed_with_jobs, run_sweep_with_jobs, AnySystem,
-    ConfigPoint, RunConfig, SweepSpec, SystemKind,
+    run_one_checked, run_one_observed, run_sweep_observed_with_jobs, run_sweep_with_jobs,
+    AnySystem, ConfigPoint, RunConfig, SweepSpec, SystemKind,
 };
 use d2m_workloads::{catalog, Access, TraceGen};
 
@@ -92,7 +92,7 @@ fn observed_run_metrics_equal_plain_run_metrics() {
         seed: 3,
     };
     for kind in [SystemKind::Base3L, SystemKind::D2mNs] {
-        let plain = run_one(kind, &cfg, &spec, &rc);
+        let plain = run_one_checked(kind, &cfg, &spec, &rc).unwrap();
         let obs = run_one_observed(kind, &cfg, &spec, &rc).unwrap();
         assert_eq!(
             plain.to_json().to_string_pretty(),
