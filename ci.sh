@@ -182,22 +182,25 @@ set -e
 grep -q "1 failed cell" <<<"$fault_err" \
     || { echo "report calibrate failed without naming its failed cell"; exit 1; }
 
-echo "== single-run artifact with a failed run (inject, expect nonzero exit, empty stdout) =="
-# energy_breakdown, lockbits and the three D2M ablations run one system at
-# a time through the runner, not a sweep, and print only after every run has
-# passed, so a run that fails part-way leaves no partial table on stdout.
-# energy_breakdown's third run, on D2M-FS, fails inside run_one_observed when
-# AnySystem::build's `build` fault point fires.
+echo "== single-run artifacts with a failed run (inject, expect nonzero exit, empty stdout) =="
+# energy_breakdown, pkmo, traffic_debug, lockbits and the three D2M
+# ablations run one system at a time through the runner, not a sweep, and
+# print only after every run has passed, so a run that fails part-way leaves
+# no partial report on stdout. Each of the three artifacts below fails at its
+# first D2M-FS run, inside the runner, when AnySystem::build's `build` fault
+# point fires; energy_breakdown and traffic_debug have passed runs before it.
 mkdir "$fault_dir/report-direct-fault"
-set +e
-direct_out="$(cd "$fault_dir/report-direct-fault" && D2M_FAULT="build@D2M-FS:*:panic" \
-    "$report" energy_breakdown --quick 2>/dev/null)"
-direct_status=$?
-set -e
-[ "$direct_status" -ne 0 ] \
-    || { echo "report energy_breakdown with a failed build exited 0"; exit 1; }
-[ -z "$direct_out" ] \
-    || { echo "report energy_breakdown printed a partial table before failing"; exit 1; }
+for artifact in energy_breakdown pkmo traffic_debug; do
+    set +e
+    direct_out="$(cd "$fault_dir/report-direct-fault" && D2M_FAULT="build@D2M-FS:*:panic" \
+        "$report" "$artifact" --quick 2>/dev/null)"
+    direct_status=$?
+    set -e
+    [ "$direct_status" -ne 0 ] \
+        || { echo "report $artifact with a failed build exited 0"; exit 1; }
+    [ -z "$direct_out" ] \
+        || { echo "report $artifact printed a partial report before failing"; exit 1; }
+done
 
 echo "== simbench (every workload once, untraced, 1 s) =="
 # Each run repeats its workload against the simulator's public API and exits

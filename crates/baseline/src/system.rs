@@ -20,7 +20,7 @@ use d2m_common::addr::{LineAddr, NodeId};
 use d2m_common::config::MachineConfig;
 use d2m_common::oracle::VersionOracle;
 use d2m_common::outcome::{AccessResult, ServicedBy};
-use d2m_common::probe::{LookupLevel, NoopProbe, Probe, TxnEvent, TxnKind};
+use d2m_common::probe::LookupLevel;
 use d2m_common::stats::Counters;
 use d2m_energy::{EnergyAccount, EnergyEvent, EnergyModel};
 use d2m_noc::{Endpoint, MsgClass, Noc};
@@ -151,11 +151,6 @@ impl Baseline {
         &self.energy
     }
 
-    /// Mutable energy account (for the runner's leakage charge).
-    pub fn energy_mut(&mut self) -> &mut EnergyAccount {
-        &mut self.energy
-    }
-
     /// Total SRAM capacity in KB for leakage accounting (arrays + tags +
     /// TLB + directory).
     pub fn sram_kb(&self) -> f64 {
@@ -191,56 +186,22 @@ impl Baseline {
         1u8 << n
     }
 
+    /// The nodes a store by node `n` invalidates: `entry`'s sharers plus a
+    /// foreign owner, never `n` itself.
+    fn inv_targets(entry: &LlcLine, n: usize) -> u8 {
+        let owner = entry.owner.map_or(0, |o| Self::node_bit(o as usize));
+        (entry.sharers | owner) & !Self::node_bit(n)
+    }
+
     #[cfg(test)]
     pub(crate) fn cfg_lat_walk(&self) -> u64 {
         self.cfg.lat.tlb_walk
     }
 
-    /// Simulates one access issued at node-local cycle `now`.
+    /// Simulates one access issued at node-local cycle `now`. Its lookup
+    /// level is the deepest level that serviced it: an L1 hit is L1, an L2
+    /// serve is L2, and everything beyond the private levels is L3.
     pub fn access(&mut self, a: &Access, now: u64) -> AccessResult {
-        self.access_probed(a, now, &mut NoopProbe)
-    }
-
-    /// [`Self::access`], reporting the transaction to `probe` as a
-    /// [`TxnEvent`]; the lookup level is the deepest level that serviced the
-    /// request (L1 hit → L1, L2 serve → L2, everything beyond the private
-    /// levels → L3). Generic over the probe, so with [`NoopProbe`] the event
-    /// is never built and this is the plain access path.
-    #[inline]
-    pub fn access_probed<P: Probe + ?Sized>(
-        &mut self,
-        a: &Access,
-        now: u64,
-        probe: &mut P,
-    ) -> AccessResult {
-        let msgs0 = self.noc.messages();
-        let r = self.access_inner(a, now);
-        let level = if r.l1_hit {
-            LookupLevel::L1
-        } else if r.serviced_by == ServicedBy::L2 {
-            LookupLevel::L2
-        } else {
-            LookupLevel::L3
-        };
-        probe.txn(&TxnEvent {
-            node: a.node.index() as u8,
-            kind: match a.kind {
-                AccessKind::IFetch => TxnKind::IFetch,
-                AccessKind::Load => TxnKind::Load,
-                AccessKind::Store => TxnKind::Store,
-            },
-            level,
-            l1_hit: r.l1_hit,
-            late: r.late,
-            private_miss: r.private_miss,
-            serviced: r.serviced_by,
-            hops: self.noc.messages() - msgs0,
-            latency: r.latency,
-        });
-        r
-    }
-
-    fn access_inner(&mut self, a: &Access, now: u64) -> AccessResult {
         self.ctr.accesses += 1;
         match a.kind {
             AccessKind::IFetch => self.ctr.ifetches += 1,
@@ -325,6 +286,7 @@ impl Baseline {
                 late,
                 serviced_by: ServicedBy::L1,
                 private_miss: None,
+                level: LookupLevel::L1,
             };
         }
 
@@ -379,7 +341,7 @@ impl Baseline {
             serviced = Some(sv);
             // Fill the inclusive L2 on the way in.
             if self.nodes[n].l2.is_some() {
-                self.install_l2(n, line, state, version, now + latency);
+                self.install_l2(n, line, state, version);
             }
         }
 
@@ -400,6 +362,11 @@ impl Baseline {
             late: false,
             serviced_by: serviced,
             private_miss: None,
+            level: if serviced == ServicedBy::L2 {
+                LookupLevel::L2
+            } else {
+                LookupLevel::L3
+            },
         }
     }
 
@@ -426,13 +393,7 @@ impl Baseline {
             .llc
             .peek(set, key)
             .expect("inclusive LLC lost a cached line");
-        let mut targets = entry.sharers & !Self::node_bit(n);
-        if let Some(o) = entry.owner {
-            if o as usize != n {
-                targets |= Self::node_bit(o as usize);
-            }
-        }
-        lat += self.invalidate_nodes(targets, line, Some(n));
+        lat += self.invalidate_nodes(Self::inv_targets(&entry, n), line, Some(n));
         if let Some(e) = self.llc.get_mut(set, key) {
             e.owner = Some(n as u8);
             e.sharers = 0;
@@ -490,35 +451,41 @@ impl Baseline {
         lat
     }
 
-    /// Removes all copies of `line` from node `t`'s caches.
-    /// Returns `Some((version, was_modified))` of the freshest removed copy.
-    fn purge_node_copies(&mut self, t: usize, line: LineAddr) -> Option<(u64, bool)> {
+    /// Visits node `t`'s copies of `line` in its L1-D, L1-I and L2
+    /// arrays, in that order, calling `f` with each copy's array, set and
+    /// way. Returns the freshest copy's `(version, was_modified)`: the first
+    /// visited of equal versions.
+    fn walk_node_copies(
+        &mut self,
+        t: usize,
+        line: LineAddr,
+        mut f: impl FnMut(&mut SetAssoc<PrivLine>, usize, usize),
+    ) -> Option<(u64, bool)> {
         let key = line.raw();
         let mut best: Option<(u64, bool)> = None;
         let node = &mut self.nodes[t];
-        for arr in [&mut node.l1d, &mut node.l1i] {
+        for arr in [&mut node.l1d, &mut node.l1i]
+            .into_iter()
+            .chain(node.l2.as_mut())
+        {
             let s = arr.set_index(key);
             if let Some(w) = arr.way_of(s, key) {
-                if let Some((_, pl)) = arr.remove(s, w) {
-                    let m = pl.state == Mesi::Modified;
-                    if best.is_none_or(|(v, _)| pl.version > v) {
-                        best = Some((pl.version, m));
-                    }
+                let pl = *arr.at(s, w).expect("occupied").1;
+                if best.is_none_or(|(v, _)| pl.version > v) {
+                    best = Some((pl.version, pl.state == Mesi::Modified));
                 }
-            }
-        }
-        if let Some(l2) = &mut node.l2 {
-            let s = l2.set_index(key);
-            if let Some(w) = l2.way_of(s, key) {
-                if let Some((_, pl)) = l2.remove(s, w) {
-                    let m = pl.state == Mesi::Modified;
-                    if best.is_none_or(|(v, _)| pl.version > v) {
-                        best = Some((pl.version, m));
-                    }
-                }
+                f(arr, s, w);
             }
         }
         best
+    }
+
+    /// Removes all copies of `line` from node `t`'s caches.
+    /// Returns `Some((version, was_modified))` of the freshest removed copy.
+    fn purge_node_copies(&mut self, t: usize, line: LineAddr) -> Option<(u64, bool)> {
+        self.walk_node_copies(t, line, |arr, s, w| {
+            arr.remove(s, w);
+        })
     }
 
     /// The freshest valid copy of `line` in node `t` without removing it;
@@ -529,36 +496,13 @@ impl Baseline {
     /// line its eviction is silent, so the inclusive L2 copy would
     /// otherwise serve the node's next miss with a stale version.
     fn downgrade_node_copies(&mut self, t: usize, line: LineAddr) -> Option<(u64, bool)> {
-        let key = line.raw();
-        let mut best: Option<(u64, bool)> = None;
-        let node = &mut self.nodes[t];
-        for arr in [&mut node.l1d, &mut node.l1i]
-            .into_iter()
-            .chain(node.l2.as_mut())
-        {
-            let s = arr.set_index(key);
-            if let Some(w) = arr.way_of(s, key) {
-                if let Some((_, pl)) = arr.at_mut(s, w) {
-                    let m = pl.state == Mesi::Modified;
-                    if best.is_none_or(|(v, _)| pl.version > v) {
-                        best = Some((pl.version, m));
-                    }
-                    pl.state = Mesi::Shared;
-                }
-            }
-        }
+        let best = self.walk_node_copies(t, line, |arr, s, w| {
+            arr.at_mut(s, w).expect("occupied").1.state = Mesi::Shared;
+        });
         if let Some((version, _)) = best {
-            for arr in [&mut node.l1d, &mut node.l1i]
-                .into_iter()
-                .chain(node.l2.as_mut())
-            {
-                let s = arr.set_index(key);
-                if let Some(w) = arr.way_of(s, key) {
-                    if let Some((_, pl)) = arr.at_mut(s, w) {
-                        pl.version = version;
-                    }
-                }
-            }
+            self.walk_node_copies(t, line, |arr, s, w| {
+                arr.at_mut(s, w).expect("occupied").1.version = version;
+            });
         }
         best
     }
@@ -599,18 +543,14 @@ impl Baseline {
             self.energy.record(EnergyEvent::LlcArray, 1);
             lat += self.cfg.lat.llc;
             if want_store {
-                let mut targets = entry.sharers & !Self::node_bit(n);
-                if let Some(o) = entry.owner {
-                    if o as usize != n {
-                        targets |= Self::node_bit(o as usize);
-                    }
-                }
                 // Freshest data: a remote M copy wins over the LLC copy.
                 let mut version = entry.version;
                 let mut serviced = ServicedBy::Llc;
                 if let Some(o) = entry.owner {
                     if o as usize != n {
-                        if let Some((v, was_m)) = self.node_peek_version(o as usize, line) {
+                        if let Some((v, was_m)) =
+                            self.walk_node_copies(o as usize, line, |_, _, _| {})
+                        {
                             if was_m {
                                 version = v;
                                 serviced = ServicedBy::RemoteNode;
@@ -623,7 +563,7 @@ impl Baseline {
                         }
                     }
                 }
-                lat += self.invalidate_nodes(targets, line, Some(n));
+                lat += self.invalidate_nodes(Self::inv_targets(&entry, n), line, Some(n));
                 lat += self.noc.send(MsgClass::DataReply, Endpoint::FarSide, me);
                 if let Some(e) = self.llc.get_mut(set, key) {
                     e.owner = Some(n as u8);
@@ -735,28 +675,6 @@ impl Baseline {
             lat += self.noc.send(MsgClass::DataReply, Endpoint::FarSide, me);
             (version, state, lat, ServicedBy::Mem)
         }
-    }
-
-    /// Version of the freshest copy in node `t` (no state change).
-    fn node_peek_version(&self, t: usize, line: LineAddr) -> Option<(u64, bool)> {
-        let key = line.raw();
-        let node = &self.nodes[t];
-        let mut best: Option<(u64, bool)> = None;
-        let mut check = |arr: &SetAssoc<PrivLine>| {
-            let s = arr.set_index(key);
-            if let Some(pl) = arr.peek(s, key) {
-                let m = pl.state == Mesi::Modified;
-                if best.is_none_or(|(v, _)| pl.version > v) {
-                    best = Some((pl.version, m));
-                }
-            }
-        };
-        check(&node.l1d);
-        check(&node.l1i);
-        if let Some(l2) = &node.l2 {
-            check(l2);
-        }
-        best
     }
 
     /// Evicts one LLC entry: back-invalidates all private copies
@@ -873,7 +791,7 @@ impl Baseline {
     }
 
     /// Installs a line in the inclusive private L2 (Base-3L).
-    fn install_l2(&mut self, n: usize, line: LineAddr, state: Mesi, version: u64, _ready: u64) {
+    fn install_l2(&mut self, n: usize, line: LineAddr, state: Mesi, version: u64) {
         let key = line.raw();
         let l2 = self.nodes[n].l2.as_mut().expect("3L");
         let s2 = l2.set_index(key);
@@ -889,7 +807,6 @@ impl Baseline {
             },
         );
         if let Some((old_key, old)) = evicted {
-            let old_line = LineAddr::new(old_key);
             // L2 inclusion over L1: purge the L1 copy of the victim.
             let mut fresh = (old.version, old.state == Mesi::Modified);
             let node = &mut self.nodes[n];
@@ -920,7 +837,6 @@ impl Baseline {
                     e.owner = None;
                 }
             }
-            let _ = old_line;
         }
     }
 
@@ -1060,6 +976,27 @@ mod tests {
         assert_eq!(r.serviced_by, ServicedBy::L2);
         assert_eq!(sys.coherence_errors(), 0);
         sys.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn lookup_level_is_the_level_that_served_the_access_in_3l() {
+        let mut sys = Baseline::new(&MachineConfig::default(), BaselineKind::ThreeLevel);
+        let x = 0x50_0000;
+        let r = sys.access(&acc(0, AccessKind::Load, x), 0);
+        assert_eq!((r.serviced_by, r.level), (ServicedBy::Mem, LookupLevel::L3));
+        let r = sys.access(&acc(0, AccessKind::Load, x), 1000);
+        assert_eq!((r.serviced_by, r.level), (ServicedBy::L1, LookupLevel::L1));
+        // Eight more lines in X's L1-D set (64 sets apart) evict it from L1.
+        for k in 1..=8u64 {
+            sys.access(&acc(0, AccessKind::Load, x + k * 4096), 2000);
+        }
+        let r = sys.access(&acc(0, AccessKind::Load, x), 3000);
+        assert_eq!((r.serviced_by, r.level), (ServicedBy::L2, LookupLevel::L2));
+        // Node 1's read is forwarded to node 0, which leaves X shared with no
+        // owner; node 2's read is then served by the LLC.
+        sys.access(&acc(1, AccessKind::Load, x), 4000);
+        let r = sys.access(&acc(2, AccessKind::Load, x), 5000);
+        assert_eq!((r.serviced_by, r.level), (ServicedBy::Llc, LookupLevel::L3));
     }
 
     /// Overwrites the version of node `n`'s resident L1-D copy of the line

@@ -2,7 +2,7 @@
 //! [workload…]`. The artifacts are listed in the crate docs and in the usage
 //! text `report` prints when run without one.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::process::ExitCode;
 
 use d2m_bench::{cached_sweep, full_matrix, header, machine, parse_args, pct, rule, HarnessConfig};
@@ -114,8 +114,8 @@ fn main() -> ExitCode {
 /// The result of a run that artifact `artifact` makes outside a sweep (a
 /// sweep's failed cell fails the artifact in [`cached_sweep`]). An
 /// ablation's `artifact` also names its setting. `energy_breakdown`,
-/// `lockbits` and the ablations print only after every run has passed, so a
-/// failed run leaves their stdout empty.
+/// `lockbits`, `pkmo`, `traffic_debug` and the ablations print only after
+/// every run has passed, so a failed run leaves their stdout empty.
 ///
 /// # Panics
 ///
@@ -583,10 +583,6 @@ fn fig7_speedup(hc: &HarnessConfig, _: &[String]) {
 /// with D1 0.32 / D2 0.02 / D3 0.14 / D4 0.34), and the "~90% of misses are
 /// directory-free" headline.
 fn pkmo(hc: &HarnessConfig, _: &[String]) {
-    header(
-        "Appendix — protocol events per kilo memory operation (D2M-FS)",
-        hc,
-    );
     let cfg = machine();
 
     let keys = [
@@ -626,6 +622,10 @@ fn pkmo(hc: &HarnessConfig, _: &[String]) {
         free_d += a + b + c + d;
     }
 
+    header(
+        "Appendix — protocol events per kilo memory operation (D2M-FS)",
+        hc,
+    );
     println!("\n{:<30} {:>10} {:>10}", "event", "measured", "paper");
     rule(54);
     for (i, (_, label, paper)) in keys.iter().enumerate() {
@@ -1138,6 +1138,7 @@ fn calibrate(hc: &HarnessConfig, _: &[String]) {
 
 /// Message-class breakdown for calibration: which protocol messages make up
 /// each system's traffic on the given workloads (default `mix2 tpc-c`).
+/// Nothing is printed before every run has passed.
 fn traffic_debug(hc: &HarnessConfig, workloads: &[String]) {
     let cfg = machine();
     let defaults = ["mix2".to_string(), "tpc-c".to_string()];
@@ -1146,12 +1147,14 @@ fn traffic_debug(hc: &HarnessConfig, workloads: &[String]) {
     } else {
         workloads
     };
+    let mut out = String::new();
     for name in names {
         let spec = catalog::by_name(name).expect("workload");
-        println!("=== {name} ===");
+        writeln!(out, "=== {name} ===").expect("writing to a String");
         for kind in [SystemKind::Base2L, SystemKind::D2mFs, SystemKind::D2mNsR] {
             let m = require("traffic_debug", run_one_checked(kind, &cfg, &spec, &hc.rc));
-            println!(
+            writeln!(
+                out,
                 "\n{} — {:.1} msgs/KI, miss I {:.2} D {:.2} /100inst, inv {}, edp {:.3e}, mem_frac {:.2}, ns I/D {:.2}/{:.2}, late I/D {:.2}/{:.2}, misslat {:.0}",
                 m.system,
                 m.msgs_per_kilo_inst,
@@ -1165,11 +1168,13 @@ fn traffic_debug(hc: &HarnessConfig, workloads: &[String]) {
                 m.late_i_pct,
                 m.late_d_pct,
                 m.avg_miss_latency,
-            );
+            )
+            .expect("writing to a String");
             let ki = m.instructions as f64 / 1000.0;
             for (k, v) in m.counters.iter() {
                 if k.starts_with("noc.msg.") && v > 0 {
-                    println!("  {:<24} {:>10.2}/KI", &k[8..], v as f64 / ki);
+                    writeln!(out, "  {:<24} {:>10.2}/KI", &k[8..], v as f64 / ki)
+                        .expect("writing to a String");
                 }
             }
             for key in [
@@ -1196,12 +1201,14 @@ fn traffic_debug(hc: &HarnessConfig, workloads: &[String]) {
             ] {
                 let v = m.counters.get(key);
                 if v > 0 {
-                    println!("  {:<24} {:>10.2}/KI", key, v as f64 / ki);
+                    writeln!(out, "  {:<24} {:>10.2}/KI", key, v as f64 / ki)
+                        .expect("writing to a String");
                 }
             }
         }
-        println!();
+        writeln!(out).expect("writing to a String");
     }
+    print!("{out}");
 }
 
 #[cfg(test)]

@@ -49,12 +49,6 @@ impl Tlb {
         (translate(asid, va), hit)
     }
 
-    /// Translation without touching the TLB state (for metadata paths that
-    /// bypass the TLB entirely).
-    pub fn translate_only(asid: Asid, va: VAddr) -> PAddr {
-        translate(asid, va)
-    }
-
     /// Hits recorded so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -106,13 +100,5 @@ mod tests {
         // Revisit the first page: evicted by now.
         let (_, h) = tlb.access(Asid(0), VAddr::new(0));
         assert!(!h);
-    }
-
-    #[test]
-    fn translate_only_matches_access() {
-        let mut tlb = Tlb::new(4, 2);
-        let va = VAddr::new(0xabc_d123);
-        let (p, _) = tlb.access(Asid(5), va);
-        assert_eq!(p, Tlb::translate_only(Asid(5), va));
     }
 }

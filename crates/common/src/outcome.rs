@@ -6,6 +6,8 @@
 //! ratios (Table IV right half), average L1 miss latency (§V-D) — without
 //! knowing which hierarchy produced them.
 
+use crate::probe::LookupLevel;
+
 /// Which level ultimately serviced an access.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ServicedBy {
@@ -81,17 +83,11 @@ pub struct AccessResult {
     /// miss, whether the missing region was classified private (Table V).
     /// `None` for L1 hits and for the baselines.
     pub private_miss: Option<bool>,
+    /// The deepest lookup level the transaction reached (see
+    /// [`LookupLevel`]; each hierarchy documents its rule).
+    pub level: LookupLevel,
 }
 
-impl AccessResult {
-    /// Convenience constructor for a plain L1 hit.
-    pub fn l1_hit(latency: u64) -> Self {
-        Self {
-            latency,
-            l1_hit: true,
-            late: false,
-            serviced_by: ServicedBy::L1,
-            private_miss: None,
-        }
-    }
-}
+// `level` sits in the padding after the one-byte fields, so a result stays
+// two words: every access returns one by value.
+const _: () = assert!(std::mem::size_of::<AccessResult>() == 16);

@@ -1,14 +1,15 @@
 //! Zero-cost-when-off transaction observability.
 //!
-//! Systems expose an `access_probed<P: Probe + ?Sized>(access, now, &mut P)`
-//! entry point; their plain `access` is its [`NoopProbe`] instantiation,
-//! which compiles down to the unprobed path (no event construction, no
-//! branch). With a recording probe, every completed transaction is reported
-//! as a typed [`TxnEvent`] — which metadata level resolved the lookup, which
-//! endpoint serviced the data, how many interconnect messages the
-//! transaction generated — so a run can be dissected per level and per
-//! service endpoint without touching the aggregate counters the figures are
-//! built from.
+//! The hierarchies only simulate: each access returns an
+//! [`crate::outcome::AccessResult`] that names its [`LookupLevel`]. The
+//! runner (`d2m-sim`) does the observing, generic over `P: Probe + ?Sized`:
+//! with [`NoopProbe`] the loop compiles down to the unprobed path (no event
+//! construction, no branch). With a recording probe, every completed
+//! transaction is reported as a typed [`TxnEvent`] — which metadata level
+//! resolved the lookup, which endpoint serviced the data, how many
+//! interconnect messages the transaction generated — so a run can be
+//! dissected per level and per service endpoint without touching the
+//! aggregate counters the figures are built from.
 //!
 //! [`NoopProbe`] discards everything (the "off" value);
 //! [`RecordingProbe`] accumulates deterministic, mergeable distributions and

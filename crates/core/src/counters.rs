@@ -164,15 +164,6 @@ impl D2mCounters {
         }
     }
 
-    /// Fraction of classified misses that hit private regions (Table V).
-    pub fn private_miss_fraction(&self) -> f64 {
-        if self.classified_misses == 0 {
-            0.0
-        } else {
-            self.private_region_misses as f64 / self.classified_misses as f64
-        }
-    }
-
     /// Named snapshot.
     pub fn to_counters(&self) -> Counters {
         let mut c = Counters::new();
@@ -252,7 +243,6 @@ mod tests {
     fn ratios_handle_zero() {
         let c = D2mCounters::default();
         assert_eq!(c.avg_miss_latency(), 0.0);
-        assert_eq!(c.private_miss_fraction(), 0.0);
         assert_eq!(ProtocolEvents::default().directory_free_fraction(), 0.0);
     }
 }

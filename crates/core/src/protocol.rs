@@ -28,7 +28,7 @@
 use d2m_cache::Banked;
 use d2m_common::addr::{LineAddr, LineOffset, NodeId, RegionAddr, LINES_PER_REGION};
 use d2m_common::outcome::{AccessResult, ServicedBy};
-use d2m_common::probe::{LookupLevel, NoopProbe, Probe, TxnEvent, TxnKind};
+use d2m_common::probe::LookupLevel;
 use d2m_energy::EnergyEvent;
 use d2m_noc::{Endpoint, MsgClass};
 use d2m_workloads::{Access, AccessKind};
@@ -39,6 +39,18 @@ use crate::li::Li;
 use crate::meta::{Md1Entry, Md1Side, Md2Entry, Md3Entry, RegionClass, TrackingPtr};
 use crate::packed::PackedLiArray;
 use crate::system::{ArrKind, D2mSystem, MdRef};
+
+/// A stale LLC victim slot, allocated for a new node-held master so that its
+/// eventual eviction lands in the LLC rather than going to memory (see
+/// [`crate::data`]).
+const VICTIM_SLOT: DataLine = DataLine {
+    master: false,
+    excl: false,
+    dirty: false,
+    stale: true,
+    version: 0,
+    rp: Li::Mem,
+};
 
 /// The active metadata entry an access resolved to, and what the access
 /// path reads from it.
@@ -60,6 +72,12 @@ struct Resolved {
 impl D2mSystem {
     /// Simulates one access issued at node-local cycle `now`.
     ///
+    /// The result's lookup level is the deepest metadata level the
+    /// transaction reached, read off the access counters: L3 if it made an
+    /// MD3 access, else L2 if it made an MD2 access, else L1. So a remote
+    /// node's MD2 lookup and a case-C MD3 round count, even behind an MD1
+    /// hit.
+    ///
     /// # Errors
     ///
     /// Returns a [`ProtocolError`] when corrupted metadata (an LI naming a
@@ -67,30 +85,6 @@ impl D2mSystem {
     /// system's state is no longer trustworthy after an error; callers
     /// should fail the run, not retry.
     pub fn access(&mut self, a: &Access, now: u64) -> Result<AccessResult, ProtocolError> {
-        self.access_probed(a, now, &mut NoopProbe)
-    }
-
-    /// [`Self::access`], reporting the transaction to `probe`.
-    ///
-    /// Each completed transaction is reported as a [`TxnEvent`] carrying
-    /// the deepest metadata level the lookup reached (derived from the
-    /// MD2/MD3 access counters), the servicing endpoint, and the number of
-    /// on-chip messages the transaction generated. Generic over the probe,
-    /// so with [`NoopProbe`] the event is never built and this is the plain
-    /// access path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::access`]; no event is reported for a failed
-    /// transaction.
-    #[inline]
-    pub fn access_probed<P: Probe + ?Sized>(
-        &mut self,
-        a: &Access,
-        now: u64,
-        probe: &mut P,
-    ) -> Result<AccessResult, ProtocolError> {
-        let msgs0 = self.noc.messages();
         let md2_0 = self.ctr.md2_accesses;
         let md3_0 = self.ctr.md3_accesses;
         let r = self.access_inner(a, now)?;
@@ -101,24 +95,11 @@ impl D2mSystem {
         } else {
             LookupLevel::L1
         };
-        probe.txn(&TxnEvent {
-            node: a.node.index() as u8,
-            kind: match a.kind {
-                AccessKind::IFetch => TxnKind::IFetch,
-                AccessKind::Load => TxnKind::Load,
-                AccessKind::Store => TxnKind::Store,
-            },
-            level,
-            l1_hit: r.l1_hit,
-            late: r.late,
-            private_miss: r.private_miss,
-            serviced: r.serviced_by,
-            hops: self.noc.messages() - msgs0,
-            latency: r.latency,
-        });
-        Ok(r)
+        Ok(AccessResult { level, ..r })
     }
 
+    /// [`Self::access`] without its lookup level, which the result leaves
+    /// at L1.
     fn access_inner(&mut self, a: &Access, now: u64) -> Result<AccessResult, ProtocolError> {
         self.ctr.accesses += 1;
         match a.kind {
@@ -165,8 +146,7 @@ impl D2mSystem {
                 self.ctr.l1d_hits += 1;
             }
             if is_store {
-                latency +=
-                    self.write_hit(node, line, off, res.md, res.private, set, way as usize)?;
+                latency += self.write_hit(node, line, off, res.private, set, way as usize)?;
             } else {
                 self.check_load(line, slot.version);
             }
@@ -177,6 +157,7 @@ impl D2mSystem {
                 late,
                 serviced_by: ServicedBy::L1,
                 private_miss: None,
+                level: LookupLevel::L1,
             });
         }
 
@@ -218,7 +199,7 @@ impl D2mSystem {
         }
 
         let (lat, serviced, dl) = if is_store {
-            let r = self.write_miss(node, line, off, md, private, li)?;
+            let r = self.write_miss(node, line, off, private, li)?;
             if md_hit {
                 if private {
                     self.ev.b_write_private += 1;
@@ -228,7 +209,7 @@ impl D2mSystem {
             }
             r
         } else {
-            let r = self.read_miss(node, is_i, line, off, li)?;
+            let r = self.read_miss(node, is_i, line, li)?;
             if md_hit {
                 self.ev.a_read_md_hit += 1;
                 match r.1 {
@@ -259,6 +240,7 @@ impl D2mSystem {
             late: false,
             serviced_by: serviced,
             private_miss: Some(private),
+            level: LookupLevel::L1,
         })
     }
 
@@ -362,23 +344,33 @@ impl D2mSystem {
             lat += self.cfg.lat.tlb_walk;
         }
         let region = paddr.region();
+        let (set2, way2, md_hit, dlat) = self.md2_lookup(node, is_i, region)?;
+        let mdref = self.activate_md1(node, is_i, key1, region, set2, way2)?;
+        Ok((mdref, region, md_hit, lat + dlat))
+    }
+
+    /// The MD2 lookup of `region` at `node`; on a miss, case D fetches the
+    /// region's metadata from MD3 and installs it in the MD2. Returns the
+    /// entry's MD2 set and way, whether it was resident, and the latency
+    /// case D added.
+    fn md2_lookup(
+        &mut self,
+        node: usize,
+        is_i: bool,
+        region: RegionAddr,
+    ) -> Result<(usize, usize, bool, u64), ProtocolError> {
         self.ctr.md2_accesses += 1;
         self.energy.record(EnergyEvent::Md2, 1);
         let md2 = &mut self.md2;
         let set2 = md2.set_index(region.raw());
-        let (md_hit, set2, way2) = if let Some(way2) = md2.way_of(node, set2, region.raw()) {
+        if let Some(way2) = md2.way_of(node, set2, region.raw()) {
             self.ctr.md2_hits += 1;
             md2.touch(node, set2, way2);
-            (true, set2, way2)
-        } else {
-            // Case D: fetch region metadata from MD3.
-            let (private, li, dlat) = self.md3_transaction(node, region)?;
-            lat += dlat;
-            let (s, w) = self.install_md2(node, region, private, li, is_i)?;
-            (false, s, w)
-        };
-        let mdref = self.activate_md1(node, is_i, key1, region, set2, way2)?;
-        Ok((mdref, region, md_hit, lat))
+            return Ok((set2, way2, true, 0));
+        }
+        let (private, li, dlat) = self.md3_transaction(node, region)?;
+        let (set2, way2) = self.install_md2(node, region, private, li, is_i)?;
+        Ok((set2, way2, false, dlat))
     }
 
     /// §III-A traditional front end: every access pays TLB1 + one L1 tag
@@ -398,51 +390,16 @@ impl D2mSystem {
             lat += self.cfg.lat.tlb_walk;
         }
         let region = paddr.region();
-        self.ctr.md2_accesses += 1;
-        self.energy.record(EnergyEvent::Md2, 1);
-        let md2 = &mut self.md2;
-        let set2 = md2.set_index(region.raw());
-        let (md_hit, set2, way2) = if let Some(way2) = md2.way_of(node, set2, region.raw()) {
-            self.ctr.md2_hits += 1;
-            md2.touch(node, set2, way2);
-            (true, set2, way2)
-        } else {
-            let (private, li, dlat) = self.md3_transaction(node, region)?;
-            lat += dlat + self.cfg.lat.md2;
-            let (s, w) = self.install_md2(node, region, private, li, is_i)?;
-            (false, s, w)
-        };
+        let (set2, way2, md_hit, dlat) = self.md2_lookup(node, is_i, region)?;
+        lat += dlat;
+        if !md_hit {
+            lat += self.cfg.lat.md2;
+        }
         // MD1 is never used in this mode, so the MD2 entry is always
         // authoritative.
-        let e2 = self
-            .md2
-            .at(node, set2, way2)
-            .map(|(_, e)| *e)
-            .expect("occupied");
+        let e2 = self.md2.at(node, set2, way2).expect("occupied").1;
         debug_assert!(e2.tp.is_none(), "traditional mode never activates MD1");
-        // Side switch: force the region's L1 lines out of the other array
-        // (same rule as activate_md1).
-        if e2.is_icache != is_i {
-            let old_kind = if e2.is_icache {
-                ArrKind::L1I
-            } else {
-                ArrKind::L1D
-            };
-            for off in 0..LINES_PER_REGION {
-                let li = self
-                    .md2
-                    .at(node, set2, way2)
-                    .map(|(_, e)| e.li.get(off, self.enc))
-                    .expect("occupied");
-                if let Li::L1 { way: lway } = li {
-                    let line = region.line(crate::meta_line_offset(off));
-                    let lset = self.l1_set(line);
-                    self.evict_data_line(node, old_kind, lset, lway as usize, false)?;
-                }
-            }
-        }
-        let (_, e2m) = self.md2.at_mut(node, set2, way2).expect("occupied");
-        e2m.is_icache = is_i;
+        self.switch_l1_side(node, is_i, region, set2, way2)?;
         Ok((
             MdRef::Md2 {
                 set: set2,
@@ -485,28 +442,7 @@ impl D2mSystem {
             e2m.private = e1.private;
             e2m.tp = None;
         }
-        // Side switch (code region accessed as data or vice versa): the
-        // region's L1-resident lines live in the other L1 array, where the
-        // new side could never find them — force them out first.
-        if e2.is_icache != is_i {
-            let old_kind = if e2.is_icache {
-                ArrKind::L1I
-            } else {
-                ArrKind::L1D
-            };
-            for off in 0..LINES_PER_REGION {
-                let li = self
-                    .md2
-                    .at(node, md2_set, md2_way)
-                    .map(|(_, e)| e.li.get(off, self.enc))
-                    .expect("occupied");
-                if let Li::L1 { way: lway } = li {
-                    let line = region.line(crate::meta_line_offset(off));
-                    let lset = self.l1_set(line);
-                    self.evict_data_line(node, old_kind, lset, lway as usize, false)?;
-                }
-            }
-        }
+        self.switch_l1_side(node, is_i, region, md2_set, md2_way)?;
         let (li, private) = self
             .md2
             .at(node, md2_set, md2_way)
@@ -549,12 +485,53 @@ impl D2mSystem {
             set: set1 as u16,
             way: way1 as u8,
         });
-        e2.is_icache = is_i;
         Ok(MdRef::Md1 {
             is_i,
             set: set1,
             way: way1,
         })
+    }
+
+    /// Side switch: makes `is_i` the side of `region`, whose authoritative
+    /// MD2 entry is at `(md2_set, md2_way)` in `node`. When a code region is
+    /// accessed as data or vice versa, its L1-resident lines live in the
+    /// other L1 array, where the new side could never find them, so they
+    /// are forced out first.
+    fn switch_l1_side(
+        &mut self,
+        node: usize,
+        is_i: bool,
+        region: RegionAddr,
+        md2_set: usize,
+        md2_way: usize,
+    ) -> Result<(), ProtocolError> {
+        let was_i = self
+            .md2
+            .at(node, md2_set, md2_way)
+            .expect("occupied")
+            .1
+            .is_icache;
+        if was_i != is_i {
+            let old_kind = if was_i { ArrKind::L1I } else { ArrKind::L1D };
+            for off in 0..LINES_PER_REGION {
+                let li = self
+                    .md2
+                    .at(node, md2_set, md2_way)
+                    .map(|(_, e)| e.li.get(off, self.enc))
+                    .expect("occupied");
+                if let Li::L1 { way: lway } = li {
+                    let line = region.line(crate::meta_line_offset(off));
+                    let lset = self.l1_set(line);
+                    self.evict_data_line(node, old_kind, lset, lway as usize, false)?;
+                }
+            }
+        }
+        self.md2
+            .at_mut(node, md2_set, md2_way)
+            .expect("occupied")
+            .1
+            .is_icache = is_i;
+        Ok(())
     }
 
     /// Case D: the blocking ReadMM transaction at MD3 (paper appendix D1–D4).
@@ -794,7 +771,6 @@ impl D2mSystem {
         node: usize,
         is_i: bool,
         line: LineAddr,
-        _off: usize,
         li: Li,
     ) -> Result<(u64, ServicedBy, DataLine), ProtocolError> {
         match li {
@@ -804,7 +780,7 @@ impl D2mSystem {
                 context: "node-local LI on the miss path",
             }),
             Li::LlcFs { .. } | Li::LlcNs { .. } => self.serve_llc(node, is_i, line, li),
-            Li::Mem | Li::Invalid => self.serve_memory(node, line, is_i),
+            Li::Mem | Li::Invalid => self.serve_memory(node, line),
             Li::Node(m) => self.serve_remote_node(node, line, m),
         }
     }
@@ -833,38 +809,27 @@ impl D2mSystem {
 
         let me = Endpoint::Node(NodeId::new(node as u8));
         let endpoint = self.llc_endpoint(slice);
-        let mut lat;
-        let serviced;
-        if endpoint == me {
-            lat = self.cfg.lat.ns_slice;
-            serviced = ServicedBy::LocalNs;
-            self.energy.record(EnergyEvent::NsSliceArray, 1);
-            if is_i {
-                self.ctr.ns_local_i += 1;
-            } else {
-                self.ctr.ns_local_d += 1;
-            }
-        } else {
+        let serviced = Self::llc_serviced_by(me, endpoint);
+        let mut lat = 0;
+        if serviced != ServicedBy::LocalNs {
             lat = self.noc.send(MsgClass::ReadReq, me, endpoint);
             lat += self.noc.send(MsgClass::DataReply, endpoint, me);
-            match endpoint {
-                Endpoint::FarSide => {
-                    lat += self.cfg.lat.llc;
-                    serviced = ServicedBy::Llc;
-                    self.energy.record(EnergyEvent::LlcArray, 1);
-                    self.ctr.llc_fs_hits += 1;
-                }
-                Endpoint::Node(_) => {
-                    lat += self.cfg.lat.ns_slice;
-                    serviced = ServicedBy::RemoteNs;
-                    self.energy.record(EnergyEvent::NsSliceArray, 1);
-                    if is_i {
-                        self.ctr.ns_remote_i += 1;
-                    } else {
-                        self.ctr.ns_remote_d += 1;
-                    }
-                }
-            }
+        }
+        if serviced == ServicedBy::Llc {
+            lat += self.cfg.lat.llc;
+            self.energy.record(EnergyEvent::LlcArray, 1);
+            self.ctr.llc_fs_hits += 1;
+        } else {
+            lat += self.cfg.lat.ns_slice;
+            self.energy.record(EnergyEvent::NsSliceArray, 1);
+            let ctr = &mut self.ctr;
+            let count = match (serviced == ServicedBy::LocalNs, is_i) {
+                (true, true) => &mut ctr.ns_local_i,
+                (true, false) => &mut ctr.ns_local_d,
+                (false, true) => &mut ctr.ns_remote_i,
+                (false, false) => &mut ctr.ns_remote_d,
+            };
+            *count += 1;
         }
 
         // §IV-C replication: instructions always; data read from the MRU
@@ -874,6 +839,18 @@ impl D2mSystem {
             rp = self.replicate_local(node, line, slot.version, li)?;
         }
         Ok((lat, serviced, DataLine::replica(slot.version, rp)))
+    }
+
+    /// Which endpoint a serve from the LLC slice at `ep` reports to a
+    /// request from `me`: its own slice, the far-side LLC or a remote slice.
+    fn llc_serviced_by(me: Endpoint, ep: Endpoint) -> ServicedBy {
+        if ep == me {
+            ServicedBy::LocalNs
+        } else if ep == Endpoint::FarSide {
+            ServicedBy::Llc
+        } else {
+            ServicedBy::RemoteNs
+        }
     }
 
     /// Serves a read from memory. The request travels to the far side where
@@ -886,7 +863,6 @@ impl D2mSystem {
         &mut self,
         node: usize,
         line: LineAddr,
-        is_i: bool,
     ) -> Result<(u64, ServicedBy, DataLine), ProtocolError> {
         let me = Endpoint::Node(NodeId::new(node as u8));
         let region = line.region();
@@ -919,13 +895,7 @@ impl D2mSystem {
                         } else {
                             self.cfg.lat.ns_slice
                         };
-                        let serviced = if endpoint == me {
-                            ServicedBy::LocalNs
-                        } else if endpoint == Endpoint::FarSide {
-                            ServicedBy::Llc
-                        } else {
-                            ServicedBy::RemoteNs
-                        };
+                        let serviced = Self::llc_serviced_by(me, endpoint);
                         return Ok((lat, serviced, DataLine::replica(version, tracked)));
                     }
                 }
@@ -945,7 +915,11 @@ impl D2mSystem {
             lat += self.noc.send(MsgClass::DataReply, Endpoint::FarSide, me);
             return Ok((lat, ServicedBy::Mem, DataLine::replica(version, Li::Mem)));
         }
-        let slot_li = self.alloc_llc_master(node, line, version)?;
+        let master = DataLine {
+            master: true,
+            ..DataLine::replica(version, Li::Mem)
+        };
+        let slot_li = self.alloc_llc_slot(node, line, master)?;
         // Record the new master in MD3 unless the region is private there
         // (Invalid LIs: the owner's MD2 is authoritative and gets the slot
         // via the L1 replica's RP).
@@ -965,7 +939,6 @@ impl D2mSystem {
                 .send(MsgClass::DataReply, Endpoint::FarSide, slice_ep);
         }
         lat += self.noc.send(MsgClass::DataReply, Endpoint::FarSide, me);
-        let _ = is_i;
         Ok((lat, ServicedBy::Mem, DataLine::replica(version, slot_li)))
     }
 
@@ -1011,13 +984,11 @@ impl D2mSystem {
     // ================= writes =================
 
     /// Store to a line already in L1. Returns added latency.
-    #[allow(clippy::too_many_arguments)]
     fn write_hit(
         &mut self,
         node: usize,
         line: LineAddr,
         off: usize,
-        _md: MdRef,
         private: bool,
         set: usize,
         way: usize,
@@ -1059,7 +1030,7 @@ impl D2mSystem {
                 _ => Li::Mem,
             };
             if rp == Li::Mem {
-                rp = self.alloc_llc_victim_slot(node, line)?;
+                rp = self.alloc_llc_slot(node, line, VICTIM_SLOT)?;
             }
         }
         let version = self.oracle.on_store(line);
@@ -1079,17 +1050,16 @@ impl D2mSystem {
         node: usize,
         line: LineAddr,
         off: usize,
-        _md: MdRef,
         private: bool,
         li: Li,
     ) -> Result<(u64, ServicedBy, DataLine), ProtocolError> {
         if private {
             // Case B: direct read from the master, silent promotion.
-            let (lat, serviced, fetched) = self.read_miss(node, false, line, off, li)?;
+            let (lat, serviced, fetched) = self.read_miss(node, false, line, li)?;
             self.check_load(line, fetched.version);
             let downstream = self.collapse_chain(fetched.rp, line)?;
             let victim = if downstream == Li::Mem {
-                self.alloc_llc_victim_slot(node, line)?
+                self.alloc_llc_slot(node, line, VICTIM_SLOT)?
             } else {
                 downstream
             };
@@ -1103,7 +1073,7 @@ impl D2mSystem {
             self.check_load(line, fetched_version);
             let victim = match victim {
                 Some(v) if v != Li::Mem => v,
-                _ => self.alloc_llc_victim_slot(node, line)?,
+                _ => self.alloc_llc_slot(node, line, VICTIM_SLOT)?,
             };
             let version = self.oracle.on_store(line);
             Ok((lat, serviced, DataLine::master(version, true, victim)))
@@ -1163,13 +1133,7 @@ impl D2mSystem {
                         lat += self.noc.send(MsgClass::Fwd, Endpoint::FarSide, ep);
                     }
                     lat += self.noc.send(MsgClass::DataReply, ep, me);
-                    serviced = if ep == me {
-                        ServicedBy::LocalNs
-                    } else if ep == Endpoint::FarSide {
-                        ServicedBy::Llc
-                    } else {
-                        ServicedBy::RemoteNs
-                    };
+                    serviced = Self::llc_serviced_by(me, ep);
                 }
             }
             Li::Mem | Li::Invalid => {
@@ -1284,46 +1248,34 @@ impl D2mSystem {
     /// systems, replicas in `t`'s local slice). Returns whether any copy
     /// existed (false-invalidation accounting).
     fn purge_node_line(&mut self, t: usize, line: LineAddr) -> bool {
-        let mut had = false;
-        if let Some((kind, set, way)) = self.node_slot_of(t, line) {
+        let in_l1 = self.node_slot_of(t, line);
+        if let Some((kind, set, way)) = in_l1 {
             self.arr_mut(kind).remove(t, set, way);
-            had = true;
         }
-        if self.feats.near_side {
-            let set = self.llc_set(line, t);
-            if let Some(way) = self.llc.way_of(t, set, line.raw()) {
-                // Stale victim slots stay: a master's RP may target them.
-                let is_replica = self
-                    .llc
-                    .at(t, set, way)
-                    .map(|(_, dl)| !dl.master && !dl.stale)
-                    .unwrap_or(false);
-                if is_replica {
-                    self.llc.remove(t, set, way);
-                    had = true;
-                }
-            }
-        }
-        had
+        let in_slice = self.purge_local_slice_replica(t, line);
+        in_l1.is_some() || in_slice
     }
 
     /// Drops the node's own slice replica of `line` (if any) so a write
     /// upgrade cannot leave an orphaned stale-but-serveable copy behind.
-    fn purge_local_slice_replica(&mut self, node: usize, line: LineAddr) {
+    /// Stale victim slots stay: a master's RP may target them. Returns
+    /// whether a replica was dropped.
+    fn purge_local_slice_replica(&mut self, node: usize, line: LineAddr) -> bool {
         if !self.feats.near_side {
-            return;
+            return false;
         }
         let set = self.llc_set(line, node);
-        if let Some(way) = self.llc.way_of(node, set, line.raw()) {
-            let is_replica = self
-                .llc
-                .at(node, set, way)
-                .map(|(_, dl)| !dl.master && !dl.stale)
-                .unwrap_or(false);
-            if is_replica {
-                self.llc.remove(node, set, way);
-            }
+        let Some(way) = self.llc.way_of(node, set, line.raw()) else {
+            return false;
+        };
+        let is_replica = self
+            .llc
+            .at(node, set, way)
+            .is_some_and(|(_, dl)| !dl.master && !dl.stale);
+        if is_replica {
+            self.llc.remove(node, set, way);
         }
+        is_replica
     }
 
     /// §IV-A pruning: drop `t`'s MD2 entry for `region` if it tracks nothing
@@ -1404,55 +1356,19 @@ impl D2mSystem {
         way
     }
 
-    /// Allocates an LLC slot as the (clean) master for a memory fill, in
-    /// the way [`Self::llc_way_for`] picks.
-    fn alloc_llc_master(
+    /// Allocates an LLC slot holding `dl` for `line`, in the way
+    /// [`Self::llc_way_for`] picks, and returns its location: a clean master
+    /// for a memory fill, or a [`VICTIM_SLOT`] for a new node-held master.
+    fn alloc_llc_slot(
         &mut self,
         node: usize,
         line: LineAddr,
-        version: u64,
+        dl: DataLine,
     ) -> Result<Li, ProtocolError> {
         let slice = self.pick_slice(node);
         let set = self.llc_set(line, slice);
         let way = self.llc_way_for(slice, set, line);
-        self.llc_place(
-            slice,
-            set,
-            way,
-            line,
-            DataLine {
-                master: true,
-                excl: false,
-                dirty: false,
-                stale: false,
-                version,
-                rp: Li::Mem,
-            },
-        )?;
-        Ok(self.li_of_llc(slice, way))
-    }
-
-    /// Allocates a stale LLC victim slot for a new node-held master (so its
-    /// eventual eviction lands in the LLC rather than going to memory), in
-    /// the way [`Self::llc_way_for`] picks.
-    fn alloc_llc_victim_slot(&mut self, node: usize, line: LineAddr) -> Result<Li, ProtocolError> {
-        let slice = self.pick_slice(node);
-        let set = self.llc_set(line, slice);
-        let way = self.llc_way_for(slice, set, line);
-        self.llc_place(
-            slice,
-            set,
-            way,
-            line,
-            DataLine {
-                master: false,
-                excl: false,
-                dirty: false,
-                stale: true,
-                version: 0,
-                rp: Li::Mem,
-            },
-        )?;
+        self.llc_place(slice, set, way, line, dl)?;
         Ok(self.li_of_llc(slice, way))
     }
 

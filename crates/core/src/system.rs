@@ -294,11 +294,6 @@ impl D2mSystem {
         &self.energy
     }
 
-    /// Mutable energy account (for the runner's leakage charge).
-    pub fn energy_mut(&mut self) -> &mut EnergyAccount {
-        &mut self.energy
-    }
-
     /// Raw cache/metadata counters.
     pub fn raw_counters(&self) -> &D2mCounters {
         &self.ctr

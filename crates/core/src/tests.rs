@@ -5,6 +5,7 @@
 use d2m_common::addr::{Asid, NodeId, VAddr};
 use d2m_common::config::MachineConfig;
 use d2m_common::outcome::ServicedBy;
+use d2m_common::probe::LookupLevel;
 use d2m_common::rng::SimRng;
 use d2m_noc::MsgClass;
 use d2m_workloads::{catalog, Access, AccessKind, TraceGen};
@@ -453,6 +454,39 @@ fn md1_miss_md2_hit_path() {
         .unwrap();
     assert!(sys.raw_counters().md2_hits > h_before);
     sys.check_invariants().unwrap();
+}
+
+#[test]
+fn lookup_level_is_the_deepest_metadata_level_reached() {
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
+    let va = 0x1_000_0000;
+    // First touch: an MD2 miss, so case D reads MD3.
+    let r = sys.access(&acc(0, AccessKind::Load, va), 0).unwrap();
+    assert_eq!((r.l1_hit, r.level), (false, LookupLevel::L3));
+    // MD1 hit.
+    let r = sys.access(&acc(0, AccessKind::Load, va), 100_000).unwrap();
+    assert_eq!((r.l1_hit, r.level), (true, LookupLevel::L1));
+    // 400 more regions overflow the 128-entry MD1, not the 4 K-entry MD2:
+    // the next access misses MD1 and hits MD2.
+    for i in 1..=400u64 {
+        sys.access(&acc(0, AccessKind::Load, va + i * 1024), 200_000)
+            .unwrap();
+    }
+    let before = sys.raw_counters().md2_hits;
+    let r = sys.access(&acc(0, AccessKind::Load, va), 300_000).unwrap();
+    assert_eq!(sys.raw_counters().md2_hits, before + 1);
+    assert_eq!(r.level, LookupLevel::L2);
+    // Node 1 reads the region too (case D2 makes it shared), then stores to
+    // its L1 replica: MD1 and L1 hit, but the case-C round reaches MD3.
+    let shared = 0x2_000_0000;
+    sys.access(&acc(0, AccessKind::Load, shared), 0).unwrap();
+    sys.access(&acc(1, AccessKind::Load, shared), 0).unwrap();
+    let c_before = sys.protocol_events().c_write_shared;
+    let r = sys
+        .access(&acc(1, AccessKind::Store, shared), 100_000)
+        .unwrap();
+    assert_eq!(sys.protocol_events().c_write_shared, c_before + 1);
+    assert_eq!((r.l1_hit, r.level), (true, LookupLevel::L3));
 }
 
 /// Randomized multi-node access sequences preserve value coherence, LI

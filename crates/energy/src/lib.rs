@@ -1,4 +1,5 @@
-//! CACTI-magnitude energy model and EDP accounting (paper §V-A/§V-C).
+//! CACTI-magnitude energy model and dynamic-energy accounting (paper
+//! §V-A/§V-C).
 //!
 //! The paper estimates energy with CACTI 6.0 / McPAT at 22 nm and reports
 //! **cache-hierarchy EDP normalized to Base-2L** (Figure 6), split into
@@ -10,7 +11,9 @@
 //! costs several L1 accesses, a NoC data crossing costs more than a header,
 //! metadata arrays are far smaller than the tags+TLB they replace). The
 //! default [`EnergyModel`] encodes those ratios; every value is documented
-//! and overridable.
+//! and overridable. A system records its structure accesses in an
+//! [`EnergyAccount`]; the runner adds message and memory energy, and leakage
+//! from [`EnergyModel::leak_pj_per_kb_cycle`], to get a run's energy and EDP.
 //!
 //! # Example
 //!
@@ -21,9 +24,8 @@
 //! let mut acc = EnergyAccount::new(model);
 //! acc.record(EnergyEvent::L1Array, 1);
 //! acc.record(EnergyEvent::Md1, 1);
-//! assert!(acc.dynamic_pj() > 0.0);
-//! let edp = acc.edp(1_000);
-//! assert!(edp > 0.0);
+//! assert_eq!(acc.total_pj(), model.l1_array_pj + model.md1_pj);
+//! assert_eq!(acc.dynamic_d2m_pj(), model.md1_pj);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -228,13 +230,13 @@ impl EnergyModel {
     }
 }
 
-/// Accumulates dynamic and static energy for one simulated system.
+/// Accumulates the dynamic energy of one simulated system's structure
+/// accesses.
 #[derive(Clone, Debug)]
 pub struct EnergyAccount {
     model: EnergyModel,
     dynamic_std_pj: f64,
     dynamic_d2m_pj: f64,
-    static_pj: f64,
     by_event_pj: [f64; ENERGY_EVENTS],
 }
 
@@ -245,7 +247,6 @@ impl EnergyAccount {
             model,
             dynamic_std_pj: 0.0,
             dynamic_d2m_pj: 0.0,
-            static_pj: 0.0,
             by_event_pj: [0.0; ENERGY_EVENTS],
         }
     }
@@ -268,17 +269,6 @@ impl EnergyAccount {
         self.by_event_pj[event.index()]
     }
 
-    /// Per-structure dynamic-energy breakdown, largest first.
-    pub fn breakdown(&self) -> Vec<(EnergyEvent, f64)> {
-        let mut v: Vec<(EnergyEvent, f64)> = EnergyEvent::ALL
-            .iter()
-            .map(|e| (*e, self.by_event_pj[e.index()]))
-            .filter(|(_, pj)| *pj > 0.0)
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1));
-        v
-    }
-
     /// Per-structure dynamic-energy breakdown as deterministic JSON.
     ///
     /// Events appear in [`EnergyEvent::ALL`] order (not sorted by magnitude),
@@ -293,17 +283,6 @@ impl EnergyAccount {
         Json::Obj(rows)
     }
 
-    /// Charges leakage for `sram_kb` kilobytes of (standard) SRAM over
-    /// `cycles` cycles.
-    pub fn charge_leakage(&mut self, sram_kb: f64, cycles: u64) {
-        self.static_pj += self.model.leak_pj_per_kb_cycle * sram_kb * cycles as f64;
-    }
-
-    /// Total dynamic energy (pJ).
-    pub fn dynamic_pj(&self) -> f64 {
-        self.dynamic_std_pj + self.dynamic_d2m_pj
-    }
-
     /// Dynamic energy of standard structures (pJ) — Figure 6's darker bars.
     pub fn dynamic_std_pj(&self) -> f64 {
         self.dynamic_std_pj
@@ -314,19 +293,9 @@ impl EnergyAccount {
         self.dynamic_d2m_pj
     }
 
-    /// Static (leakage) energy (pJ).
-    pub fn static_pj(&self) -> f64 {
-        self.static_pj
-    }
-
-    /// Total energy (pJ).
+    /// Total dynamic energy (pJ): standard plus D2M-only structures.
     pub fn total_pj(&self) -> f64 {
-        self.dynamic_pj() + self.static_pj
-    }
-
-    /// Energy-delay product in pJ·cycles for an execution of `cycles`.
-    pub fn edp(&self, cycles: u64) -> f64 {
-        self.total_pj() * cycles as f64
+        self.dynamic_std_pj + self.dynamic_d2m_pj
     }
 
     /// The model in use.
@@ -359,24 +328,7 @@ mod tests {
         a.record(EnergyEvent::Md2, 3);
         assert!(a.dynamic_std_pj() > 0.0);
         assert!(a.dynamic_d2m_pj() > 0.0);
-        assert_eq!(a.dynamic_pj(), a.dynamic_std_pj() + a.dynamic_d2m_pj());
-    }
-
-    #[test]
-    fn leakage_scales_with_capacity_and_time() {
-        let mut a = EnergyAccount::new(EnergyModel::default());
-        a.charge_leakage(1024.0, 1000);
-        let one = a.static_pj();
-        a.charge_leakage(1024.0, 1000);
-        assert!((a.static_pj() - 2.0 * one).abs() < 1e-9);
-    }
-
-    #[test]
-    fn edp_is_energy_times_delay() {
-        let mut a = EnergyAccount::new(EnergyModel::default());
-        a.record(EnergyEvent::Mem, 1);
-        let e = a.total_pj();
-        assert!((a.edp(10) - e * 10.0).abs() < 1e-9);
+        assert_eq!(a.total_pj(), a.dynamic_std_pj() + a.dynamic_d2m_pj());
     }
 
     #[test]
@@ -384,12 +336,14 @@ mod tests {
         let mut a = EnergyAccount::new(EnergyModel::default());
         a.record(EnergyEvent::L1Array, 3);
         a.record(EnergyEvent::Md3, 2);
-        let b = a.breakdown();
-        assert_eq!(b.len(), 2);
-        assert!(b[0].1 >= b[1].1, "sorted descending");
         assert!((a.event_pj_total(EnergyEvent::L1Array) - 36.0).abs() < 1e-9);
-        let sum: f64 = b.iter().map(|(_, pj)| pj).sum();
-        assert!((sum - a.dynamic_pj()).abs() < 1e-9);
+        let sum: f64 = EnergyEvent::ALL.iter().map(|e| a.event_pj_total(*e)).sum();
+        assert!((sum - a.total_pj()).abs() < 1e-9);
+        // The JSON lists the two recorded events, in `ALL` order.
+        let json = a.breakdown_json().to_string_compact();
+        assert!(json.starts_with("{\"l1_array\":36"), "{json}");
+        assert!(json.contains("\"md3\":52"), "{json}");
+        assert!(!json.contains("md1"), "{json}");
     }
 
     #[test]

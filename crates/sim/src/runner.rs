@@ -26,7 +26,7 @@ use d2m_noc::{MsgClass, TrafficMatrix};
 use d2m_workloads::{Access, Trace, TraceGen, WorkloadSpec};
 
 use crate::metrics::{counters_delta, RunMetrics};
-use crate::systems::{AnySystem, SystemKind};
+use crate::systems::{report_txn, AnySystem, SystemKind};
 
 /// Why a run could not produce metrics.
 ///
@@ -377,9 +377,9 @@ struct CoreTiming {
 }
 
 impl CoreTiming {
-    /// The per-access loop: runs `access` (one hierarchy's `access_probed`)
-    /// on each of `accesses` at its node's clock and advances the clocks;
-    /// with `measure` set, tallies the misses.
+    /// The per-access loop: runs `access` (one hierarchy's `access`, with
+    /// its probe report) on each of `accesses` at its node's clock and
+    /// advances the clocks; with `measure` set, tallies the misses.
     #[inline]
     fn replay(
         self,
@@ -425,7 +425,8 @@ struct Run<'p, P: ?Sized> {
 
 impl<P: Probe + ?Sized> Run<'_, P> {
     /// Runs one batch: one `match` on the system, then the per-access loop
-    /// built for that hierarchy and probe.
+    /// built for that hierarchy and probe. Each access reports to the probe
+    /// through [`report_txn`], with the messages it sent.
     fn batch(&mut self, accesses: &[Access], measure: bool) -> Result<(), ProtocolError> {
         let Self {
             sys,
@@ -436,10 +437,16 @@ impl<P: Probe + ?Sized> Run<'_, P> {
         } = self;
         match sys {
             AnySystem::Base(s) => core.replay(clocks, tally, measure, accesses, |a, now| {
-                Ok(s.access_probed(a, now, &mut **probe))
+                let msgs0 = s.noc().messages();
+                let r = s.access(a, now);
+                report_txn(&mut **probe, a, &r, s.noc().messages() - msgs0);
+                Ok(r)
             }),
             AnySystem::D2m(s) => core.replay(clocks, tally, measure, accesses, |a, now| {
-                s.access_probed(a, now, &mut **probe)
+                let msgs0 = s.noc().messages();
+                let r = s.access(a, now)?;
+                report_txn(&mut **probe, a, &r, s.noc().messages() - msgs0);
+                Ok(r)
             }),
         }
     }

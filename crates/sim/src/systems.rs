@@ -3,12 +3,12 @@
 use d2m_baseline::{Baseline, BaselineKind};
 use d2m_common::config::MachineConfig;
 use d2m_common::outcome::AccessResult;
-use d2m_common::probe::{NoopProbe, Probe};
+use d2m_common::probe::{Probe, TxnEvent, TxnKind};
 use d2m_common::stats::Counters;
 use d2m_core::{D2mSystem, D2mVariant, MetadataFootprint, ProtocolError};
 use d2m_energy::EnergyAccount;
 use d2m_noc::Noc;
-use d2m_workloads::Access;
+use d2m_workloads::{Access, AccessKind};
 
 /// The five systems of the paper's evaluation (Figure 4 / §V-A).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -133,16 +133,20 @@ impl AnySystem {
     /// corrupted mid-transaction. The baseline systems are infallible.
     #[inline]
     pub fn access(&mut self, a: &Access, now: u64) -> Result<AccessResult, ProtocolError> {
-        self.access_probed(a, now, &mut NoopProbe)
+        match self {
+            AnySystem::Base(s) => Ok(s.access(a, now)),
+            AnySystem::D2m(s) => s.access(a, now),
+        }
     }
 
-    /// Like [`AnySystem::access`], feeding a transaction event to `probe`.
-    ///
-    /// With [`NoopProbe`] this is exactly [`AnySystem::access`].
+    /// Like [`AnySystem::access`], reporting the transaction to `probe` as
+    /// one [`TxnEvent`]: its lookup level, endpoint, on-chip message count
+    /// and latency. The probe only reads the outcome: the simulation is the
+    /// same as [`AnySystem::access`]'s.
     ///
     /// # Errors
     ///
-    /// Same as [`AnySystem::access`].
+    /// Same as [`AnySystem::access`]; a failed transaction reports no event.
     #[inline]
     pub fn access_probed<P: Probe + ?Sized>(
         &mut self,
@@ -150,10 +154,10 @@ impl AnySystem {
         now: u64,
         probe: &mut P,
     ) -> Result<AccessResult, ProtocolError> {
-        match self {
-            AnySystem::Base(s) => Ok(s.access_probed(a, now, probe)),
-            AnySystem::D2m(s) => s.access_probed(a, now, probe),
-        }
+        let msgs0 = self.noc().messages();
+        let r = self.access(a, now)?;
+        report_txn(probe, a, &r, self.noc().messages() - msgs0);
+        Ok(r)
     }
 
     /// Counter snapshot.
@@ -185,14 +189,6 @@ impl AnySystem {
         match self {
             AnySystem::Base(s) => s.energy(),
             AnySystem::D2m(s) => s.energy(),
-        }
-    }
-
-    /// Mutable energy account.
-    pub fn energy_mut(&mut self) -> &mut EnergyAccount {
-        match self {
-            AnySystem::Base(s) => s.energy_mut(),
-            AnySystem::D2m(s) => s.energy_mut(),
         }
     }
 
@@ -229,6 +225,34 @@ impl AnySystem {
             AnySystem::Base(_) => None,
         }
     }
+}
+
+/// Reports access `a`, whose outcome is `r` and which put `hops` on-chip
+/// messages on the interconnect, to `probe` as one [`TxnEvent`]: the one
+/// place an event is built. With a [`d2m_common::probe::NoopProbe`] the call
+/// compiles to nothing.
+#[inline]
+pub(crate) fn report_txn<P: Probe + ?Sized>(
+    probe: &mut P,
+    a: &Access,
+    r: &AccessResult,
+    hops: u64,
+) {
+    probe.txn(&TxnEvent {
+        node: a.node.index() as u8,
+        kind: match a.kind {
+            AccessKind::IFetch => TxnKind::IFetch,
+            AccessKind::Load => TxnKind::Load,
+            AccessKind::Store => TxnKind::Store,
+        },
+        level: r.level,
+        l1_hit: r.l1_hit,
+        late: r.late,
+        private_miss: r.private_miss,
+        serviced: r.serviced_by,
+        hops,
+        latency: r.latency,
+    });
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
-//! Trace recording and replay.
+//! Trace files in the `D2MT` format.
 //!
 //! The synthetic generator is deterministic, but downstream users of a cache
 //! simulator routinely want to (a) snapshot a trace for exact cross-tool
 //! comparisons and (b) feed in externally captured traces. This module
-//! provides a compact binary format (`D2MT`), a writer, and a [`ReplayGen`]
-//! with the same batch interface as [`crate::gen::TraceGen`].
+//! provides a compact binary format (`D2MT`), its writer and its reader.
 //!
 //! Format: 8-byte header (`b"D2MT"` + u32-LE record count), then one
 //! 12-byte little-endian record per access:
@@ -86,62 +85,6 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Vec<Access>> {
     Ok(out)
 }
 
-/// Replays a recorded trace with the batch interface of
-/// [`crate::gen::TraceGen`] (so runners can drive either interchangeably).
-///
-/// `insts_per_access` controls how many instructions each instruction-fetch
-/// record represents (the generator's `insts_per_fetch`); data records carry
-/// no instruction weight.
-#[derive(Clone, Debug)]
-pub struct ReplayGen {
-    accesses: Vec<Access>,
-    pos: usize,
-    batch_size: usize,
-    insts_per_fetch: u64,
-}
-
-impl ReplayGen {
-    /// Creates a replayer that loops over `accesses` forever.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `accesses` is empty.
-    pub fn new(accesses: Vec<Access>, insts_per_fetch: u64) -> Self {
-        assert!(!accesses.is_empty(), "cannot replay an empty trace");
-        Self {
-            accesses,
-            pos: 0,
-            batch_size: 64,
-            insts_per_fetch: insts_per_fetch.max(1),
-        }
-    }
-
-    /// Number of recorded accesses.
-    pub fn len(&self) -> usize {
-        self.accesses.len()
-    }
-
-    /// True when the trace holds no accesses (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.accesses.is_empty()
-    }
-
-    /// Appends the next batch of accesses (wrapping at the end of the
-    /// trace) and returns the instructions it represents.
-    pub fn next_batch(&mut self, out: &mut Vec<Access>) -> u64 {
-        let mut insts = 0;
-        for _ in 0..self.batch_size {
-            let a = self.accesses[self.pos];
-            self.pos = (self.pos + 1) % self.accesses.len();
-            if a.kind.is_ifetch() {
-                insts += self.insts_per_fetch;
-            }
-            out.push(a);
-        }
-        insts.max(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,34 +132,5 @@ mod tests {
         write_trace(&mut buf, &trace).unwrap();
         buf[9] = 77; // corrupt the first record's kind byte
         assert!(read_trace(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn replay_wraps_and_counts_instructions() {
-        let trace = sample(3);
-        let n = trace.len();
-        let mut rep = ReplayGen::new(trace.clone(), 6);
-        assert_eq!(rep.len(), n);
-        let mut out = Vec::new();
-        let mut insts = 0;
-        // Pull more than one full lap.
-        while out.len() < 2 * n {
-            insts += rep.next_batch(&mut out);
-        }
-        assert!(insts > 0);
-        assert_eq!(&out[..n.min(64)], &trace[..n.min(64)]);
-    }
-
-    #[test]
-    fn replayed_trace_drives_a_system_identically() {
-        // Replaying a recorded trace must reproduce the same access stream
-        // (spot-check: first wrap of records matches the recording).
-        let trace = sample(10);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
-        let mut rep = ReplayGen::new(read_trace(&buf[..]).unwrap(), 6);
-        let mut out = Vec::new();
-        rep.next_batch(&mut out);
-        assert_eq!(&out[..], &trace[..out.len()]);
     }
 }
