@@ -212,6 +212,14 @@ for workload in figure-matrix deep-run journaled-observed; do
     simbench/target/release/simbench --workload "$workload" --seconds 1 >/dev/null
 done
 
+echo "== simbench layer profile (deep-run, traced, 1 s) =="
+# The traced run adds the per-layer profile: every system replays straight
+# into AnySystem::access and reads counters() afterwards, so the hierarchies'
+# own counts, and the checksum_mismatch, sweep_mismatch and
+# observed_mismatch checks, gate every change too. Its span file goes under
+# the ignored simbench/target/.
+simbench/target/release/simbench --workload deep-run --trace 1 --seconds 1 >/dev/null
+
 if $in_git; then
     echo "== working tree unchanged by ci.sh =="
     status_after="$(git status --porcelain)"

@@ -2,32 +2,13 @@
 
 use d2m_common::stats::Counters;
 
-/// Raw event counts accumulated by a [`crate::Baseline`] run.
+/// Raw event counts accumulated by a [`crate::Baseline`] run, beyond the
+/// per-access counts its [`d2m_common::outcome::AccessTally`] holds.
 ///
 /// Fields are public plain counters (C-struct spirit); use
 /// [`BaselineCounters::to_counters`] for a named snapshot.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BaselineCounters {
-    /// Total accesses (fetches + loads + stores).
-    pub accesses: u64,
-    /// Instruction fetches.
-    pub ifetches: u64,
-    /// Data loads.
-    pub loads: u64,
-    /// Data stores.
-    pub stores: u64,
-    /// L1-I hits / misses.
-    pub l1i_hits: u64,
-    /// L1-I misses.
-    pub l1i_misses: u64,
-    /// L1-D hits.
-    pub l1d_hits: u64,
-    /// L1-D misses.
-    pub l1d_misses: u64,
-    /// Late hits (fill still in flight) on the I side.
-    pub late_hits_i: u64,
-    /// Late hits on the D side.
-    pub late_hits_d: u64,
     /// L2 hits (Base-3L only).
     pub l2_hits: u64,
     /// L2 misses (Base-3L only).
@@ -47,29 +28,13 @@ pub struct BaselineCounters {
     pub back_invalidations: u64,
     /// Writebacks of dirty data (any level).
     pub writebacks: u64,
-    /// Sum of L1-miss end-to-end latencies (cycles).
-    pub miss_latency_sum: u64,
-    /// Number of L1 misses contributing to `miss_latency_sum`.
-    pub miss_count: u64,
-    /// Coherence-oracle violations observed (must be zero).
-    pub coherence_errors: u64,
 }
 
 impl BaselineCounters {
     /// Named snapshot for the harness.
     pub fn to_counters(&self) -> Counters {
         let mut c = Counters::new();
-        c.set("accesses", self.accesses)
-            .set("ifetches", self.ifetches)
-            .set("loads", self.loads)
-            .set("stores", self.stores)
-            .set("l1i.hits", self.l1i_hits)
-            .set("l1i.misses", self.l1i_misses)
-            .set("l1d.hits", self.l1d_hits)
-            .set("l1d.misses", self.l1d_misses)
-            .set("late_hits.i", self.late_hits_i)
-            .set("late_hits.d", self.late_hits_d)
-            .set("l2.hits", self.l2_hits)
+        c.set("l2.hits", self.l2_hits)
             .set("l2.misses", self.l2_misses)
             .set("llc.hits", self.llc_hits)
             .set("llc.misses", self.llc_misses)
@@ -77,20 +42,8 @@ impl BaselineCounters {
             .set("inv.received", self.invalidations_received)
             .set("upgrades", self.upgrades)
             .set("back_invalidations", self.back_invalidations)
-            .set("writebacks", self.writebacks)
-            .set("miss_latency_sum", self.miss_latency_sum)
-            .set("miss_count", self.miss_count)
-            .set("coherence_errors", self.coherence_errors);
+            .set("writebacks", self.writebacks);
         c
-    }
-
-    /// Average L1 miss latency in cycles.
-    pub fn avg_miss_latency(&self) -> f64 {
-        if self.miss_count == 0 {
-            0.0
-        } else {
-            self.miss_latency_sum as f64 / self.miss_count as f64
-        }
     }
 }
 
@@ -101,16 +54,8 @@ mod tests {
     #[test]
     fn snapshot_contains_key_metrics() {
         let mut b = BaselineCounters::default();
-        b.l1d_misses = 10;
-        b.miss_latency_sum = 500;
-        b.miss_count = 10;
+        b.llc_misses = 10;
         let c = b.to_counters();
-        assert_eq!(c.get("l1d.misses"), 10);
-        assert_eq!(b.avg_miss_latency(), 50.0);
-    }
-
-    #[test]
-    fn avg_latency_handles_zero_misses() {
-        assert_eq!(BaselineCounters::default().avg_miss_latency(), 0.0);
+        assert_eq!(c.get("llc.misses"), 10);
     }
 }

@@ -19,12 +19,12 @@ use d2m_cache::{SetAssoc, Tlb};
 use d2m_common::addr::{LineAddr, NodeId};
 use d2m_common::config::MachineConfig;
 use d2m_common::oracle::VersionOracle;
-use d2m_common::outcome::{AccessResult, ServicedBy};
+use d2m_common::outcome::{AccessResult, AccessTally, ServicedBy};
 use d2m_common::probe::LookupLevel;
 use d2m_common::stats::Counters;
 use d2m_energy::{EnergyAccount, EnergyEvent, EnergyModel};
 use d2m_noc::{Endpoint, MsgClass, Noc};
-use d2m_workloads::{Access, AccessKind};
+use d2m_workloads::Access;
 
 use crate::counters::BaselineCounters;
 
@@ -91,6 +91,7 @@ pub struct Baseline {
     noc: Noc,
     energy: EnergyAccount,
     oracle: VersionOracle,
+    tally: AccessTally,
     ctr: BaselineCounters,
 }
 
@@ -121,6 +122,7 @@ impl Baseline {
             noc: Noc::new(cfg.lat.noc),
             energy: EnergyAccount::new(EnergyModel::default()),
             oracle: VersionOracle::new(),
+            tally: AccessTally::default(),
             ctr: BaselineCounters::default(),
         }
     }
@@ -170,16 +172,19 @@ impl Baseline {
         (n * (l1 + l1_tags + tlb + l2) + llc + llc_tags + dir) / 1024.0
     }
 
-    /// Named counter snapshot (events + messages).
+    /// Named counter snapshot (per-access tally + events + oracle
+    /// violations + messages).
     pub fn counters(&self) -> Counters {
         let mut c = self.ctr.to_counters();
+        self.tally.export(&mut c);
+        c.set("coherence_errors", self.oracle.violations());
         c.merge_prefixed("noc.", &self.noc.counters());
         c
     }
 
     /// Coherence-oracle violations seen so far (must stay zero).
     pub fn coherence_errors(&self) -> u64 {
-        self.ctr.coherence_errors
+        self.oracle.violations()
     }
 
     fn node_bit(n: usize) -> u8 {
@@ -202,12 +207,13 @@ impl Baseline {
     /// level is the deepest level that serviced it: an L1 hit is L1, an L2
     /// serve is L2, and everything beyond the private levels is L3.
     pub fn access(&mut self, a: &Access, now: u64) -> AccessResult {
-        self.ctr.accesses += 1;
-        match a.kind {
-            AccessKind::IFetch => self.ctr.ifetches += 1,
-            AccessKind::Load => self.ctr.loads += 1,
-            AccessKind::Store => self.ctr.stores += 1,
-        }
+        let r = self.access_inner(a, now);
+        self.tally.record(a.kind.is_ifetch(), a.kind.is_store(), &r);
+        r
+    }
+
+    /// [`Self::access`] without the per-access tally.
+    fn access_inner(&mut self, a: &Access, now: u64) -> AccessResult {
         let n = a.node.index();
         let is_i = a.kind.is_ifetch();
         let is_store = a.kind.is_store();
@@ -238,16 +244,6 @@ impl Baseline {
             if now < pl.ready_at {
                 late = true;
                 latency += pl.ready_at - now;
-                if is_i {
-                    self.ctr.late_hits_i += 1;
-                } else {
-                    self.ctr.late_hits_d += 1;
-                }
-            }
-            if is_i {
-                self.ctr.l1i_hits += 1;
-            } else {
-                self.ctr.l1d_hits += 1;
             }
             if is_store {
                 match pl.state {
@@ -278,7 +274,7 @@ impl Baseline {
                     }
                 }
             } else {
-                self.check_load(line, pl.version);
+                self.oracle.check_load(line, pl.version);
             }
             return AccessResult {
                 latency,
@@ -291,12 +287,6 @@ impl Baseline {
         }
 
         // --- L1 miss ---
-        if is_i {
-            self.ctr.l1i_misses += 1;
-        } else {
-            self.ctr.l1d_misses += 1;
-        }
-
         // 3. Base-3L: private L2 (full tag search).
         let mut serviced = None;
         let mut version = 0;
@@ -350,11 +340,9 @@ impl Baseline {
             version = self.oracle.on_store(line);
             state = Mesi::Modified;
         } else {
-            self.check_load(line, version);
+            self.oracle.check_load(line, version);
         }
         self.install_l1(n, is_i, line, state, version, now + latency);
-        self.ctr.miss_latency_sum += latency;
-        self.ctr.miss_count += 1;
 
         AccessResult {
             latency,
@@ -367,14 +355,6 @@ impl Baseline {
             } else {
                 LookupLevel::L3
             },
-        }
-    }
-
-    /// Counts a load of `line` that observed a version older than the
-    /// latest store; the runner fails a run with any, in every build.
-    fn check_load(&mut self, line: LineAddr, version: u64) {
-        if !self.oracle.check_load(line, version) {
-            self.ctr.coherence_errors += 1;
         }
     }
 
@@ -884,7 +864,7 @@ impl Baseline {
 mod tests {
     use super::*;
     use d2m_common::addr::{translate, Asid, VAddr};
-    use d2m_workloads::{catalog, TraceGen};
+    use d2m_workloads::{catalog, AccessKind, TraceGen};
 
     fn acc(node: u8, kind: AccessKind, va: u64) -> Access {
         Access {
@@ -1038,7 +1018,7 @@ mod tests {
         let r2 = sys.access(&acc(0, AccessKind::Load, 0x60_0000), 101);
         assert!(r2.l1_hit && r2.late);
         assert!(r2.latency >= r1.latency - 2);
-        assert_eq!(sys.raw_counters().late_hits_d, 1);
+        assert_eq!(sys.counters().get("late_hits.d"), 1);
     }
 
     #[test]
@@ -1119,8 +1099,8 @@ mod tests {
         sys.access(&acc(0, AccessKind::IFetch, 0x80_0000), 0);
         let r = sys.access(&acc(0, AccessKind::IFetch, 0x80_0000), 10_000);
         assert!(r.l1_hit);
-        assert_eq!(sys.raw_counters().l1i_hits, 1);
-        assert_eq!(sys.raw_counters().l1i_misses, 1);
+        assert_eq!(sys.counters().get("l1i.hits"), 1);
+        assert_eq!(sys.counters().get("l1i.misses"), 1);
         // A data load of the same line misses separately.
         let r2 = sys.access(&acc(0, AccessKind::Load, 0x80_0000), 10_000);
         assert!(!r2.l1_hit);

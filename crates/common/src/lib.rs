@@ -50,7 +50,7 @@ pub use config::MachineConfig;
 pub use fasthash::{fnv1a_64, FastHasher, FastMap};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use oracle::VersionOracle;
-pub use outcome::{AccessResult, ServicedBy};
+pub use outcome::{AccessResult, AccessTally, ServicedBy};
 pub use probe::{LookupLevel, NoopProbe, Probe, RecordingProbe, TxnEvent, TxnKind};
 pub use rng::{derive_stream_seed, Bernoulli, SimRng, Zipf};
 pub use stats::Counters;

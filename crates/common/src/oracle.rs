@@ -9,7 +9,8 @@
 //!
 //! Both the baselines and D2M run against the same oracle, which turns every
 //! simulated load into a coherence check — the strongest correctness signal
-//! the test suite has.
+//! the test suite has. The oracle counts the stale loads it sees itself; a
+//! hierarchy's `coherence_errors` reads that count.
 
 use crate::addr::LineAddr;
 use crate::fasthash::FastMap;
@@ -24,6 +25,7 @@ pub struct VersionOracle {
     latest: FastMap<LineAddr, u64>,
     memory: FastMap<LineAddr, u64>,
     next: u64,
+    violations: u64,
 }
 
 impl VersionOracle {
@@ -55,10 +57,17 @@ impl VersionOracle {
         self.memory.get(&line).copied().unwrap_or(0)
     }
 
-    /// Checks a load observation: `true` if a load of `line` that observed
-    /// `observed` saw the latest stored version, `false` if it was stale.
-    pub fn check_load(&self, line: LineAddr, observed: u64) -> bool {
-        observed == self.latest(line)
+    /// Checks a load of `line` that observed version `observed`, and counts
+    /// a violation when that is older than the latest store.
+    pub fn check_load(&mut self, line: LineAddr, observed: u64) {
+        if observed != self.latest(line) {
+            self.violations += 1;
+        }
+    }
+
+    /// Stale loads [`Self::check_load`] has seen (must stay zero).
+    pub fn violations(&self) -> u64 {
+        self.violations
     }
 }
 
@@ -72,10 +81,11 @@ mod tests {
 
     #[test]
     fn unwritten_lines_are_version_zero() {
-        let o = VersionOracle::new();
+        let mut o = VersionOracle::new();
         assert_eq!(o.latest(l(5)), 0);
         assert_eq!(o.memory(l(5)), 0);
-        assert!(o.check_load(l(5), 0));
+        o.check_load(l(5), 0);
+        assert_eq!(o.violations(), 0);
     }
 
     #[test]
@@ -94,8 +104,12 @@ mod tests {
         let mut o = VersionOracle::new();
         let v1 = o.on_store(l(9));
         let _v2 = o.on_store(l(9));
-        assert!(!o.check_load(l(9), v1));
-        assert!(o.check_load(l(9), o.latest(l(9))));
+        o.check_load(l(9), o.latest(l(9)));
+        assert_eq!(o.violations(), 0, "a fresh load is no violation");
+        o.check_load(l(9), v1);
+        assert_eq!(o.violations(), 1, "one stale load counts once");
+        o.check_load(l(9), o.latest(l(9)));
+        assert_eq!(o.violations(), 1);
     }
 
     #[test]

@@ -43,18 +43,6 @@ pub struct ProtocolEvents {
 }
 
 impl ProtocolEvents {
-    /// Fraction of misses handled without any MD3/directory involvement
-    /// (cases A + B over A + B + C + D).
-    pub fn directory_free_fraction(&self) -> f64 {
-        let free = self.a_read_md_hit + self.b_write_private;
-        let total = free + self.c_write_shared + self.d_md_miss;
-        if total == 0 {
-            0.0
-        } else {
-            free as f64 / total as f64
-        }
-    }
-
     /// Named snapshot.
     pub fn to_counters(&self) -> Counters {
         let mut c = Counters::new();
@@ -76,29 +64,10 @@ impl ProtocolEvents {
     }
 }
 
-/// Cache/metadata event counters for one D2M run.
+/// Cache/metadata event counters for one D2M run, beyond the per-access
+/// counts its [`d2m_common::outcome::AccessTally`] holds.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct D2mCounters {
-    /// Total accesses.
-    pub accesses: u64,
-    /// Instruction fetches.
-    pub ifetches: u64,
-    /// Loads.
-    pub loads: u64,
-    /// Stores.
-    pub stores: u64,
-    /// L1-I hits.
-    pub l1i_hits: u64,
-    /// L1-I misses.
-    pub l1i_misses: u64,
-    /// L1-D hits.
-    pub l1d_hits: u64,
-    /// L1-D misses.
-    pub l1d_misses: u64,
-    /// Late hits, instruction side.
-    pub late_hits_i: u64,
-    /// Late hits, data side.
-    pub late_hits_d: u64,
     /// MD1 lookups.
     pub md1_accesses: u64,
     /// MD1 hits.
@@ -146,38 +115,13 @@ pub struct D2mCounters {
     pub md2_evictions: u64,
     /// MD3 region evictions (global purges).
     pub md3_evictions: u64,
-    /// Sum of L1-miss latencies.
-    pub miss_latency_sum: u64,
-    /// Number of L1 misses.
-    pub miss_count: u64,
-    /// Value-coherence violations (must stay zero).
-    pub coherence_errors: u64,
 }
 
 impl D2mCounters {
-    /// Average L1 miss latency in cycles.
-    pub fn avg_miss_latency(&self) -> f64 {
-        if self.miss_count == 0 {
-            0.0
-        } else {
-            self.miss_latency_sum as f64 / self.miss_count as f64
-        }
-    }
-
     /// Named snapshot.
     pub fn to_counters(&self) -> Counters {
         let mut c = Counters::new();
-        c.set("accesses", self.accesses)
-            .set("ifetches", self.ifetches)
-            .set("loads", self.loads)
-            .set("stores", self.stores)
-            .set("l1i.hits", self.l1i_hits)
-            .set("l1i.misses", self.l1i_misses)
-            .set("l1d.hits", self.l1d_hits)
-            .set("l1d.misses", self.l1d_misses)
-            .set("late_hits.i", self.late_hits_i)
-            .set("late_hits.d", self.late_hits_d)
-            .set("md1.accesses", self.md1_accesses)
+        c.set("md1.accesses", self.md1_accesses)
             .set("md1.hits", self.md1_hits)
             .set("md2.accesses", self.md2_accesses)
             .set("md2.hits", self.md2_hits)
@@ -199,10 +143,7 @@ impl D2mCounters {
             .set("ns_alloc.remote", self.ns_alloc_remote)
             .set("md2.prunes", self.md2_prunes)
             .set("md2.evictions", self.md2_evictions)
-            .set("md3.evictions", self.md3_evictions)
-            .set("miss_latency_sum", self.miss_latency_sum)
-            .set("miss_count", self.miss_count)
-            .set("coherence_errors", self.coherence_errors);
+            .set("md3.evictions", self.md3_evictions);
         c
     }
 }
@@ -210,20 +151,6 @@ impl D2mCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn directory_free_fraction() {
-        let ev = ProtocolEvents {
-            a_read_md_hit: 125,
-            b_write_private: 17,
-            c_write_shared: 7,
-            d_md_miss: 8,
-            ..Default::default()
-        };
-        let f = ev.directory_free_fraction();
-        // Paper: cases A+B ≈ 90% of all misses.
-        assert!((f - 142.0 / 157.0).abs() < 1e-9);
-    }
 
     #[test]
     fn snapshots_include_cases() {
@@ -237,12 +164,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(c.to_counters().get("md2.prunes"), 3);
-    }
-
-    #[test]
-    fn ratios_handle_zero() {
-        let c = D2mCounters::default();
-        assert_eq!(c.avg_miss_latency(), 0.0);
-        assert_eq!(ProtocolEvents::default().directory_free_fraction(), 0.0);
     }
 }

@@ -15,6 +15,8 @@
 //!    one-to-one correspondence.
 //! 5. **Value coherence** — every serveable copy carries the globally latest
 //!    version; when memory is the master it holds the latest version.
+//! 6. **Replacement pointers** — a node-held master whose RP names an LLC
+//!    slot names one that holds its line, so its eviction lands there.
 //!
 //! The checker is exhaustive (it sweeps every structure) and intended for
 //! tests; it is far too slow to run per access.
@@ -42,6 +44,34 @@ impl D2mSystem {
         self.check_data_inclusion()?;
         self.check_single_master_and_versions()?;
         self.check_no_orphan_masters()?;
+        self.check_master_rps()?;
+        Ok(())
+    }
+
+    /// Every node-held master's RP that names an LLC slot names a slot
+    /// holding the master's line.
+    fn check_master_rps(&self) -> Result<(), String> {
+        for n in 0..self.nodes_count() {
+            for kind in [ArrKind::L1I, ArrKind::L1D] {
+                for (_, _, key, dl) in self.arr(kind).iter_bank(n) {
+                    if !dl.master || !matches!(dl.rp, Li::LlcFs { .. } | Li::LlcNs { .. }) {
+                        continue;
+                    }
+                    let (slice, way) = self.llc_slice_way(dl.rp).map_err(|e| e.to_string())?;
+                    let set = self.llc_set(LineAddr::new(key), slice);
+                    match self.llc.at(slice, set, way) {
+                        Some((k, _)) if k == key => {}
+                        other => {
+                            return Err(format!(
+                                "node {n} {kind:?} master {key:#x} has rp {:?}, which names {:?}",
+                                dl.rp,
+                                other.map(|(k, d)| (k, d.master, d.stale))
+                            ))
+                        }
+                    }
+                }
+            }
+        }
         Ok(())
     }
 
@@ -456,42 +486,6 @@ impl D2mSystem {
                                 "line {key:#x} mastered by memory, but memory is stale"
                             ));
                         }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl D2mSystem {
-    /// Debug aid: every node-held master's RP must name a live victim slot
-    /// (or memory). Used by ad-hoc reproduction drivers; O(all lines).
-    pub fn debug_validate_rps(&self) -> Result<(), String> {
-        for n in 0..self.cfg.nodes {
-            for kind in [ArrKind::L1I, ArrKind::L1D] {
-                for (_, _, key, dl) in self.arr(kind).iter_bank(n) {
-                    if !dl.master {
-                        continue;
-                    }
-                    let line = LineAddr::new(key);
-                    match dl.rp {
-                        Li::LlcFs { .. } | Li::LlcNs { .. } => {
-                            let (slice, way) =
-                                self.llc_slice_way(dl.rp).map_err(|e| e.to_string())?;
-                            let set = self.llc_set(line, slice);
-                            match self.llc.at(slice, set, way) {
-                                Some((k, _)) if k == key => {}
-                                other => {
-                                    return Err(format!(
-                                        "node {n} {kind:?} master {key:#x} rp {:?} names {:?}",
-                                        dl.rp,
-                                        other.map(|(k, d)| (k, d.master, d.stale))
-                                    ))
-                                }
-                            }
-                        }
-                        _ => {}
                     }
                 }
             }

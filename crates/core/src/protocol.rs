@@ -31,7 +31,7 @@ use d2m_common::outcome::{AccessResult, ServicedBy};
 use d2m_common::probe::LookupLevel;
 use d2m_energy::EnergyEvent;
 use d2m_noc::{Endpoint, MsgClass};
-use d2m_workloads::{Access, AccessKind};
+use d2m_workloads::Access;
 
 use crate::data::{DataLine, L1Line};
 use crate::error::ProtocolError;
@@ -95,18 +95,19 @@ impl D2mSystem {
         } else {
             LookupLevel::L1
         };
-        Ok(AccessResult { level, ..r })
+        let r = AccessResult { level, ..r };
+        self.tally.record(a.kind.is_ifetch(), a.kind.is_store(), &r);
+        Ok(r)
     }
 
     /// [`Self::access`] without its lookup level, which the result leaves
-    /// at L1.
+    /// at L1, and without the per-access tally.
+    ///
+    /// Kept out of line: inlined, the access kind the tally reads stays live
+    /// across the whole transaction, and the register allocator then spills
+    /// `self` to the stack and reloads it at every field access.
+    #[inline(never)]
     fn access_inner(&mut self, a: &Access, now: u64) -> Result<AccessResult, ProtocolError> {
-        self.ctr.accesses += 1;
-        match a.kind {
-            AccessKind::IFetch => self.ctr.ifetches += 1,
-            AccessKind::Load => self.ctr.loads += 1,
-            AccessKind::Store => self.ctr.stores += 1,
-        }
         self.tick_pressure_window();
         let node = a.node.index();
         let is_i = a.kind.is_ifetch();
@@ -134,21 +135,11 @@ impl D2mSystem {
             if now < slot.ready_at {
                 late = true;
                 latency += slot.ready_at - now;
-                if is_i {
-                    self.ctr.late_hits_i += 1;
-                } else {
-                    self.ctr.late_hits_d += 1;
-                }
-            }
-            if is_i {
-                self.ctr.l1i_hits += 1;
-            } else {
-                self.ctr.l1d_hits += 1;
             }
             if is_store {
                 latency += self.write_hit(node, line, off, res.private, set, way as usize)?;
             } else {
-                self.check_load(line, slot.version);
+                self.oracle.check_load(line, slot.version);
             }
             self.arr_mut(kind).touch(node, set, way as usize);
             return Ok(AccessResult {
@@ -184,11 +175,6 @@ impl D2mSystem {
             mut latency,
             ..
         } = res;
-        if is_i {
-            self.ctr.l1i_misses += 1;
-        } else {
-            self.ctr.l1d_misses += 1;
-        }
         // Table V classifies *data* misses (the paper reports "percent of
         // data misses to private regions").
         if !is_i {
@@ -226,14 +212,12 @@ impl D2mSystem {
         latency += lat;
 
         if !is_store {
-            self.check_load(line, dl.version);
+            self.oracle.check_load(line, dl.version);
         }
 
         let way = self.install_l1(node, is_i, line, dl, now + latency)?;
         self.li_set(node, md, off, Li::L1 { way: way as u8 });
 
-        self.ctr.miss_latency_sum += latency;
-        self.ctr.miss_count += 1;
         Ok(AccessResult {
             latency,
             l1_hit: false,
@@ -242,14 +226,6 @@ impl D2mSystem {
             private_miss: Some(private),
             level: LookupLevel::L1,
         })
-    }
-
-    /// Counts a load of `line` that observed a version older than the
-    /// latest store; the runner fails a run with any, in every build.
-    fn check_load(&mut self, line: LineAddr, version: u64) {
-        if !self.oracle.check_load(line, version) {
-            self.ctr.coherence_errors += 1;
-        }
     }
 
     /// `line`'s copy in slot `(bank, set, way)` of `arr`: the slot `li`
@@ -1056,7 +1032,7 @@ impl D2mSystem {
         if private {
             // Case B: direct read from the master, silent promotion.
             let (lat, serviced, fetched) = self.read_miss(node, false, line, li)?;
-            self.check_load(line, fetched.version);
+            self.oracle.check_load(line, fetched.version);
             let downstream = self.collapse_chain(fetched.rp, line)?;
             let victim = if downstream == Li::Mem {
                 self.alloc_llc_slot(node, line, VICTIM_SLOT)?
@@ -1070,7 +1046,7 @@ impl D2mSystem {
             let (lat, victim, fetched_version, serviced) =
                 self.case_c_invalidate(node, line, off, true)?;
             self.purge_local_slice_replica(node, line);
-            self.check_load(line, fetched_version);
+            self.oracle.check_load(line, fetched_version);
             let victim = match victim {
                 Some(v) if v != Li::Mem => v,
                 _ => self.alloc_llc_slot(node, line, VICTIM_SLOT)?,

@@ -20,6 +20,7 @@ use d2m_cache::{Banked, SetAssoc, Tlb};
 use d2m_common::addr::{LineAddr, NodeId, RegionAddr};
 use d2m_common::config::MachineConfig;
 use d2m_common::oracle::VersionOracle;
+use d2m_common::outcome::AccessTally;
 use d2m_common::rng::SimRng;
 use d2m_common::stats::Counters;
 use d2m_energy::{EnergyAccount, EnergyModel};
@@ -146,6 +147,7 @@ pub struct D2mSystem {
     pub(crate) energy: EnergyAccount,
     pub(crate) oracle: VersionOracle,
     pub(crate) rng: SimRng,
+    pub(crate) tally: AccessTally,
     pub(crate) ctr: D2mCounters,
     pub(crate) ev: ProtocolEvents,
     /// Replacements per slice in the current pressure window (§IV-B).
@@ -219,6 +221,7 @@ impl D2mSystem {
             energy: EnergyAccount::new(EnergyModel::default()),
             oracle: VersionOracle::new(),
             rng: SimRng::from_label(seed, "d2m/policy"),
+            tally: AccessTally::default(),
             ctr: D2mCounters::default(),
             ev: ProtocolEvents::default(),
             pressure: vec![0; n],
@@ -306,7 +309,7 @@ impl D2mSystem {
 
     /// Value-coherence violations observed (must stay zero).
     pub fn coherence_errors(&self) -> u64 {
-        self.ctr.coherence_errors
+        self.oracle.violations()
     }
 
     /// Always 0. A deterministic-LI violation fails its transaction with
@@ -316,10 +319,13 @@ impl D2mSystem {
         0
     }
 
-    /// Named counter snapshot (events + protocol cases + messages).
+    /// Named counter snapshot (per-access tally + events + protocol cases +
+    /// oracle violations + messages).
     pub fn counters(&self) -> Counters {
         let mut c = self.ctr.to_counters();
+        self.tally.export(&mut c);
         c.merge_prefixed("", &self.ev.to_counters());
+        c.set("coherence_errors", self.oracle.violations());
         c.merge_prefixed("noc.", &self.noc.counters());
         c.set("lockbits.acquisitions", self.lockbits.acquisitions());
         c.set("lockbits.collisions", self.lockbits.collisions());

@@ -10,7 +10,8 @@ use d2m_common::rng::SimRng;
 use d2m_noc::MsgClass;
 use d2m_workloads::{catalog, Access, AccessKind, TraceGen};
 
-use crate::system::{D2mSystem, D2mVariant};
+use crate::li::Li;
+use crate::system::{ArrKind, D2mSystem, D2mVariant};
 
 fn small_cfg() -> MachineConfig {
     // Tiny structures force heavy eviction traffic, exercising the E/F and
@@ -430,12 +431,12 @@ fn code_and_data_sides_are_separate() {
     let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     let va = 0xc00_0000u64;
     sys.access(&acc(0, AccessKind::IFetch, va), 0).unwrap();
-    assert_eq!(sys.raw_counters().l1i_misses, 1);
+    assert_eq!(sys.counters().get("l1i.misses"), 1);
     // A data load of the same line misses in L1-D and moves the region's
     // active metadata to the data side.
     let r = sys.access(&acc(0, AccessKind::Load, va), 0).unwrap();
     assert!(!r.l1_hit);
-    assert_eq!(sys.raw_counters().l1d_misses, 1);
+    assert_eq!(sys.counters().get("l1d.misses"), 1);
     sys.check_invariants().unwrap();
 }
 
@@ -571,6 +572,7 @@ fn dbg_pkmo_breakdown() {
     }
     let w = *sys.protocol_events();
     let wc = *sys.raw_counters();
+    let wt = sys.counters();
     for _ in 0..8000 {
         batch.clear();
         gen.next_batch(&mut batch);
@@ -580,6 +582,8 @@ fn dbg_pkmo_breakdown() {
     }
     let e = sys.protocol_events();
     let c = sys.raw_counters();
+    let t = sys.counters();
+    let l1_misses = |side: &str| t.get(side) - wt.get(side);
     println!("A={} B={} C={} D={} (d1={} d2={} d3={} d4={}) E={} F={} prune={} md2evict={} md3evict={} l1d_miss={} l1i_miss={} md1h={}/{} md2h={}/{}",
         e.a_read_md_hit-w.a_read_md_hit, e.b_write_private-w.b_write_private,
         e.c_write_shared-w.c_write_shared, e.d_md_miss-w.d_md_miss,
@@ -587,7 +591,7 @@ fn dbg_pkmo_breakdown() {
         e.d3_shared_to_shared-w.d3_shared_to_shared, e.d4_uncached_to_private-w.d4_uncached_to_private,
         e.e_evict_private-w.e_evict_private, e.f_evict_shared-w.f_evict_shared,
         c.md2_prunes-wc.md2_prunes, c.md2_evictions-wc.md2_evictions, c.md3_evictions-wc.md3_evictions,
-        c.l1d_misses-wc.l1d_misses, c.l1i_misses-wc.l1i_misses,
+        l1_misses("l1d.misses"), l1_misses("l1i.misses"),
         c.md1_hits-wc.md1_hits, c.md1_accesses-wc.md1_accesses,
         c.md2_hits-wc.md2_hits, c.md2_accesses-wc.md2_accesses);
 }
@@ -821,13 +825,40 @@ fn shared_write_hit_after_master_slot_eviction_keeps_rps_valid() {
     // write miss — either way the new master's RP must name a live victim.
     sys.access(&acc(0, AccessKind::Store, va), 1_000_000)
         .unwrap();
-    sys.debug_validate_rps().unwrap();
     sys.check_invariants().unwrap();
 
     // And the value must be visible everywhere.
     sys.access(&acc(1, AccessKind::Load, va), 2_000_000)
         .unwrap();
     assert_eq!(sys.coherence_errors(), 0);
+}
+
+#[test]
+fn check_invariants_names_a_master_rp_at_another_lines_slot() {
+    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
+    let line_of = |va: u64| d2m_common::addr::translate(Asid(0), VAddr::new(va)).line();
+    let va_a = 0x100_0000u64;
+    let a = line_of(va_a);
+    let set = sys.llc_set(a, 0);
+    // A line of another region in A's LLC set: both stores leave a master in
+    // node 0's L1-D whose RP names a victim slot in that set.
+    let va_b = (1..)
+        .map(|i| 0x200_0000u64 + i * 64)
+        .find(|&va| sys.llc_set(line_of(va), 0) == set)
+        .unwrap();
+    let b = line_of(va_b);
+    sys.access(&acc(0, AccessKind::Store, va_a), 0).unwrap();
+    sys.access(&acc(0, AccessKind::Store, va_b), 0).unwrap();
+    sys.check_invariants().unwrap();
+
+    let b_way = sys.llc.way_of(0, set, b.raw()).expect("B's victim slot");
+    let bad = Li::LlcFs { way: b_way as u8 };
+    let (kind, s, w) = sys.node_slot_of(0, a).expect("A's master in node 0");
+    let dl = sys.l1d.at_mut(0, s, w).expect("occupied").1;
+    assert!(kind == ArrKind::L1D && dl.master && dl.rp != bad);
+    dl.rp = bad;
+    let err = sys.check_invariants().unwrap_err();
+    assert!(err.contains(&format!("rp {bad:?}")), "{err}");
 }
 
 #[test]

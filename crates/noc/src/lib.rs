@@ -279,13 +279,13 @@ impl ToJson for TrafficMatrix {
     }
 }
 
-/// Interconnect accumulator: counts messages and bytes, returns hop latency.
+/// Interconnect accumulator: counts messages per class, returns hop
+/// latency. Message totals and byte counts derive from the per-class counts
+/// and each class's payload size.
 #[derive(Clone, Debug)]
 pub struct Noc {
     hop_latency: u64,
     counts: [u64; MSG_CLASSES],
-    header_bytes: u64,
-    data_bytes: u64,
     matrix: Option<TrafficMatrix>,
 }
 
@@ -295,8 +295,6 @@ impl Noc {
         Self {
             hop_latency,
             counts: [0; MSG_CLASSES],
-            header_bytes: 0,
-            data_bytes: 0,
             matrix: None,
         }
     }
@@ -323,8 +321,6 @@ impl Noc {
             return 0;
         }
         self.counts[class.idx()] += 1;
-        self.header_bytes += 8;
-        self.data_bytes += class.payload_bytes() as u64;
         if let Some(m) = self.matrix.as_mut() {
             m.record(class, from, to);
         }
@@ -345,8 +341,6 @@ impl Noc {
     pub fn offchip(&mut self, class: MsgClass) {
         assert!(class.is_offchip(), "{class:?} is not off-chip");
         self.counts[class.idx()] += 1;
-        self.header_bytes += 8;
-        self.data_bytes += class.payload_bytes() as u64;
     }
 
     /// Records a multicast from `from` to every endpoint in `to`, returning
@@ -385,14 +379,10 @@ impl Noc {
         self.counts[class.idx()]
     }
 
-    /// Total bytes moved on-chip (headers + payloads, memory traffic
-    /// excluded).
+    /// Total bytes moved on-chip (8-byte headers + payloads, memory
+    /// traffic excluded).
     pub fn onchip_bytes(&self) -> u64 {
-        let off: u64 = [MsgClass::MemRead, MsgClass::MemWrite]
-            .iter()
-            .map(|c| self.counts[c.idx()] * (8 + c.payload_bytes() as u64))
-            .sum();
-        self.header_bytes + self.data_bytes - off
+        8 * self.messages() + self.onchip_data_bytes()
     }
 
     /// Data-only bytes moved on-chip (the paper's "data traffic" metric).
@@ -402,11 +392,6 @@ impl Noc {
             .filter(|c| !c.is_offchip())
             .map(|c| self.counts[c.idx()] * c.payload_bytes() as u64)
             .sum()
-    }
-
-    /// Hop latency parameter.
-    pub fn hop_latency(&self) -> u64 {
-        self.hop_latency
     }
 
     /// Snapshot as named counters (`msg.<class>` plus aggregates).

@@ -129,54 +129,26 @@ d2m_common::impl_json_struct!(RunConfig {
     seed,
 });
 
+/// What the measured L1 misses tell that no hierarchy counter holds: their
+/// latency distribution, the near-side hits per side (Table IV) and the
+/// memory-serviced count. The miss counts themselves are the hierarchy's.
 #[derive(Default, Clone)]
 struct ServeTally {
     miss_hist: d2m_common::stats::Histogram,
-    ns_local_i: u64,
-    ns_local_d: u64,
-    l2_i: u64,
-    l2_d: u64,
-    llc_level_i: u64,
-    llc_level_d: u64,
-    miss_i: u64,
-    miss_d: u64,
+    /// Misses serviced next to the node, per side (`[i, d]`): by its own NS
+    /// slice in D2M-NS/NS-R, by its private L2 in Base-3L. No system
+    /// reports both.
+    near: [u64; 2],
     mem_serviced: u64,
-    misses: u64,
 }
 
 impl ServeTally {
     fn record(&mut self, is_i: bool, serviced: ServicedBy, latency: u64) {
         self.miss_hist.record(latency);
-        self.misses += 1;
-        if is_i {
-            self.miss_i += 1;
-        } else {
-            self.miss_d += 1;
-        }
         match serviced {
-            ServicedBy::LocalNs => {
-                if is_i {
-                    self.ns_local_i += 1;
-                } else {
-                    self.ns_local_d += 1;
-                }
-            }
-            ServicedBy::L2 => {
-                if is_i {
-                    self.l2_i += 1;
-                } else {
-                    self.l2_d += 1;
-                }
-            }
+            ServicedBy::LocalNs | ServicedBy::L2 => self.near[usize::from(!is_i)] += 1,
             ServicedBy::Mem => self.mem_serviced += 1,
             _ => {}
-        }
-        if serviced.is_llc_level() {
-            if is_i {
-                self.llc_level_i += 1;
-            } else {
-                self.llc_level_d += 1;
-            }
         }
     }
 }
@@ -575,16 +547,6 @@ fn run_core<P: Probe + ?Sized>(
             num as f64 / den as f64
         }
     };
-    let (ns_i, ns_d) = match kind {
-        SystemKind::Base3L => (
-            ratio(tally.l2_i, tally.miss_i),
-            ratio(tally.l2_d, tally.miss_d),
-        ),
-        _ => (
-            ratio(tally.ns_local_i, tally.miss_i),
-            ratio(tally.ns_local_d, tally.miss_d),
-        ),
-    };
     let private_misses = delta.get("private.misses");
     let classified = delta.get("private.classified");
     let dir_or_md3 = if kind.is_d2m() {
@@ -613,12 +575,12 @@ fn run_core<P: Probe + ?Sized>(
         l1d_miss_pct: delta.get("l1d.misses") as f64 / pct,
         late_i_pct: delta.get("late_hits.i") as f64 / pct,
         late_d_pct: delta.get("late_hits.d") as f64 / pct,
-        ns_hit_ratio_i: ns_i,
-        ns_hit_ratio_d: ns_d,
+        ns_hit_ratio_i: ratio(tally.near[0], delta.get("l1i.misses")),
+        ns_hit_ratio_d: ratio(tally.near[1], delta.get("l1d.misses")),
         avg_miss_latency: miss_latency_sum / miss_count,
         p50_miss_latency: tally.miss_hist.quantile(0.5),
         p95_miss_latency: tally.miss_hist.quantile(0.95),
-        mem_service_frac: ratio(tally.mem_serviced, tally.misses),
+        mem_service_frac: ratio(tally.mem_serviced, delta.get("miss_count")),
         energy_pj,
         edp,
         d2m_energy_frac: dynamic_d2m / energy_pj.max(f64::MIN_POSITIVE),

@@ -139,27 +139,6 @@ impl AnySystem {
         }
     }
 
-    /// Like [`AnySystem::access`], reporting the transaction to `probe` as
-    /// one [`TxnEvent`]: its lookup level, endpoint, on-chip message count
-    /// and latency. The probe only reads the outcome: the simulation is the
-    /// same as [`AnySystem::access`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AnySystem::access`]; a failed transaction reports no event.
-    #[inline]
-    pub fn access_probed<P: Probe + ?Sized>(
-        &mut self,
-        a: &Access,
-        now: u64,
-        probe: &mut P,
-    ) -> Result<AccessResult, ProtocolError> {
-        let msgs0 = self.noc().messages();
-        let r = self.access(a, now)?;
-        report_txn(probe, a, &r, self.noc().messages() - msgs0);
-        Ok(r)
-    }
-
     /// Counter snapshot.
     pub fn counters(&self) -> Counters {
         match self {

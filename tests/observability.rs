@@ -1,77 +1,58 @@
 //! The observability layer's two contracts, end to end:
 //!
-//! 1. **Zero cost when off, zero perturbation when on.** Driving a system
-//!    through `access_probed` — with no probe, a [`NoopProbe`], or a full
-//!    [`RecordingProbe`] — must leave every counter byte-identical to the
-//!    plain `access` path. The probe only *reads* the transaction stream.
+//! 1. **Zero cost when off, zero perturbation when on.** An observed run
+//!    (`run_one_observed`: a [`RecordingProbe`] fed every transaction, plus
+//!    the traffic matrix) must produce metrics byte-identical to the plain
+//!    `run_one_checked`, whose loop is built with the no-op probe. The probe
+//!    only *reads* the transaction stream.
 //! 2. **Deterministic aggregation.** An observed sweep's histogram JSON is
 //!    byte-identical regardless of the worker-thread count, like the scalar
 //!    sweep JSON before it.
+//!
+//! [`RecordingProbe`]: d2m_common::probe::RecordingProbe
 
 use d2m_common::json::ToJson;
-use d2m_common::probe::{NoopProbe, Probe, RecordingProbe};
-use d2m_common::stats::Counters;
 use d2m_common::MachineConfig;
 use d2m_sim::{
     run_one_checked, run_one_observed, run_sweep_observed_with_jobs, run_sweep_with_jobs,
-    AnySystem, ConfigPoint, RunConfig, SweepSpec, SystemKind,
+    ConfigPoint, RunConfig, SweepSpec, SystemKind,
 };
-use d2m_workloads::{catalog, Access, TraceGen};
+use d2m_workloads::catalog;
 
-fn trace(workload: &str, seed: u64, batches: usize) -> Vec<Access> {
-    let spec = catalog::by_name(workload).expect("catalog workload");
-    let mut gen = TraceGen::new(&spec, 8, seed);
-    let mut out = Vec::new();
-    for _ in 0..batches {
-        gen.next_batch(&mut out);
+fn rc(seed: u64) -> RunConfig {
+    RunConfig {
+        instructions: 30_000,
+        warmup_instructions: 10_000,
+        seed,
     }
-    out
-}
-
-fn drive(kind: SystemKind, accs: &[Access], mut probe: Option<&mut dyn Probe>) -> Counters {
-    let cfg = MachineConfig::default();
-    let mut sys = AnySystem::build(kind, &cfg, 1);
-    for a in accs {
-        match probe.as_deref_mut() {
-            Some(p) => sys.access_probed(a, 0, p).unwrap(),
-            None => sys.access(a, 0).unwrap(),
-        };
-    }
-    sys.counters()
 }
 
 #[test]
 fn probes_never_perturb_the_simulation() {
-    let accs = trace("swaptions", 11, 20);
+    let cfg = MachineConfig::default();
+    let spec = catalog::by_name("swaptions").unwrap();
     for kind in [SystemKind::Base2L, SystemKind::Base3L, SystemKind::D2mNsR] {
-        let plain = drive(kind, &accs, None);
-        let mut noop = NoopProbe;
-        let nooped = drive(kind, &accs, Some(&mut noop));
-        let mut rec = RecordingProbe::new();
-        let recorded = drive(kind, &accs, Some(&mut rec));
+        let plain = run_one_checked(kind, &cfg, &spec, &rc(11)).unwrap();
+        let obs = run_one_observed(kind, &cfg, &spec, &rc(11)).unwrap();
         assert_eq!(
-            plain.to_json().to_string_pretty(),
-            nooped.to_json().to_string_pretty(),
-            "{}: NoopProbe changed counters",
+            plain.to_json().to_string_compact(),
+            obs.metrics.to_json().to_string_compact(),
+            "{}: the RecordingProbe changed the metrics",
             kind.name()
         );
-        assert_eq!(
-            plain.to_json().to_string_pretty(),
-            recorded.to_json().to_string_pretty(),
-            "{}: RecordingProbe changed counters",
-            kind.name()
-        );
-        assert_eq!(rec.events, accs.len() as u64, "{}", kind.name());
-        assert_eq!(rec.latency.count(), accs.len() as u64, "{}", kind.name());
     }
 }
 
 #[test]
 fn recording_probe_tallies_are_consistent() {
-    let accs = trace("tpc-c", 37, 20);
-    let mut rec = RecordingProbe::new();
-    drive(SystemKind::D2mNsR, &accs, Some(&mut rec));
-    let n = accs.len() as u64;
+    let cfg = MachineConfig::default();
+    let spec = catalog::by_name("tpc-c").unwrap();
+    let obs = run_one_observed(SystemKind::D2mNsR, &cfg, &spec, &rc(37)).unwrap();
+    let rec = &obs.probe;
+    // One event per access the hierarchy counted, warmup and measured.
+    let n = obs.warmup_counters.get("accesses") + obs.metrics.counters.get("accesses");
+    assert_eq!(rec.events, n);
+    assert_eq!(rec.latency.count(), n);
     assert_eq!(rec.by_kind.iter().sum::<u64>(), n);
     assert_eq!(rec.by_level.iter().sum::<u64>(), n);
     assert_eq!(rec.by_serviced.iter().sum::<u64>(), n);
@@ -86,14 +67,9 @@ fn recording_probe_tallies_are_consistent() {
 fn observed_run_metrics_equal_plain_run_metrics() {
     let cfg = MachineConfig::default();
     let spec = catalog::by_name("swaptions").unwrap();
-    let rc = RunConfig {
-        instructions: 30_000,
-        warmup_instructions: 10_000,
-        seed: 3,
-    };
     for kind in [SystemKind::Base3L, SystemKind::D2mNs] {
-        let plain = run_one_checked(kind, &cfg, &spec, &rc).unwrap();
-        let obs = run_one_observed(kind, &cfg, &spec, &rc).unwrap();
+        let plain = run_one_checked(kind, &cfg, &spec, &rc(3)).unwrap();
+        let obs = run_one_observed(kind, &cfg, &spec, &rc(3)).unwrap();
         assert_eq!(
             plain.to_json().to_string_pretty(),
             obs.metrics.to_json().to_string_pretty(),
