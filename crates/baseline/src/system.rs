@@ -747,15 +747,13 @@ impl Baseline {
         if has_l2 {
             let l2 = self.nodes[n].l2.as_mut().expect("3L");
             let s2 = l2.set_index(key);
-            if let Some(w2) = l2.way_of(s2, key) {
-                let (_, v2) = l2.at_mut(s2, w2).expect("occupied");
-                v2.version = version;
-                v2.state = Mesi::Modified;
-                return;
-            }
-            // Inclusion should prevent this, but fall through to LLC if the
-            // L2 copy vanished (back-invalidation race is impossible here,
-            // so this is defensive).
+            let w2 = l2
+                .way_of(s2, key)
+                .expect("L2 inclusion: an L1 victim's line has an L2 copy");
+            let (_, v2) = l2.at_mut(s2, w2).expect("occupied");
+            v2.version = version;
+            v2.state = Mesi::Modified;
+            return;
         }
         self.noc.send(
             MsgClass::WbData,

@@ -27,7 +27,6 @@
 //! assert_eq!(back.get("cycles").and_then(Json::as_u64), Some(1234));
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::stats::Counters;
@@ -74,14 +73,6 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Array element access; `None` for non-arrays/out-of-range.
-    pub fn at(&self, idx: usize) -> Option<&Json> {
-        match self {
-            Json::Arr(items) => items.get(idx),
             _ => None,
         }
     }
@@ -587,16 +578,6 @@ impl FromJson for Counters {
     }
 }
 
-impl ToJson for BTreeMap<String, u64> {
-    fn to_json(&self) -> Json {
-        Json::Obj(
-            self.iter()
-                .map(|(k, v)| (k.clone(), Json::U64(*v)))
-                .collect(),
-        )
-    }
-}
-
 /// Implements [`ToJson`] and [`FromJson`] for a struct with named fields.
 ///
 /// All listed fields are serialized in declaration order and are required on
@@ -672,18 +653,12 @@ mod tests {
     #[test]
     fn parse_nested_document() {
         let v = Json::parse(r#"{"a": [1, 2.5, {"b": "x\n"}], "c": null}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().at(0).unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("a").unwrap().at(1).unwrap().as_f64(), Some(2.5));
-        assert_eq!(
-            v.get("a")
-                .unwrap()
-                .at(2)
-                .unwrap()
-                .get("b")
-                .unwrap()
-                .as_str(),
-            Some("x\n")
-        );
+        let Some(Json::Arr(a)) = v.get("a") else {
+            panic!("\"a\" is not an array");
+        };
+        assert_eq!(a[0].as_u64(), Some(1));
+        assert_eq!(a[1].as_f64(), Some(2.5));
+        assert_eq!(a[2].get("b").unwrap().as_str(), Some("x\n"));
         assert_eq!(v.get("c"), Some(&Json::Null));
     }
 

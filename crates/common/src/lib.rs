@@ -13,6 +13,11 @@
 //! * [`json`] — minimal deterministic JSON (the workspace builds without
 //!   external crates; byte-stable output is what the sweep engine's
 //!   determinism guarantee is stated in terms of).
+//! * [`outcome`] — the per-access result every hierarchy returns
+//!   ([`AccessResult`]) and the per-access counts each hierarchy keeps
+//!   ([`AccessTally`]).
+//! * [`probe`] — the [`RecordingProbe`] an observed run records every
+//!   access result into, and the [`LookupLevel`] a result names.
 //! * [`rng`] — deterministic, stream-splittable random number generation so
 //!   that every simulation is exactly reproducible.
 //! * [`stats`] — counter registries, histograms and running means used for
@@ -51,6 +56,6 @@ pub use fasthash::{fnv1a_64, FastHasher, FastMap};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use oracle::VersionOracle;
 pub use outcome::{AccessResult, AccessTally, ServicedBy};
-pub use probe::{LookupLevel, NoopProbe, Probe, RecordingProbe, TxnEvent, TxnKind};
+pub use probe::{LookupLevel, RecordingProbe};
 pub use rng::{derive_stream_seed, Bernoulli, SimRng, Zipf};
 pub use stats::Counters;

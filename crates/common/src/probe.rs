@@ -1,54 +1,19 @@
-//! Zero-cost-when-off transaction observability.
+//! Per-access observability for observed runs.
 //!
 //! The hierarchies only simulate: each access returns an
-//! [`crate::outcome::AccessResult`] that names its [`LookupLevel`]. The
-//! runner (`d2m-sim`) does the observing, generic over `P: Probe + ?Sized`:
-//! with [`NoopProbe`] the loop compiles down to the unprobed path (no event
-//! construction, no branch). With a recording probe, every completed
-//! transaction is reported as a typed [`TxnEvent`] — which metadata level
-//! resolved the lookup, which endpoint serviced the data, how many
-//! interconnect messages the transaction generated — so a run can be
-//! dissected per level and per service endpoint without touching the
-//! aggregate counters the figures are built from.
-//!
-//! [`NoopProbe`] discards everything (the "off" value);
-//! [`RecordingProbe`] accumulates deterministic, mergeable distributions and
-//! renders them as [`crate::json`] for the CLI's `--histograms`/`--trace-out`
-//! output.
+//! [`AccessResult`] that names its [`LookupLevel`]. An observed run's loop
+//! (`d2m-sim`'s runner) feeds every result, with the on-chip messages the
+//! access sent, to a [`RecordingProbe`] through [`RecordingProbe::record`];
+//! an unobserved run's loop holds no probe code at all. The probe counts
+//! which metadata level resolved each lookup and which endpoint serviced its
+//! data, so a run can be dissected per level and per service endpoint
+//! without touching the aggregate counters the figures are built from. It
+//! accumulates deterministic, mergeable distributions and renders them as
+//! [`crate::json`] for the CLI's `--histograms`/`--trace-out` output.
 
 use crate::json::{Json, ToJson};
-use crate::outcome::ServicedBy;
+use crate::outcome::{AccessResult, ServicedBy};
 use crate::stats::Histogram;
-
-/// The access kind, as seen by the observability layer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum TxnKind {
-    /// Instruction fetch.
-    IFetch,
-    /// Data load.
-    Load,
-    /// Data store.
-    Store,
-}
-
-impl TxnKind {
-    /// All kinds, in report order.
-    pub const ALL: [TxnKind; 3] = [TxnKind::IFetch, TxnKind::Load, TxnKind::Store];
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TxnKind::IFetch => "ifetch",
-            TxnKind::Load => "load",
-            TxnKind::Store => "store",
-        }
-    }
-
-    /// Position in [`Self::ALL`].
-    pub fn index(self) -> usize {
-        self as usize
-    }
-}
 
 /// The deepest lookup structure a transaction's *metadata resolution*
 /// reached: MD1/MD2/MD3 for D2M, L1 tags / L2 tags / directory+LLC tags for
@@ -83,65 +48,24 @@ impl LookupLevel {
     }
 }
 
-/// One completed memory transaction, as reported to a [`Probe`].
-#[derive(Clone, Copy, Debug)]
-pub struct TxnEvent {
-    /// Issuing node.
-    pub node: u8,
-    /// Access kind.
-    pub kind: TxnKind,
-    /// Deepest metadata/tag level the lookup reached.
-    pub level: LookupLevel,
-    /// True when the access hit in L1.
-    pub l1_hit: bool,
-    /// True for a late hit (fill in flight).
-    pub late: bool,
-    /// On a private-cache miss: whether the region was classified private
-    /// (D2M only; `None` for hits and baselines).
-    pub private_miss: Option<bool>,
-    /// Endpoint that serviced the data.
-    pub serviced: ServicedBy,
-    /// On-chip messages this transaction put on the interconnect.
-    pub hops: u64,
-    /// End-to-end latency in cycles.
-    pub latency: u64,
-}
-
-/// Receiver of transaction events. All methods default to no-ops so
-/// implementations only override what they observe.
-pub trait Probe {
-    /// One completed transaction.
-    fn txn(&mut self, ev: &TxnEvent);
-
-    /// A named phase boundary (e.g. `"warmup"` → `"measured"`).
-    fn phase(&mut self, name: &str) {
-        let _ = name;
-    }
-}
-
-/// A probe that discards every event.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoopProbe;
-
-impl Probe for NoopProbe {
-    fn txn(&mut self, _ev: &TxnEvent) {}
-}
-
 /// Number of latency-histogram buckets a [`RecordingProbe`] keeps: latencies
 /// are bounded by a few memory round trips, 2^16 cycles is far above any.
 const LATENCY_BUCKETS: usize = 16;
-/// Hop counts per transaction are small; 2^8 is a generous ceiling.
+/// On-chip messages per access are few; 2^8 is a generous ceiling.
 const HOP_BUCKETS: usize = 8;
+
+/// The access kinds' report names, in [`RecordingProbe::by_kind`] order.
+const KIND_NAMES: [&str; 3] = ["ifetch", "load", "store"];
 
 /// A probe that accumulates deterministic, mergeable distributions.
 ///
-/// Everything recorded here is a pure function of the event stream, so two
-/// probes fed the same transactions — regardless of wall-clock interleaving
+/// Everything recorded here is a pure function of the recorded accesses, so
+/// two probes fed the same accesses — regardless of wall-clock interleaving
 /// with other cells — serialize to byte-identical JSON via
 /// [`Self::report`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecordingProbe {
-    /// Total transactions observed.
+    /// Total accesses observed.
     pub events: u64,
     /// L1 hits among them.
     pub l1_hits: u64,
@@ -151,19 +75,20 @@ pub struct RecordingProbe {
     pub private_misses: u64,
     /// Misses classified to shared regions.
     pub shared_misses: u64,
-    /// Transactions by [`TxnKind`] (index order).
+    /// Accesses by kind: instruction fetches, loads, stores.
     pub by_kind: [u64; 3],
-    /// Transactions by [`LookupLevel`] (index order).
+    /// Accesses by [`LookupLevel`] (index order).
     pub by_level: [u64; 3],
-    /// Transactions by [`ServicedBy`] (index order).
+    /// Accesses by [`ServicedBy`] (index order).
     pub by_serviced: [u64; 7],
-    /// Log2-bucketed latency distribution over all transactions.
+    /// Log2-bucketed latency distribution over all accesses.
     pub latency: Histogram,
     /// Latency distribution per service endpoint ([`ServicedBy::ALL`] order).
     pub latency_by_serviced: Vec<Histogram>,
-    /// Log2-bucketed on-chip hop-count distribution.
+    /// Log2-bucketed distribution of the on-chip messages each access put
+    /// on the interconnect (reported under the key `hops`).
     pub hops: Histogram,
-    /// Phase markers: `(name, events observed when the marker arrived)`.
+    /// Phase markers: `(name, accesses observed when the marker arrived)`.
     pub phases: Vec<(String, u64)>,
 }
 
@@ -190,6 +115,38 @@ impl RecordingProbe {
     /// Creates an empty probe.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Records one access, an instruction fetch when `ifetch` is set and
+    /// otherwise a store or a load as `store` says, whose outcome was `r`
+    /// and which put `msgs` on-chip messages on the interconnect.
+    #[inline]
+    pub fn record(&mut self, ifetch: bool, store: bool, r: &AccessResult, msgs: u64) {
+        self.events += 1;
+        if r.l1_hit {
+            self.l1_hits += 1;
+        }
+        if r.late {
+            self.late_hits += 1;
+        }
+        match r.private_miss {
+            Some(true) => self.private_misses += 1,
+            Some(false) => self.shared_misses += 1,
+            None => {}
+        }
+        let kind = if ifetch { 0 } else { 1 + usize::from(store) };
+        self.by_kind[kind] += 1;
+        self.by_level[r.level.index()] += 1;
+        self.by_serviced[r.serviced_by.index()] += 1;
+        self.latency.record(r.latency);
+        self.latency_by_serviced[r.serviced_by.index()].record(r.latency);
+        self.hops.record(msgs);
+    }
+
+    /// Marks a named phase boundary (e.g. `"warmup"` → `"measured"`) at the
+    /// current access count.
+    pub fn phase(&mut self, name: &str) {
+        self.phases.push((name.to_string(), self.events));
     }
 
     /// Merges another probe's accumulations into this one (phase markers are
@@ -230,7 +187,6 @@ impl RecordingProbe {
                     .collect(),
             )
         };
-        let kind_names: Vec<&str> = TxnKind::ALL.iter().map(|k| k.name()).collect();
         let level_names: Vec<&str> = LookupLevel::ALL.iter().map(|l| l.name()).collect();
         let serviced_names: Vec<&str> = ServicedBy::ALL.iter().map(|s| s.name()).collect();
         Json::Obj(vec![
@@ -239,7 +195,7 @@ impl RecordingProbe {
             ("late_hits".to_string(), Json::U64(self.late_hits)),
             ("private_misses".to_string(), Json::U64(self.private_misses)),
             ("shared_misses".to_string(), Json::U64(self.shared_misses)),
-            ("by_kind".to_string(), count_map(&kind_names, &self.by_kind)),
+            ("by_kind".to_string(), count_map(&KIND_NAMES, &self.by_kind)),
             (
                 "by_level".to_string(),
                 count_map(&level_names, &self.by_level),
@@ -282,63 +238,33 @@ impl RecordingProbe {
     }
 }
 
-impl Probe for RecordingProbe {
-    fn txn(&mut self, ev: &TxnEvent) {
-        self.events += 1;
-        if ev.l1_hit {
-            self.l1_hits += 1;
-        }
-        if ev.late {
-            self.late_hits += 1;
-        }
-        match ev.private_miss {
-            Some(true) => self.private_misses += 1,
-            Some(false) => self.shared_misses += 1,
-            None => {}
-        }
-        self.by_kind[ev.kind.index()] += 1;
-        self.by_level[ev.level.index()] += 1;
-        self.by_serviced[ev.serviced.index()] += 1;
-        self.latency.record(ev.latency);
-        self.latency_by_serviced[ev.serviced.index()].record(ev.latency);
-        self.hops.record(ev.hops);
-    }
-
-    fn phase(&mut self, name: &str) {
-        self.phases.push((name.to_string(), self.events));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ev(kind: TxnKind, level: LookupLevel, serviced: ServicedBy) -> TxnEvent {
-        TxnEvent {
-            node: 0,
-            kind,
-            level,
-            l1_hit: serviced == ServicedBy::L1,
-            late: false,
-            private_miss: if serviced == ServicedBy::L1 {
-                None
-            } else {
-                Some(true)
-            },
-            serviced,
-            hops: 2,
+    /// A miss (or an L1 hit when `serviced` is L1) of 40 cycles that sent
+    /// two messages, as a load unless `kind` says otherwise.
+    fn rec(p: &mut RecordingProbe, kind: &str, level: LookupLevel, serviced: ServicedBy) {
+        let l1_hit = serviced == ServicedBy::L1;
+        let r = AccessResult {
             latency: 40,
-        }
+            l1_hit,
+            late: false,
+            serviced_by: serviced,
+            private_miss: if l1_hit { None } else { Some(true) },
+            level,
+        };
+        p.record(kind == "ifetch", kind == "store", &r, 2);
     }
 
     #[test]
     fn recording_probe_attributes_events() {
         let mut p = RecordingProbe::new();
         p.phase("warmup");
-        p.txn(&ev(TxnKind::Load, LookupLevel::L1, ServicedBy::L1));
-        p.txn(&ev(TxnKind::Store, LookupLevel::L3, ServicedBy::Mem));
+        rec(&mut p, "load", LookupLevel::L1, ServicedBy::L1);
+        rec(&mut p, "store", LookupLevel::L3, ServicedBy::Mem);
         p.phase("measured");
-        p.txn(&ev(TxnKind::IFetch, LookupLevel::L2, ServicedBy::Llc));
+        rec(&mut p, "ifetch", LookupLevel::L2, ServicedBy::Llc);
         assert_eq!(p.events, 3);
         assert_eq!(p.l1_hits, 1);
         assert_eq!(p.private_misses, 2);
@@ -356,10 +282,10 @@ mod tests {
     #[test]
     fn merge_is_addition() {
         let mut a = RecordingProbe::new();
-        a.txn(&ev(TxnKind::Load, LookupLevel::L1, ServicedBy::L1));
+        rec(&mut a, "load", LookupLevel::L1, ServicedBy::L1);
         let mut b = RecordingProbe::new();
-        b.txn(&ev(TxnKind::Load, LookupLevel::L3, ServicedBy::Mem));
-        b.txn(&ev(TxnKind::Store, LookupLevel::L2, ServicedBy::L2));
+        rec(&mut b, "load", LookupLevel::L3, ServicedBy::Mem);
+        rec(&mut b, "store", LookupLevel::L2, ServicedBy::L2);
         let mut m = a.clone();
         m.merge(&b);
         assert_eq!(m.events, 3);
@@ -372,18 +298,11 @@ mod tests {
         let mut a = RecordingProbe::new();
         let mut b = RecordingProbe::new();
         for p in [&mut a, &mut b] {
-            p.txn(&ev(TxnKind::Load, LookupLevel::L2, ServicedBy::RemoteNs));
+            rec(p, "load", LookupLevel::L2, ServicedBy::RemoteNs);
         }
         assert_eq!(a.report().to_string_pretty(), b.report().to_string_pretty());
         let text = a.report().to_string_pretty();
         assert!(text.contains("\"by_level\""));
         assert!(text.contains("\"ns_remote\""));
-    }
-
-    #[test]
-    fn noop_probe_does_nothing() {
-        let mut p = NoopProbe;
-        p.txn(&ev(TxnKind::Load, LookupLevel::L1, ServicedBy::L1));
-        p.phase("x");
     }
 }

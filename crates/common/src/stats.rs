@@ -6,7 +6,6 @@
 //! `Counters` snapshot when asked.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// An ordered name→count map snapshot of a component's statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -55,15 +54,6 @@ impl Counters {
     /// True if no counter has been recorded.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
-    }
-}
-
-impl fmt::Display for Counters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in &self.0 {
-            writeln!(f, "{k:<48} {v}")?;
-        }
-        Ok(())
     }
 }
 
@@ -169,15 +159,6 @@ impl crate::json::ToJson for Histogram {
     }
 }
 
-impl crate::json::FromJson for Histogram {
-    fn from_json(json: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
-        Ok(Self {
-            buckets: json.field::<Vec<u64>>("buckets")?,
-            overflow: json.field::<u64>("overflow")?,
-        })
-    }
-}
-
 /// Geometric mean over a nonempty slice of positive values; the paper reports
 /// per-suite gmeans in every figure.
 ///
@@ -213,14 +194,6 @@ mod tests {
         top.merge_prefixed("n0.", &a);
         assert_eq!(top.get("n0.x.b"), 2);
         assert_eq!(top.get("n0.y.a"), 10);
-    }
-
-    #[test]
-    fn counters_display_lists_all() {
-        let mut c = Counters::new();
-        c.add("alpha", 1).add("beta", 2);
-        let s = c.to_string();
-        assert!(s.contains("alpha") && s.contains("beta"));
     }
 
     #[test]
@@ -316,15 +289,15 @@ mod tests {
 
     #[test]
     fn histogram_json_roundtrip() {
-        use crate::json::{FromJson, ToJson};
+        use crate::json::{Json, ToJson};
         let mut h = Histogram::new(6);
         h.record(1);
         h.record(40);
         h.record(u64::MAX);
         let j = h.to_json();
-        let back = Histogram::from_json(&j).unwrap();
-        assert_eq!(back, h);
-        assert_eq!(j.to_string_compact(), back.to_json().to_string_compact());
+        assert_eq!(j.field::<Vec<u64>>("buckets").unwrap(), [1, 0, 0, 0, 0, 1]);
+        assert_eq!(j.field::<u64>("overflow").unwrap(), 1);
+        assert_eq!(Json::parse(&j.to_string_compact()).unwrap(), j);
     }
 
     #[test]

@@ -558,45 +558,6 @@ fn catalog_traces_stay_coherent() {
 }
 
 #[test]
-fn dbg_pkmo_breakdown() {
-    let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
-    let spec = catalog::by_name("mix2").unwrap();
-    let mut gen = TraceGen::new(&spec, 8, 3);
-    let mut batch = Vec::new();
-    for _ in 0..4000 {
-        batch.clear();
-        gen.next_batch(&mut batch);
-        for a in &batch {
-            sys.access(a, 0).unwrap();
-        }
-    }
-    let w = *sys.protocol_events();
-    let wc = *sys.raw_counters();
-    let wt = sys.counters();
-    for _ in 0..8000 {
-        batch.clear();
-        gen.next_batch(&mut batch);
-        for a in &batch {
-            sys.access(a, 0).unwrap();
-        }
-    }
-    let e = sys.protocol_events();
-    let c = sys.raw_counters();
-    let t = sys.counters();
-    let l1_misses = |side: &str| t.get(side) - wt.get(side);
-    println!("A={} B={} C={} D={} (d1={} d2={} d3={} d4={}) E={} F={} prune={} md2evict={} md3evict={} l1d_miss={} l1i_miss={} md1h={}/{} md2h={}/{}",
-        e.a_read_md_hit-w.a_read_md_hit, e.b_write_private-w.b_write_private,
-        e.c_write_shared-w.c_write_shared, e.d_md_miss-w.d_md_miss,
-        e.d1_untracked_to_private-w.d1_untracked_to_private, e.d2_private_to_shared-w.d2_private_to_shared,
-        e.d3_shared_to_shared-w.d3_shared_to_shared, e.d4_uncached_to_private-w.d4_uncached_to_private,
-        e.e_evict_private-w.e_evict_private, e.f_evict_shared-w.f_evict_shared,
-        c.md2_prunes-wc.md2_prunes, c.md2_evictions-wc.md2_evictions, c.md3_evictions-wc.md3_evictions,
-        l1_misses("l1d.misses"), l1_misses("l1i.misses"),
-        c.md1_hits-wc.md1_hits, c.md1_accesses-wc.md1_accesses,
-        c.md2_hits-wc.md2_hits, c.md2_accesses-wc.md2_accesses);
-}
-
-#[test]
 fn bypass_skips_llc_allocation_for_streaming_regions() {
     use crate::system::D2mFeatures;
     let c = MachineConfig::default();

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use d2m_common::config::MachineConfig;
 use d2m_common::json::{Json, ToJson};
 use d2m_common::outcome::{AccessResult, ServicedBy};
-use d2m_common::probe::{NoopProbe, Probe, RecordingProbe};
+use d2m_common::probe::RecordingProbe;
 use d2m_common::stats::Counters;
 use d2m_core::ProtocolError;
 use d2m_energy::EnergyEvent;
@@ -26,7 +26,7 @@ use d2m_noc::{MsgClass, TrafficMatrix};
 use d2m_workloads::{Access, Trace, TraceGen, WorkloadSpec};
 
 use crate::metrics::{counters_delta, RunMetrics};
-use crate::systems::{report_txn, AnySystem, SystemKind};
+use crate::systems::{AnySystem, SystemKind};
 
 /// Why a run could not produce metrics.
 ///
@@ -163,8 +163,8 @@ pub struct RunObservation {
     pub metrics: RunMetrics,
     /// Absolute counter snapshot at the end of warmup.
     pub warmup_counters: Counters,
-    /// Transaction-level recording: per-level/per-endpoint counts, latency
-    /// and hop histograms, phase markers ("warmup", "measured").
+    /// Per-access recording: per-level/per-endpoint counts, latency and
+    /// message histograms, phase markers ("warmup", "measured").
     pub probe: RecordingProbe,
     /// Per-message-class traffic matrix over the whole run.
     pub traffic: TrafficMatrix,
@@ -216,7 +216,7 @@ pub fn run_one_checked(
 }
 
 /// Runs one pair with the full observability layer enabled: a
-/// [`RecordingProbe`] fed every transaction (with "warmup"/"measured" phase
+/// [`RecordingProbe`] fed every access (with "warmup"/"measured" phase
 /// markers), a per-message-class [`TrafficMatrix`], per-phase counter
 /// snapshots and the per-structure energy breakdown.
 ///
@@ -264,7 +264,7 @@ pub(crate) fn checked(
     rc: &RunConfig,
     shared: SharedTrace<'_>,
 ) -> Result<RunMetrics, RunError> {
-    run_core(sys, cfg, spec, rc, shared, &mut NoopProbe, false).map(|(m, _, _)| m)
+    run_core(sys, cfg, spec, rc, shared, None).map(|(m, _, _)| m)
 }
 
 /// Runs `sys` observed, replaying `shared` when it is set.
@@ -276,12 +276,12 @@ pub(crate) fn observe(
     shared: SharedTrace<'_>,
 ) -> Result<RunObservation, RunError> {
     let mut probe = RecordingProbe::new();
-    let (metrics, warmup_counters, sys) = run_core(sys, cfg, spec, rc, shared, &mut probe, true)?;
+    let (metrics, warmup_counters, sys) = run_core(sys, cfg, spec, rc, shared, Some(&mut probe))?;
     let traffic = sys
         .noc()
         .matrix()
         .cloned()
-        .unwrap_or_else(|| TrafficMatrix::new(cfg.nodes));
+        .expect("a probed run records its traffic matrix");
     let energy_breakdown = sys.energy().breakdown_json();
     Ok(RunObservation {
         metrics,
@@ -349,9 +349,10 @@ struct CoreTiming {
 }
 
 impl CoreTiming {
-    /// The per-access loop: runs `access` (one hierarchy's `access`, with
-    /// its probe report) on each of `accesses` at its node's clock and
-    /// advances the clocks; with `measure` set, tallies the misses.
+    /// The per-access loop: runs `access` (one hierarchy's `access`, plus
+    /// the probe record in an observed run) on each of `accesses` at its
+    /// node's clock and advances the clocks; with `measure` set, tallies the
+    /// misses.
     #[inline]
     fn replay(
         self,
@@ -385,20 +386,21 @@ impl CoreTiming {
     }
 }
 
-/// A run in progress: the system, the core clocks, the miss tally and the
-/// probe every access reports to.
-struct Run<'p, P: ?Sized> {
+/// A run in progress: the system, the core clocks, the miss tally and, in
+/// an observed run, the probe every access is recorded into.
+struct Run<'p> {
     sys: AnySystem,
     clocks: Vec<f64>,
     tally: ServeTally,
-    probe: &'p mut P,
+    probe: Option<&'p mut RecordingProbe>,
     core: CoreTiming,
 }
 
-impl<P: Probe + ?Sized> Run<'_, P> {
-    /// Runs one batch: one `match` on the system, then the per-access loop
-    /// built for that hierarchy and probe. Each access reports to the probe
-    /// through [`report_txn`], with the messages it sent.
+impl Run<'_> {
+    /// Runs one batch: one `match` on the system and the probe, then the
+    /// per-access loop built for that pair. Unobserved, the loop only calls
+    /// `access`; observed, it records each result into the probe with the
+    /// messages the access sent.
     fn batch(&mut self, accesses: &[Access], measure: bool) -> Result<(), ProtocolError> {
         let Self {
             sys,
@@ -407,19 +409,33 @@ impl<P: Probe + ?Sized> Run<'_, P> {
             probe,
             core,
         } = self;
-        match sys {
-            AnySystem::Base(s) => core.replay(clocks, tally, measure, accesses, |a, now| {
-                let msgs0 = s.noc().messages();
-                let r = s.access(a, now);
-                report_txn(&mut **probe, a, &r, s.noc().messages() - msgs0);
-                Ok(r)
-            }),
-            AnySystem::D2m(s) => core.replay(clocks, tally, measure, accesses, |a, now| {
-                let msgs0 = s.noc().messages();
-                let r = s.access(a, now)?;
-                report_txn(&mut **probe, a, &r, s.noc().messages() - msgs0);
-                Ok(r)
-            }),
+        match (sys, probe) {
+            (AnySystem::Base(s), None) => {
+                core.replay(clocks, tally, measure, accesses, |a, now| {
+                    Ok(s.access(a, now))
+                })
+            }
+            (AnySystem::D2m(s), None) => {
+                core.replay(clocks, tally, measure, accesses, |a, now| s.access(a, now))
+            }
+            (AnySystem::Base(s), Some(p)) => {
+                core.replay(clocks, tally, measure, accesses, |a, now| {
+                    let msgs0 = s.noc().messages();
+                    let r = s.access(a, now);
+                    let msgs = s.noc().messages() - msgs0;
+                    p.record(a.kind.is_ifetch(), a.kind.is_store(), &r, msgs);
+                    Ok(r)
+                })
+            }
+            (AnySystem::D2m(s), Some(p)) => {
+                core.replay(clocks, tally, measure, accesses, |a, now| {
+                    let msgs0 = s.noc().messages();
+                    let r = s.access(a, now)?;
+                    let msgs = s.noc().messages() - msgs0;
+                    p.record(a.kind.is_ifetch(), a.kind.is_store(), &r, msgs);
+                    Ok(r)
+                })
+            }
         }
     }
 
@@ -436,19 +452,19 @@ impl<P: Probe + ?Sized> Run<'_, P> {
 /// it set they come from that trace, which must have been recorded for
 /// `spec` on `cfg.nodes` nodes with `rc`'s seed and run length. The trace is
 /// fetched after the system is built, where a stream's generator is made, so
-/// a run that fails does so at the same step either way. Every access
-/// reports to `probe`; with [`NoopProbe`] the loop holds no probe code.
-fn run_core<P: Probe + ?Sized>(
+/// a run that fails does so at the same step either way. With `probe` set,
+/// every access is recorded into it and the NoC records its traffic matrix;
+/// unset, the loop holds no probe code.
+fn run_core(
     mut sys: AnySystem,
     cfg: &MachineConfig,
     spec: &WorkloadSpec,
     rc: &RunConfig,
     shared: SharedTrace<'_>,
-    probe: &mut P,
-    record_traffic: bool,
+    probe: Option<&mut RecordingProbe>,
 ) -> Result<(RunMetrics, Counters, AnySystem), RunError> {
     let kind = sys.kind();
-    if record_traffic {
+    if probe.is_some() {
         sys.noc_mut().enable_matrix(cfg.nodes);
     }
     let mut feed = match shared {
@@ -477,7 +493,9 @@ fn run_core<P: Probe + ?Sized>(
     };
 
     // Warmup, then snapshot.
-    run.probe.phase("warmup");
+    if let Some(p) = &mut run.probe {
+        p.phase("warmup");
+    }
     feed.phase(false, rc.warmup_instructions, |batch| {
         run.batch(batch, false)
     })
@@ -494,7 +512,9 @@ fn run_core<P: Probe + ?Sized>(
     run.tally = ServeTally::default();
 
     // Measurement window.
-    run.probe.phase("measured");
+    if let Some(p) = &mut run.probe {
+        p.phase("measured");
+    }
     let instructions = feed
         .phase(true, rc.instructions, |batch| run.batch(batch, true))
         .map_err(proto_err)?;

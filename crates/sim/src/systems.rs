@@ -3,12 +3,11 @@
 use d2m_baseline::{Baseline, BaselineKind};
 use d2m_common::config::MachineConfig;
 use d2m_common::outcome::AccessResult;
-use d2m_common::probe::{Probe, TxnEvent, TxnKind};
 use d2m_common::stats::Counters;
 use d2m_core::{D2mSystem, D2mVariant, MetadataFootprint, ProtocolError};
 use d2m_energy::EnergyAccount;
 use d2m_noc::Noc;
-use d2m_workloads::{Access, AccessKind};
+use d2m_workloads::Access;
 
 /// The five systems of the paper's evaluation (Figure 4 / §V-A).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -204,34 +203,6 @@ impl AnySystem {
             AnySystem::Base(_) => None,
         }
     }
-}
-
-/// Reports access `a`, whose outcome is `r` and which put `hops` on-chip
-/// messages on the interconnect, to `probe` as one [`TxnEvent`]: the one
-/// place an event is built. With a [`d2m_common::probe::NoopProbe`] the call
-/// compiles to nothing.
-#[inline]
-pub(crate) fn report_txn<P: Probe + ?Sized>(
-    probe: &mut P,
-    a: &Access,
-    r: &AccessResult,
-    hops: u64,
-) {
-    probe.txn(&TxnEvent {
-        node: a.node.index() as u8,
-        kind: match a.kind {
-            AccessKind::IFetch => TxnKind::IFetch,
-            AccessKind::Load => TxnKind::Load,
-            AccessKind::Store => TxnKind::Store,
-        },
-        level: r.level,
-        l1_hit: r.l1_hit,
-        late: r.late,
-        private_miss: r.private_miss,
-        serviced: r.serviced_by,
-        hops,
-        latency: r.latency,
-    });
 }
 
 #[cfg(test)]

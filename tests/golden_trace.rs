@@ -28,13 +28,22 @@
 //! ```text
 //! D2M_BLESS=1 cargo test --test golden_trace mix_replay
 //! ```
+//!
+//! A small observed sweep (swaptions and mix2 on all five systems) pins the
+//! bytes an observed sweep writes: an FNV-1a of its `histograms_json()` and
+//! of every cell's `RunObservation::to_json()`
+//! (`tests/golden/observed_sweep.checksums.json`). Re-bless it alone with
+//!
+//! ```text
+//! D2M_BLESS=1 cargo test --test golden_trace observed_sweep
+//! ```
 
 use std::path::{Path, PathBuf};
 
 use d2m_common::json::{FromJson, Json, ToJson};
 use d2m_common::stats::Counters;
 use d2m_common::MachineConfig;
-use d2m_sim::{AnySystem, SystemKind};
+use d2m_sim::{run_sweep_observed_with_jobs, AnySystem, ConfigPoint, SweepSpec, SystemKind};
 use d2m_workloads::trace_io::{read_trace, write_trace};
 use d2m_workloads::{catalog, Access, Trace, TraceGen};
 
@@ -268,17 +277,10 @@ fn mix_replay(kind: SystemKind) -> Json {
     };
     replay(MIX_WARMUP_ROUNDS);
     let accesses = replay(MIX_MEASURED_ROUNDS);
-    let counters = sys.counters().to_json().to_string_compact();
     let fp = sys.metadata_footprint();
     Json::Obj(vec![
         ("accesses".into(), Json::U64(accesses)),
-        (
-            "counter_checksum".into(),
-            Json::Str(format!(
-                "{:016x}",
-                d2m_common::fnv1a_64(counters.as_bytes())
-            )),
-        ),
+        ("counter_checksum".into(), digest(&sys.counters().to_json())),
         (
             "metadata_footprint".into(),
             Json::Obj(vec![
@@ -299,4 +301,47 @@ fn mix_replay_matches_pinned_checksums() {
             .collect(),
     );
     check_pinned(&golden_dir().join("mix_replay.checksums.json"), &got);
+}
+
+/// The FNV-1a of `json`'s compact text, as pinned hex.
+fn digest(json: &Json) -> Json {
+    let text = json.to_string_compact();
+    Json::Str(format!("{:016x}", d2m_common::fnv1a_64(text.as_bytes())))
+}
+
+#[test]
+fn observed_sweep_matches_pinned_checksums() {
+    let spec = SweepSpec {
+        name: "observed-pin".into(),
+        configs: vec![ConfigPoint {
+            label: "default".into(),
+            config: MachineConfig::default(),
+        }],
+        systems: SystemKind::ALL.to_vec(),
+        workloads: ["swaptions", "mix2"]
+            .iter()
+            .map(|name| catalog::by_name(name).expect("catalog workload"))
+            .collect(),
+        instructions: 20_000,
+        warmup_instructions: 5_000,
+        master_seed: 42,
+    };
+    let observed = run_sweep_observed_with_jobs(&spec, 2);
+    let mut got = vec![(
+        "histograms".to_string(),
+        digest(&observed.histograms_json()),
+    )];
+    for (cell, o) in observed.result.cells.iter().zip(&observed.observations) {
+        let o = o
+            .as_ref()
+            .unwrap_or_else(|| panic!("cell {} failed", cell.index));
+        got.push((
+            format!("{} {}", cell.workload, cell.system.name()),
+            digest(&o.to_json()),
+        ));
+    }
+    check_pinned(
+        &golden_dir().join("observed_sweep.checksums.json"),
+        &Json::Obj(got),
+    );
 }
