@@ -166,31 +166,34 @@ report_digest="$(cat "${report_outs[@]}" | sha256sum | cut -d' ' -f1)"
 [ "$report_digest" = "$(cat tests/golden/report_quick.sha256)" ] \
     || { echo "report --quick output digest $report_digest differs from the pinned one"; exit 1; }
 
-echo "== published artifact with a failed cell (inject, expect nonzero exit) =="
+echo "== published artifact with a failed cell (inject, expect nonzero exit, empty stdout) =="
 # Unlike `d2m-simulate --sweep`, a report must not print tables built from a
-# failed cell's placeholder metrics. `calibrate` is the cheapest artifact on
-# the journaled sweep path. It runs in its own directory: the failed cell is
-# journaled, and a later clean run there would resume it.
+# failed cell's placeholder metrics, nor any part of its report. `calibrate`
+# is the cheapest artifact on the journaled sweep path. It runs in its own
+# directory: the failed cell is journaled, and a later clean run there would
+# resume it.
 mkdir "$fault_dir/report-fault"
 set +e
-fault_err="$(cd "$fault_dir/report-fault" && D2M_JOBS=2 D2M_FAULT="cell@calibrate:0:panic" \
-    "$report" calibrate --quick 2>&1 >/dev/null)"
+(cd "$fault_dir/report-fault" && D2M_JOBS=2 D2M_FAULT="cell@calibrate:0:panic" \
+    "$report" calibrate --quick >out 2>err)
 fault_status=$?
 set -e
 [ "$fault_status" -ne 0 ] \
     || { echo "report calibrate with a failed cell exited 0"; exit 1; }
-grep -q "1 failed cell" <<<"$fault_err" \
+grep -q "1 failed cell" "$fault_dir/report-fault/err" \
     || { echo "report calibrate failed without naming its failed cell"; exit 1; }
+[ ! -s "$fault_dir/report-fault/out" ] \
+    || { echo "report calibrate printed a partial report before failing"; exit 1; }
 
 echo "== single-run artifacts with a failed run (inject, expect nonzero exit, empty stdout) =="
-# energy_breakdown, pkmo, traffic_debug, lockbits and the three D2M
-# ablations run one system at a time through the runner, not a sweep, and
-# print only after every run has passed, so a run that fails part-way leaves
-# no partial report on stdout. Each of the three artifacts below fails at its
-# first D2M-FS run, inside the runner, when AnySystem::build's `build` fault
-# point fires; energy_breakdown and traffic_debug have passed runs before it.
+# `report` prints an artifact's report only after the artifact has returned,
+# so a run that fails part-way leaves no partial report on stdout. Each of
+# the four artifacts below fails at its first D2M-FS run, inside the runner,
+# when AnySystem::build's `build` fault point fires; energy_breakdown and
+# traffic_debug have passed runs before it. The three D2M ablations build
+# D2mSystem::with_features directly, so no `build` fault reaches them.
 mkdir "$fault_dir/report-direct-fault"
-for artifact in energy_breakdown pkmo traffic_debug; do
+for artifact in energy_breakdown pkmo traffic_debug lockbits; do
     set +e
     direct_out="$(cd "$fault_dir/report-direct-fault" && D2M_FAULT="build@D2M-FS:*:panic" \
         "$report" "$artifact" --quick 2>/dev/null)"

@@ -67,16 +67,6 @@ pub fn machine() -> MachineConfig {
     MachineConfig::default()
 }
 
-/// Prints a rule line matching `width`.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
-}
-
-/// Formats a ratio as a percentage string.
-pub fn pct(x: f64) -> String {
-    format!("{:5.1}", x * 100.0)
-}
-
 /// FNV-1a hash of a deterministic-JSON rendering, used to key sweep files.
 fn json_hash<T: ToJson>(value: &T) -> u64 {
     d2m_common::fnv1a_64(value.to_json().to_string_compact().as_bytes())
@@ -166,17 +156,6 @@ pub fn full_matrix(hc: &HarnessConfig) -> MatrixResult {
     m
 }
 
-/// Prints the standard harness header.
-pub fn header(title: &str, hc: &HarnessConfig) {
-    println!("== {title} ==");
-    println!(
-        "   {} instructions / workload ({} warmup){}",
-        hc.rc.instructions,
-        hc.rc.warmup_instructions,
-        if hc.quick { "  [--quick]" } else { "" }
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,11 +163,6 @@ mod tests {
     #[test]
     fn machine_is_valid() {
         machine().validate().unwrap();
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(0.545).trim(), "54.5");
     }
 
     #[test]

@@ -14,8 +14,6 @@ use crate::set_assoc::SetAssoc;
 #[derive(Clone, Debug)]
 pub struct Tlb {
     arr: SetAssoc<()>,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -23,8 +21,6 @@ impl Tlb {
     pub fn new(sets: usize, ways: usize) -> Self {
         Self {
             arr: SetAssoc::new(sets, ways),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -32,36 +28,18 @@ impl Tlb {
         (va.vpage() << 16) ^ asid.0 as u64
     }
 
-    /// Translates `va`, recording a hit or a miss (with fill).
+    /// Translates `va`, filling the TLB on a miss.
     ///
     /// Returns `(paddr, hit)`.
     pub fn access(&mut self, asid: Asid, va: VAddr) -> (PAddr, bool) {
         let key = Self::key(asid, va);
         let set = self.arr.set_index(key);
         let hit = self.arr.get(set, key).is_some();
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
+        if !hit {
             let way = self.arr.victim_way(set);
             self.arr.insert_at(set, way, key, ());
         }
         (translate(asid, va), hit)
-    }
-
-    /// Hits recorded so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses recorded so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Accesses recorded so far.
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
     }
 }
 
@@ -78,8 +56,8 @@ mod tests {
         let (p2, h2) = tlb.access(Asid(0), VAddr::new(0x1234_5040));
         assert!(h2, "same page must hit");
         assert_eq!(p1.raw() >> 12, p2.raw() >> 12);
-        assert_eq!(tlb.hits(), 1);
-        assert_eq!(tlb.misses(), 1);
+        let (_, h3) = tlb.access(Asid(0), VAddr::new(0x1234_6000));
+        assert!(!h3, "the next page must miss");
     }
 
     #[test]
