@@ -208,19 +208,19 @@ impl Baseline {
     /// serve is L2, and everything beyond the private levels is L3.
     pub fn access(&mut self, a: &Access, now: u64) -> AccessResult {
         let r = self.access_inner(a, now);
-        self.tally.record(a.kind.is_ifetch(), a.kind.is_store(), &r);
+        self.tally.record(a.is_ifetch(), a.is_store(), &r);
         r
     }
 
     /// [`Self::access`] without the per-access tally.
     fn access_inner(&mut self, a: &Access, now: u64) -> AccessResult {
-        let n = a.node.index();
-        let is_i = a.kind.is_ifetch();
-        let is_store = a.kind.is_store();
+        let n = a.node().index();
+        let is_i = a.is_ifetch();
+        let is_store = a.is_store();
 
         // 1. TLB
         self.energy.record(EnergyEvent::Tlb, 1);
-        let (paddr, tlb_hit) = self.nodes[n].tlb.access(a.asid, a.vaddr);
+        let (paddr, tlb_hit) = self.nodes[n].tlb.access(a.asid(), a.vaddr());
         let mut latency = self.cfg.lat.l1;
         if !tlb_hit {
             latency += self.cfg.lat.tlb_walk;
@@ -865,12 +865,7 @@ mod tests {
     use d2m_workloads::{catalog, AccessKind, TraceGen};
 
     fn acc(node: u8, kind: AccessKind, va: u64) -> Access {
-        Access {
-            node: NodeId::new(node),
-            asid: Asid(0),
-            kind,
-            vaddr: VAddr::new(va),
-        }
+        Access::new(NodeId::new(node), Asid(0), kind, VAddr::new(va))
     }
 
     #[test]

@@ -667,7 +667,7 @@ fn fig7_speedup(hc: &HarnessConfig, _: &[String]) -> Report {
 
     let title = "Figure 7 — speedup over Base-2L (infinite bandwidth)";
     let mut r = Report::titled(title, hc, t);
-    r.text("\n-- speedup vs Base-2L (gmean; paper in parentheses) --");
+    r.text("\n-- speedup vs Base-2L (gmean) --");
     let gmeans = suite_gmean_table(
         &m,
         |s, b| s.speedup_vs(b),

@@ -237,6 +237,13 @@ impl NodeId {
         Self(id)
     }
 
+    /// The node id held in the low 3 bits of `bits`; the other bits are
+    /// ignored, so no id is out of range and nothing is checked.
+    #[inline]
+    pub const fn from_low_bits(bits: u8) -> Self {
+        Self(bits & (Self::MAX_NODES as u8 - 1))
+    }
+
     /// The raw index.
     #[inline]
     pub const fn raw(self) -> u8 {
@@ -348,6 +355,14 @@ mod tests {
     #[test]
     fn line_offset_all() {
         assert_eq!(LineOffset::all().count(), 16);
+    }
+
+    #[test]
+    fn node_id_from_low_bits_ignores_the_rest() {
+        assert_eq!(NodeId::from_low_bits(0b1010_1101), NodeId::new(5));
+        for id in 0..8 {
+            assert_eq!(NodeId::from_low_bits(id), NodeId::new(id));
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl D2mSystem {
             LookupLevel::L1
         };
         let r = AccessResult { level, ..r };
-        self.tally.record(a.kind.is_ifetch(), a.kind.is_store(), &r);
+        self.tally.record(a.is_ifetch(), a.is_store(), &r);
         Ok(r)
     }
 
@@ -109,10 +109,10 @@ impl D2mSystem {
     #[inline(never)]
     fn access_inner(&mut self, a: &Access, now: u64) -> Result<AccessResult, ProtocolError> {
         self.tick_pressure_window();
-        let node = a.node.index();
-        let is_i = a.kind.is_ifetch();
-        let is_store = a.kind.is_store();
-        let off = usize::from(a.vaddr.region_offset());
+        let node = a.node().index();
+        let is_i = a.is_ifetch();
+        let is_store = a.is_store();
+        let off = usize::from(a.vaddr().region_offset());
 
         let mut res = self.resolve_metadata(node, is_i, a, off)?;
         let line = res.region.line(crate::meta_line_offset(off));
@@ -262,7 +262,7 @@ impl D2mSystem {
         let (md, region, md_hit, latency) = if self.feats.traditional_l1 {
             self.resolve_metadata_traditional(node, is_i, a)?
         } else {
-            let key1 = Self::md1_key(a.vaddr.vregion().raw(), a.asid.0);
+            let key1 = Self::md1_key(a.vaddr().vregion().raw(), a.asid().0);
             self.ctr.md1_accesses += 1;
             self.energy.record(EnergyEvent::Md1, 1);
             let enc = self.enc;
@@ -315,7 +315,7 @@ impl D2mSystem {
     ) -> Result<(MdRef, RegionAddr, bool, u64), ProtocolError> {
         let mut lat = self.cfg.lat.tlb2 + self.cfg.lat.md2;
         self.energy.record(EnergyEvent::Tlb, 1);
-        let (paddr, tlb_hit) = self.tlb2[node].access(a.asid, a.vaddr);
+        let (paddr, tlb_hit) = self.tlb2[node].access(a.asid(), a.vaddr());
         if !tlb_hit {
             lat += self.cfg.lat.tlb_walk;
         }
@@ -360,7 +360,7 @@ impl D2mSystem {
     ) -> Result<(MdRef, RegionAddr, bool, u64), ProtocolError> {
         self.energy.record(EnergyEvent::Tlb, 1);
         self.energy.record(EnergyEvent::L1TagWay, 1);
-        let (paddr, tlb_hit) = self.tlb2[node].access(a.asid, a.vaddr);
+        let (paddr, tlb_hit) = self.tlb2[node].access(a.asid(), a.vaddr());
         let mut lat = 0;
         if !tlb_hit {
             lat += self.cfg.lat.tlb_walk;
@@ -629,6 +629,11 @@ impl D2mSystem {
             .find_active_md(owner, region)
             .expect("PB bit implies an MD2 entry");
         let enc = self.enc;
+        let l1 = if self.region_is_icache(owner, region) {
+            ArrKind::L1I
+        } else {
+            ArrKind::L1D
+        };
         let mut out = PackedLiArray::INVALID;
         for off in 0..LINES_PER_REGION {
             let li = self.li_get(owner, md, off);
@@ -636,10 +641,8 @@ impl D2mSystem {
             let converted = match li {
                 Li::L1 { way } => {
                     let set = self.l1_set(line);
-                    let is_i = self.region_is_icache(owner, region);
-                    let kind = if is_i { ArrKind::L1I } else { ArrKind::L1D };
                     let dl = *Self::named_slot(
-                        self.arr_mut(kind),
+                        self.arr_mut(l1),
                         (owner, set, way as usize),
                         line,
                         li,
@@ -1626,7 +1629,11 @@ impl D2mSystem {
         // An eviction can re-point the LI at another node-resident location
         // (e.g. L1 replica → local slice replica), so iterate per line until
         // the LI stabilizes on a global location.
-        let is_i = self.region_is_icache(node, region);
+        let l1 = if entry.is_icache {
+            ArrKind::L1I
+        } else {
+            ArrKind::L1D
+        };
         let enc = self.enc;
         for off in 0..LINES_PER_REGION {
             let line = region.line(crate::meta_line_offset(off));
@@ -1638,9 +1645,8 @@ impl D2mSystem {
                     .expect("occupied");
                 match li {
                     Li::L1 { way: lway } => {
-                        let kind = if is_i { ArrKind::L1I } else { ArrKind::L1D };
                         let lset = self.l1_set(line);
-                        self.evict_data_line(node, kind, lset, lway as usize, !notify)?;
+                        self.evict_data_line(node, l1, lset, lway as usize, !notify)?;
                     }
                     Li::L2 { .. } => {
                         return Err(ProtocolError::UnexpectedLi {

@@ -28,12 +28,7 @@ fn small_cfg() -> MachineConfig {
 }
 
 fn acc(node: u8, kind: AccessKind, va: u64) -> Access {
-    Access {
-        node: NodeId::new(node),
-        asid: Asid(0),
-        kind,
-        vaddr: VAddr::new(va),
-    }
+    Access::new(NodeId::new(node), Asid(0), kind, VAddr::new(va))
 }
 
 fn all_variants() -> [D2mVariant; 3] {
@@ -306,16 +301,16 @@ fn server_style_disjoint_asids_stay_private() {
     let mut sys = D2mSystem::new(&MachineConfig::default(), D2mVariant::FarSide);
     for n in 0..8u8 {
         for i in 0..64u64 {
-            let a = Access {
-                node: NodeId::new(n),
-                asid: Asid(n as u16 + 1),
-                kind: if i % 4 == 0 {
+            let a = Access::new(
+                NodeId::new(n),
+                Asid(n as u16 + 1),
+                if i % 4 == 0 {
                     AccessKind::Store
                 } else {
                     AccessKind::Load
                 },
-                vaddr: VAddr::new(0x100_0000 + i * 64),
-            };
+                VAddr::new(0x100_0000 + i * 64),
+            );
             sys.access(&a, 0).unwrap();
         }
     }

@@ -363,9 +363,9 @@ impl CoreTiming {
         mut access: impl FnMut(&Access, u64) -> Result<AccessResult, ProtocolError>,
     ) -> Result<(), ProtocolError> {
         for a in accesses {
-            let n = a.node.index();
+            let n = a.node().index();
             let r = access(a, clocks[n] as u64)?;
-            let is_i = a.kind.is_ifetch();
+            let is_i = a.is_ifetch();
             if is_i {
                 clocks[n] += self.fetch_cycles;
             }
@@ -423,7 +423,7 @@ impl Run<'_> {
                     let msgs0 = s.noc().messages();
                     let r = s.access(a, now);
                     let msgs = s.noc().messages() - msgs0;
-                    p.record(a.kind.is_ifetch(), a.kind.is_store(), &r, msgs);
+                    p.record(a.is_ifetch(), a.is_store(), &r, msgs);
                     Ok(r)
                 })
             }
@@ -432,7 +432,7 @@ impl Run<'_> {
                     let msgs0 = s.noc().messages();
                     let r = s.access(a, now)?;
                     let msgs = s.noc().messages() - msgs0;
-                    p.record(a.kind.is_ifetch(), a.kind.is_store(), &r, msgs);
+                    p.record(a.is_ifetch(), a.is_store(), &r, msgs);
                     Ok(r)
                 })
             }

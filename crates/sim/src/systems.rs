@@ -216,12 +216,12 @@ mod tests {
         let cfg = MachineConfig::default();
         for kind in SystemKind::ALL {
             let mut sys = AnySystem::build(kind, &cfg, 1);
-            let a = Access {
-                node: NodeId::new(0),
-                asid: Asid(0),
-                kind: AccessKind::Load,
-                vaddr: VAddr::new(0x12345),
-            };
+            let a = Access::new(
+                NodeId::new(0),
+                Asid(0),
+                AccessKind::Load,
+                VAddr::new(0x12345),
+            );
             assert_eq!(sys.kind(), kind);
             let r = sys.access(&a, 0).unwrap();
             assert!(r.latency > 0, "{}", kind.name());

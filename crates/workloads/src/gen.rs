@@ -9,6 +9,8 @@
 //! See [`crate::spec`] for the hot/warm/cold mixture model the generator
 //! implements.
 
+use std::fmt;
+
 use d2m_common::addr::{Asid, NodeId, VAddr, LINE_SHIFT};
 use d2m_common::rng::{Bernoulli, SimRng, Zipf};
 
@@ -25,36 +27,130 @@ pub enum AccessKind {
     Store,
 }
 
-impl AccessKind {
+/// One memory access of the interleaved trace, packed into one `u64`.
+///
+/// Sweeps keep every access of a recorded trace in memory (DESIGN.md §8),
+/// so the record is stored at the width of the information it holds:
+///
+/// | bits  | field |
+/// |-------|-------|
+/// | 0–42  | virtual address |
+/// | 43    | instruction fetch |
+/// | 44    | store |
+/// | 45–47 | issuing node |
+/// | 48–63 | ASID |
+///
+/// A load sets neither kind bit. Accessors decode with shifts and masks
+/// only.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Access(u64);
+
+const _: () = assert!(std::mem::size_of::<Access>() == 8);
+
+impl Access {
+    /// Bits of the virtual address an access holds.
+    pub const VADDR_BITS: u32 = 43;
+    const VADDR_MASK: u64 = (1 << Self::VADDR_BITS) - 1;
+    const IFETCH_BIT: u64 = 1 << Self::VADDR_BITS;
+    const STORE_BIT: u64 = 1 << (Self::VADDR_BITS + 1);
+    const NODE_SHIFT: u32 = 45;
+    const ASID_SHIFT: u32 = 48;
+
+    /// Packs one access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vaddr` is at or above 2^43, the widest address an
+    /// access holds.
+    #[inline]
+    pub fn new(node: NodeId, asid: Asid, kind: AccessKind, vaddr: VAddr) -> Self {
+        assert!(
+            vaddr.raw() <= Self::VADDR_MASK,
+            "access vaddr {vaddr} does not fit in {} bits",
+            Self::VADDR_BITS
+        );
+        let kind = match kind {
+            AccessKind::IFetch => Self::IFETCH_BIT,
+            AccessKind::Load => 0,
+            AccessKind::Store => Self::STORE_BIT,
+        };
+        Self(
+            vaddr.raw()
+                | kind
+                | u64::from(node.raw()) << Self::NODE_SHIFT
+                | u64::from(asid.0) << Self::ASID_SHIFT,
+        )
+    }
+
+    /// Issuing node.
+    #[inline]
+    pub fn node(self) -> NodeId {
+        NodeId::from_low_bits((self.0 >> Self::NODE_SHIFT) as u8)
+    }
+
+    /// Address space of the access.
+    #[inline]
+    pub fn asid(self) -> Asid {
+        Asid((self.0 >> Self::ASID_SHIFT) as u16)
+    }
+
+    /// Fetch / load / store.
+    #[inline]
+    pub fn kind(self) -> AccessKind {
+        const KINDS: [AccessKind; 4] = [
+            AccessKind::Load,
+            AccessKind::IFetch,
+            AccessKind::Store,
+            AccessKind::Store,
+        ];
+        KINDS[((self.0 >> Self::VADDR_BITS) & 3) as usize]
+    }
+
     /// True for instruction fetches.
+    #[inline]
     pub fn is_ifetch(self) -> bool {
-        matches!(self, AccessKind::IFetch)
+        self.0 & Self::IFETCH_BIT != 0
     }
 
     /// True for stores.
+    #[inline]
     pub fn is_store(self) -> bool {
-        matches!(self, AccessKind::Store)
+        self.0 & Self::STORE_BIT != 0
+    }
+
+    /// Virtual address.
+    #[inline]
+    pub fn vaddr(self) -> VAddr {
+        VAddr::new(self.0 & Self::VADDR_MASK)
     }
 }
 
-/// One memory access of the interleaved trace.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Access {
-    /// Issuing node.
-    pub node: NodeId,
-    /// Address space of the access.
-    pub asid: Asid,
-    /// Fetch / load / store.
-    pub kind: AccessKind,
-    /// Virtual address.
-    pub vaddr: VAddr,
+impl fmt::Debug for Access {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Access")
+            .field("node", &self.node())
+            .field("asid", &self.asid())
+            .field("kind", &self.kind())
+            .field("vaddr", &self.vaddr())
+            .finish()
+    }
 }
 
-/// Virtual segment bases. Segments are far apart so footprints never overlap.
+/// Virtual segment bases. [`WorkloadSpec::validate`] bounds every footprint
+/// by its segment, so footprints never overlap.
 const CODE_BASE: u64 = 0x0010_0000;
 const SHARED_BASE: u64 = 0x4000_0000;
 const PRIVATE_BASE: u64 = 0x1_0000_0000;
 const PRIVATE_STRIDE: u64 = 0x4000_0000;
+/// The most code lines that fit below [`SHARED_BASE`].
+pub(crate) const MAX_CODE_LINES: u64 = (SHARED_BASE - CODE_BASE) >> LINE_SHIFT;
+/// The most shared lines that fit below [`PRIVATE_BASE`].
+pub(crate) const MAX_SHARED_LINES: u64 = (PRIVATE_BASE - SHARED_BASE) >> LINE_SHIFT;
+/// The most private lines that fit in one node's [`PRIVATE_STRIDE`].
+pub(crate) const MAX_PRIVATE_LINES: u64 = PRIVATE_STRIDE >> LINE_SHIFT;
+// The last node's private segment ends inside an access's address bits.
+const _: () =
+    assert!(PRIVATE_BASE + NodeId::MAX_NODES as u64 * PRIVATE_STRIDE <= 1 << Access::VADDR_BITS);
 /// Lines per migratory/producer-consumer chunk (4 regions).
 const CHUNK_LINES: u64 = 64;
 /// Lines per metadata region.
@@ -255,12 +351,12 @@ impl TraceGen {
             } else {
                 st.pc = (st.pc + 1) % spec.code_lines;
             }
-            out.push(Access {
+            out.push(Access::new(
                 node,
                 asid,
-                kind: AccessKind::IFetch,
-                vaddr: VAddr::new(CODE_BASE + (st.pc << LINE_SHIFT)),
-            });
+                AccessKind::IFetch,
+                VAddr::new(CODE_BASE + (st.pc << LINE_SHIFT)),
+            ));
 
             // --- data accesses ---
             let (whole, more) = draws.mem_ops[usize::from(extra)];
@@ -319,12 +415,7 @@ impl TraceGen {
         } else {
             AccessKind::Load
         };
-        Access {
-            node,
-            asid,
-            kind,
-            vaddr: VAddr::new(base + (line << LINE_SHIFT)),
-        }
+        Access::new(node, asid, kind, VAddr::new(base + (line << LINE_SHIFT)))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -386,12 +477,12 @@ impl TraceGen {
                 (line, kind)
             }
         };
-        Access {
+        Access::new(
             node,
             asid,
             kind,
-            vaddr: VAddr::new(SHARED_BASE + (line << LINE_SHIFT)),
-        }
+            VAddr::new(SHARED_BASE + (line << LINE_SHIFT)),
+        )
     }
 }
 
@@ -402,7 +493,7 @@ impl TraceGen {
 /// [`TraceGen::next_batch`] batches until it reaches its instruction target,
 /// and the measured phase starts at the batch after the warmup's last. Phase
 /// boundaries and instruction totals are therefore exactly what a run that
-/// generates batch by batch sees. Each access takes 16 B.
+/// generates batch by batch sees. Each access takes 8 B ([`Access`]).
 #[derive(Clone, Debug)]
 pub struct Trace {
     accesses: Vec<Access>,
@@ -485,6 +576,45 @@ mod tests {
     }
 
     #[test]
+    fn access_fields_round_trip() {
+        let last_line = |base: u64, lines: u64| base + ((lines - 1) << LINE_SHIFT);
+        let vaddrs = [
+            0,
+            0x12345,
+            last_line(CODE_BASE, MAX_CODE_LINES),
+            last_line(SHARED_BASE, MAX_SHARED_LINES),
+            last_line(PRIVATE_BASE + 7 * PRIVATE_STRIDE, MAX_PRIVATE_LINES),
+            (1 << 43) - 1,
+        ];
+        for node in NodeId::first(8) {
+            for kind in [AccessKind::IFetch, AccessKind::Load, AccessKind::Store] {
+                for asid in [0, 1, u16::MAX].map(Asid) {
+                    for va in vaddrs.map(VAddr::new) {
+                        let a = Access::new(node, asid, kind, va);
+                        assert_eq!(
+                            (a.node(), a.asid(), a.kind(), a.vaddr()),
+                            (node, asid, kind, va)
+                        );
+                        assert_eq!(a.is_ifetch(), kind == AccessKind::IFetch, "{a:?}");
+                        assert_eq!(a.is_store(), kind == AccessKind::Store, "{a:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "access vaddr 0x80000000000 does not fit in 43 bits")]
+    fn access_rejects_a_vaddr_beyond_43_bits() {
+        Access::new(
+            NodeId::new(0),
+            Asid(0),
+            AccessKind::Load,
+            VAddr::new(1 << 43),
+        );
+    }
+
+    #[test]
     fn recorded_trace_matches_the_streaming_loop() {
         let spec = WorkloadSpec::base(Category::Mobile, "t");
         let (warmup, measured) = (3_000, 7_000);
@@ -509,7 +639,6 @@ mod tests {
         assert!(warm_insts >= warmup && meas_insts >= measured);
         assert_eq!(trace.warmup(), &warm[..]);
         assert_eq!(trace.measured(), &meas[..]);
-        assert_eq!(std::mem::size_of::<Access>(), 16);
     }
 
     /// Every `(n, s)` pair the catalog's generators draw from at 8 nodes, in
@@ -715,9 +844,10 @@ mod tests {
         let mut g = gen_for(Category::Hpc);
         let mut v = Vec::new();
         g.next_batch(&mut v);
-        let fetches: Vec<_> = v.iter().filter(|a| a.kind.is_ifetch()).collect();
+        let fetches: Vec<_> = v.iter().filter(|a| a.is_ifetch()).collect();
         assert_eq!(fetches.len(), 8);
-        let nodes: std::collections::HashSet<_> = fetches.iter().map(|a| a.node.index()).collect();
+        let nodes: std::collections::HashSet<_> =
+            fetches.iter().map(|a| a.node().index()).collect();
         assert_eq!(nodes.len(), 8);
     }
 
@@ -734,7 +864,7 @@ mod tests {
     fn mem_op_fraction_is_respected() {
         let mut g = gen_for(Category::Parallel);
         let (v, insts) = collect(&mut g, 2000);
-        let data = v.iter().filter(|a| !a.kind.is_ifetch()).count() as f64;
+        let data = v.iter().filter(|a| !a.is_ifetch()).count() as f64;
         let frac = data / insts as f64;
         assert!((frac - 0.33).abs() < 0.03, "got {frac}");
     }
@@ -746,8 +876,8 @@ mod tests {
         let (v, _) = collect(&mut g, 3000);
         let priv_accesses: Vec<u64> = v
             .iter()
-            .filter(|a| a.vaddr.raw() >= PRIVATE_BASE && !a.kind.is_ifetch())
-            .map(|a| ((a.vaddr.raw() - PRIVATE_BASE) % PRIVATE_STRIDE) >> LINE_SHIFT)
+            .filter(|a| a.vaddr().raw() >= PRIVATE_BASE && !a.is_ifetch())
+            .map(|a| ((a.vaddr().raw() - PRIVATE_BASE) % PRIVATE_STRIDE) >> LINE_SHIFT)
             .collect();
         let hot = priv_accesses
             .iter()
@@ -768,8 +898,8 @@ mod tests {
         let (v, _) = collect(&mut g, 4000);
         let fetch_lines: Vec<u64> = v
             .iter()
-            .filter(|a| a.kind.is_ifetch())
-            .map(|a| (a.vaddr.raw() - CODE_BASE) >> LINE_SHIFT)
+            .filter(|a| a.is_ifetch())
+            .map(|a| (a.vaddr().raw() - CODE_BASE) >> LINE_SHIFT)
             .collect();
         let hot = fetch_lines
             .iter()
@@ -787,10 +917,10 @@ mod tests {
         let (v, _) = collect(&mut g, 200);
         for a in &v {
             assert!(
-                a.vaddr.raw() < SHARED_BASE || a.vaddr.raw() >= PRIVATE_BASE,
+                a.vaddr().raw() < SHARED_BASE || a.vaddr().raw() >= PRIVATE_BASE,
                 "server access in shared segment: {a:?}"
             );
-            assert_eq!(a.asid.0, a.node.index() as u16 + 1);
+            assert_eq!(a.asid().0, a.node().index() as u16 + 1);
         }
     }
 
@@ -798,19 +928,19 @@ mod tests {
     fn shared_workloads_use_one_asid() {
         let mut g = gen_for(Category::Database);
         let (v, _) = collect(&mut g, 50);
-        assert!(v.iter().all(|a| a.asid.0 == 0));
+        assert!(v.iter().all(|a| a.asid().0 == 0));
         assert!(v
             .iter()
-            .any(|a| (SHARED_BASE..PRIVATE_BASE).contains(&a.vaddr.raw())));
+            .any(|a| (SHARED_BASE..PRIVATE_BASE).contains(&a.vaddr().raw())));
     }
 
     #[test]
     fn private_segments_are_node_disjoint() {
         let mut g = gen_for(Category::Parallel);
         let (v, _) = collect(&mut g, 500);
-        for a in v.iter().filter(|a| a.vaddr.raw() >= PRIVATE_BASE) {
-            let owner = (a.vaddr.raw() - PRIVATE_BASE) / PRIVATE_STRIDE;
-            assert_eq!(owner, a.node.index() as u64, "{a:?}");
+        for a in v.iter().filter(|a| a.vaddr().raw() >= PRIVATE_BASE) {
+            let owner = (a.vaddr().raw() - PRIVATE_BASE) / PRIVATE_STRIDE;
+            assert_eq!(owner, a.node().index() as u64, "{a:?}");
         }
     }
 
@@ -822,9 +952,9 @@ mod tests {
         let (v, _) = collect(&mut g, 500);
         for a in v
             .iter()
-            .filter(|a| a.kind.is_store() && (SHARED_BASE..PRIVATE_BASE).contains(&a.vaddr.raw()))
+            .filter(|a| a.is_store() && (SHARED_BASE..PRIVATE_BASE).contains(&a.vaddr().raw()))
         {
-            assert_eq!(a.node.index() % 2, 0, "odd node wrote shared data: {a:?}");
+            assert_eq!(a.node().index() % 2, 0, "odd node wrote shared data: {a:?}");
         }
     }
 
@@ -839,8 +969,8 @@ mod tests {
         let (v, _) = collect(&mut g, 100);
         let lines: Vec<u64> = v
             .iter()
-            .filter(|a| a.vaddr.raw() >= PRIVATE_BASE)
-            .map(|a| (a.vaddr.raw() - PRIVATE_BASE) >> LINE_SHIFT)
+            .filter(|a| a.vaddr().raw() >= PRIVATE_BASE)
+            .map(|a| (a.vaddr().raw() - PRIVATE_BASE) >> LINE_SHIFT)
             .collect();
         assert!(lines.len() > 10);
         // The scan dwells ~6 accesses per line; consecutive distinct lines
@@ -869,16 +999,16 @@ mod tests {
         let (v0, _) = collect(&mut g, 9);
         let chunks0: std::collections::HashSet<u64> = v0
             .iter()
-            .filter(|a| a.node.index() == 0 && !a.kind.is_ifetch())
-            .map(|a| (a.vaddr.raw() - SHARED_BASE) >> LINE_SHIFT >> 6)
+            .filter(|a| a.node().index() == 0 && !a.is_ifetch())
+            .map(|a| (a.vaddr().raw() - SHARED_BASE) >> LINE_SHIFT >> 6)
             .collect();
         // Skip to a later epoch.
         let (_, _) = collect(&mut g, 10);
         let (v2, _) = collect(&mut g, 9);
         let chunks2: std::collections::HashSet<u64> = v2
             .iter()
-            .filter(|a| a.node.index() == 0 && !a.kind.is_ifetch())
-            .map(|a| (a.vaddr.raw() - SHARED_BASE) >> LINE_SHIFT >> 6)
+            .filter(|a| a.node().index() == 0 && !a.is_ifetch())
+            .map(|a| (a.vaddr().raw() - SHARED_BASE) >> LINE_SHIFT >> 6)
             .collect();
         assert!(
             chunks0.intersection(&chunks2).count() < chunks0.len(),

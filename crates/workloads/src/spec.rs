@@ -18,6 +18,8 @@
 
 use d2m_common::{impl_json_enum, impl_json_struct};
 
+use crate::gen::{MAX_CODE_LINES, MAX_PRIVATE_LINES, MAX_SHARED_LINES};
+
 /// The paper's five workload suites.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Category {
@@ -230,6 +232,17 @@ impl WorkloadSpec {
         if self.code_lines == 0 || self.private_lines == 0 || self.hot_lines == 0 {
             return Err("footprints must be nonzero".into());
         }
+        for (name, lines, max) in [
+            ("code_lines", self.code_lines, MAX_CODE_LINES),
+            ("shared_lines", self.shared_lines, MAX_SHARED_LINES),
+            ("private_lines", self.private_lines, MAX_PRIVATE_LINES),
+        ] {
+            if lines > max {
+                return Err(format!(
+                    "{name} must be at most {max} (its virtual segment), got {lines}"
+                ));
+            }
+        }
         if self.hot_code_lines == 0 || self.hot_code_lines > self.code_lines {
             return Err("hot_code_lines must be in 1..=code_lines".into());
         }
@@ -351,6 +364,21 @@ mod tests {
         assert!(s4.validate().is_err(), "warm draws need a warm set");
         s4.p_warm = 0.0;
         s4.validate().unwrap();
+        // Each footprint fits its virtual segment exactly at its bound.
+        type Set = fn(&mut WorkloadSpec, u64);
+        let segments: [(&str, Set, u64); 3] = [
+            ("code_lines", |s, v| s.code_lines = v, 16_760_832),
+            ("shared_lines", |s, v| s.shared_lines = v, 50_331_648),
+            ("private_lines", |s, v| s.private_lines = v, 16_777_216),
+        ];
+        for (name, set, max) in segments {
+            let mut s = WorkloadSpec::base(Category::Parallel, "x");
+            set(&mut s, max);
+            s.validate().unwrap();
+            set(&mut s, max + 1);
+            let err = s.validate().unwrap_err();
+            assert!(err.starts_with(name), "{name}: {err}");
+        }
     }
 
     #[test]

@@ -26,14 +26,14 @@ pub fn write_trace<W: Write>(mut w: W, accesses: &[Access]) -> io::Result<()> {
     w.write_all(&MAGIC)?;
     w.write_all(&(accesses.len() as u32).to_le_bytes())?;
     for a in accesses {
-        let kind = match a.kind {
+        let kind = match a.kind() {
             AccessKind::IFetch => 0u8,
             AccessKind::Load => 1,
             AccessKind::Store => 2,
         };
-        w.write_all(&[a.node.raw(), kind])?;
-        w.write_all(&a.asid.0.to_le_bytes())?;
-        w.write_all(&a.vaddr.raw().to_le_bytes())?;
+        w.write_all(&[a.node().raw(), kind])?;
+        w.write_all(&a.asid().0.to_le_bytes())?;
+        w.write_all(&a.vaddr().raw().to_le_bytes())?;
     }
     Ok(())
 }
@@ -42,8 +42,9 @@ pub fn write_trace<W: Write>(mut w: W, accesses: &[Access]) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for a bad magic number, a truncated stream, or
-/// out-of-range fields.
+/// Returns `InvalidData` for a bad magic number or out-of-range fields,
+/// among them a vaddr at or above 2^[`Access::VADDR_BITS`] that an
+/// [`Access`] cannot hold, and `UnexpectedEof` for a truncated stream.
 pub fn read_trace<R: Read>(mut r: R) -> io::Result<Vec<Access>> {
     let mut header = [0u8; 8];
     r.read_exact(&mut header)?;
@@ -75,12 +76,22 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Vec<Access>> {
                 ))
             }
         };
-        out.push(Access {
-            node: NodeId::new(rec[0]),
+        let vaddr = u64::from_le_bytes(rec[4..12].try_into().expect("8 bytes"));
+        if vaddr >> Access::VADDR_BITS != 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "vaddr {vaddr:#x} does not fit in {} bits",
+                    Access::VADDR_BITS
+                ),
+            ));
+        }
+        out.push(Access::new(
+            NodeId::new(rec[0]),
+            Asid(u16::from_le_bytes(rec[2..4].try_into().expect("2 bytes"))),
             kind,
-            asid: Asid(u16::from_le_bytes(rec[2..4].try_into().expect("2 bytes"))),
-            vaddr: VAddr::new(u64::from_le_bytes(rec[4..12].try_into().expect("8 bytes"))),
-        });
+            VAddr::new(vaddr),
+        ));
     }
     Ok(out)
 }
@@ -132,5 +143,21 @@ mod tests {
         write_trace(&mut buf, &trace).unwrap();
         buf[9] = 77; // corrupt the first record's kind byte
         assert!(read_trace(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn vaddr_beyond_43_bits_is_rejected() {
+        let trace = sample(1);
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &trace).unwrap();
+        // The first record's vaddr is bytes 12..20; set it to 2^43.
+        buf[12..20].copy_from_slice(&(1u64 << 43).to_le_bytes());
+        let err = read_trace(&buf[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("43 bits"), "{err}");
+        // The last address an access holds still loads.
+        buf[12..20].copy_from_slice(&((1u64 << 43) - 1).to_le_bytes());
+        let back = read_trace(&buf[..]).unwrap();
+        assert_eq!(back[0].vaddr().raw(), (1 << 43) - 1);
     }
 }

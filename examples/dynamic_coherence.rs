@@ -13,12 +13,7 @@ use d2m_core::{D2mSystem, D2mVariant};
 use d2m_workloads::{Access, AccessKind};
 
 fn acc(node: u8, kind: AccessKind, va: u64) -> Access {
-    Access {
-        node: NodeId::new(node),
-        asid: Asid(0),
-        kind,
-        vaddr: VAddr::new(va),
-    }
+    Access::new(NodeId::new(node), Asid(0), kind, VAddr::new(va))
 }
 
 fn main() {

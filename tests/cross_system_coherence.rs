@@ -158,11 +158,8 @@ fn interleaved_writers_leave_identical_final_state() {
     const PRIVATE_BASE: u64 = 0x4000_0000;
     const PRIVATE_LINES: u64 = 24;
 
-    let acc = |node: u8, kind: AccessKind, va: u64| Access {
-        node: NodeId::new(node),
-        asid: Asid(0),
-        kind,
-        vaddr: VAddr::new(va),
+    let acc = |node: u8, kind: AccessKind, va: u64| {
+        Access::new(NodeId::new(node), Asid(0), kind, VAddr::new(va))
     };
     let shared = |i: u64| SHARED_BASE + (i % SHARED_LINES) * 64;
     let private =
